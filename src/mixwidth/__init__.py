@@ -50,7 +50,6 @@ from .psi import (
 from .verify import SUITE_NAMES, SuiteResult, run_suites
 from .witness import (
     GroupElement,
-    WitnessSpec,
     best_witness_lower_bound,
     group_apply,
     solve_rl_loglinear,
@@ -74,7 +73,6 @@ __all__ = [
     "TargetSpace",
     "Weight",
     "WidthSample",
-    "WitnessSpec",
     "barycentric",
     "best_witness_lower_bound",
     "convex_combine",

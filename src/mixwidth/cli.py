@@ -333,13 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command line and return its exit code.
+
+    0 success, 1 invalid input, 2 bad arguments (from argparse), 3 a verify
+    suite failed, 4 an internal consistency check failed.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, AssertionError) as exc:
-        print(f"mixwidth: error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
+    except (ArithmeticError, RuntimeError) as exc:
+        return _fail(f"internal consistency failure: {exc}", 4)
+
+
+def _fail(message: str, code: int) -> int:
+    print("mixwidth: error: " + " ".join(message.split()), file=sys.stderr)
+    return code
 
 
 def _dispatch(args) -> int:

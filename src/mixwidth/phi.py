@@ -8,6 +8,8 @@ overlaps, which `phi` asserts on every call.
 
 Region membership is decided with exact rational comparisons on reciprocal
 exponents; only the final power evaluations are floating point.
+`log_phi_array` is the float array form used to screen many points at once;
+`phi` stays the exact reference and the public API.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exponents import HALF, Exponent
 
@@ -130,6 +134,51 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
             f"applicable branches disagree beyond tolerance: {values}"
         )
     return PhiValue(lo, tuple(sorted(values)))
+
+
+def _times(w: np.ndarray, c: float) -> np.ndarray:
+    """w * c with 0 * inf = 0, the log form of inf ** 0.0 == 1.0 at n = 0."""
+    if math.isinf(c):
+        return np.where(w > 0, c, 0.0)
+    return w * c
+
+
+def log_phi_array(
+    u: np.ndarray, v: np.ndarray, target: TargetSpace, dims: Dimensions
+) -> np.ndarray:
+    """log Phi at float reciprocal points (u, v), the array form of `phi`.
+
+    Each branch is evaluated in log space wherever its region contains the
+    point, and the minimum is taken, as in `phi`.  Region tests run in
+    floats, so a point within rounding of a region boundary may be assigned
+    to the neighbouring branch; the branches agree on their overlaps, so the
+    value moves only by the rounding.  The branch 4 and 5 tests compare the
+    same two float ratios both ways, so on the critical line (where the
+    ratios are equal) at least one of them holds.
+    """
+    uq, vs = float(target.q.u), float(target.sigma.u)
+    lm, lk = math.log(dims.m), math.log(dims.k)
+    lrn = math.inf if dims.n == 0 else -0.5 * math.log(dims.n)
+    wp = np.ones_like(u) if uq == 0.5 else np.minimum((u - uq) / (0.5 - uq), 1.0)
+    wt = np.ones_like(v) if vs == 0.5 else np.minimum((v - vs) / (0.5 - vs), 1.0)
+    big = lrn + uq * lm + vs * lk  # log(n^-1/2 m^(1/q) k^(1/sigma))
+    row = lrn + 0.5 * lm + vs * lk  # log(n^-1/2 m^(1/2) k^(1/sigma))
+    col = lrn + uq * lm + 0.5 * lk  # log(n^-1/2 m^(1/q) k^(1/2))
+    am, ak = (uq - u) * lm, (vs - v) * lk
+    lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
+    am_row, ak_col = am + _times(wt, row), ak + _times(wp, col)
+    out = np.full_like(u, math.inf)
+    for region, value in (
+        (lo_u & lo_v, am + ak),
+        (lo_u & hi_v, np.minimum(am, am_row)),
+        (hi_u & lo_v, np.minimum(ak, ak_col)),
+        (hi_u & hi_v & (u <= 0.5) & (wp <= wt), np.minimum(_times(wp, big), am_row)),
+        (hi_u & hi_v & (v <= 0.5) & (wt <= wp), np.minimum(_times(wt, big), ak_col)),
+        ((u >= 0.5) & (v >= 0.5), big),
+    ):
+        np.minimum(out, value, out=out, where=region)
+    # Branches 4-6, whose regions cover u >= 1/q, v >= 1/sigma, take a min with 1.
+    return np.minimum(out, 0.0, out=out, where=hi_u & hi_v)
 
 
 def single_ball_width_estimate(ball, target: TargetSpace, dims: Dimensions) -> float:

@@ -10,10 +10,16 @@ the indices, the exact interpolation weights, and the exponent pair at
 which the single-ball profile is evaluated, which together reproduce the
 component value.
 
-Candidate-set membership is decided with exact rational arithmetic; the
-triple scans vectorize the containment test in floats with margins that
-dominate the float error, handing only uncertain triples and the final
-minimum window to the exact solver.
+Every component runs one candidate pipeline.  (1) Admission is exact on
+per-ball quantities (the side of a level or of the critical line), or a
+float screen with margins far above its error, whose uncertain candidates
+are kept as risky.  (2) Float log-values of the admitted candidates come at
+once, with `log_phi_array` for the profile.  (3) The exact scalar code
+re-values every risky candidate (uncertain, or with a float product that
+might over- or underflow) and every candidate within one log-space window
+of the least non-risky log-value, and the tie-break order picks among them.
+The window is twice the float error budget, so the result is that of a
+full exact scan.
 """
 
 from __future__ import annotations
@@ -21,25 +27,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exponents import (
-    HALF,
-    Exponent,
-    ReciprocalPoint,
-    barycentric,
-    convex_combine,
-    solve_critical_crossing,
-    solve_crossing,
-)
-from .phi import Dimensions, PhiValue, TargetSpace, phi
+from .exponents import HALF, TWO, Exponent, ReciprocalPoint, barycentric
+from .exponents import convex_combine, critical_deviation, solve_critical_crossing, solve_crossing
+from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi
 
 REL_TIE_TOL = 1e-9
 
-TWO = Exponent(HALF)
+# Window: _LOG_WINDOW * (1 + max |log nu|) covers the float error of weights
+# and barycentric coordinates (< ~1e-6 relative); _PHI_WINDOW times its log
+# size and conditioning 1/(1/2 - 1/q) covers that of the float profile.
+_LOG_WINDOW, _PHI_WINDOW = 1e-5, 1e-12
+# Below this sum of |log factor| no float factor or partial product can leave
+# the normal range (e^-708 .. e^709); above it a candidate is always rescanned.
+_LOG_SAFE = 700.0
+# Critical crossings this near the box edges, and triangles with |det| <=
+# _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
+_CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
+# Triples screened at a time: the triple scan's memory is O(TRIPLE_CHUNK).
+TRIPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,12 @@ class Instance:
             raise ValueError("ball family must be nonempty")
         object.__setattr__(self, "balls", tuple(self.balls))
 
+    @cached_property
+    def _ball_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float u = 1/p, v = 1/theta and log nu per ball, shared by the scans."""
+        u, v, nu = zip(*((float(b.p.u), float(b.theta.u), b.nu) for b in self.balls))
+        return np.array(u), np.array(v), np.log(nu)
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -101,209 +117,200 @@ class PsiEstimate:
     certificates: dict[int, Certificate] = field(default_factory=dict)
 
 
+Scan = tuple[float, Optional[Certificate]]
+
+
+def _coalesce(balls: Sequence[BallSpec], key: Callable) -> list[BallSpec]:
+    """One ball per key, the one with the smallest radius, in first-seen order."""
+    chosen: dict = {}
+    for ball in balls:
+        cell = key(ball)
+        if cell not in chosen or ball.nu < chosen[cell].nu:
+            chosen[cell] = ball
+    return list(chosen.values())
+
+
 def validate_instance(inst: Instance) -> Instance:
     """Check ranges and coalesce duplicate (p, theta) pairs keeping the smallest radius.
 
     The intersection with the larger of two concentric balls is redundant,
     so duplicates are merged rather than rejected.
     """
-    # Dimensions/TargetSpace/BallSpec already enforce their own invariants on
-    # construction; re-deriving the instance here also normalizes duplicates.
-    kept: dict[tuple[Fraction, Fraction], int] = {}
-    balls: list[BallSpec] = []
-    for ball in inst.balls:
-        key = (ball.p.u, ball.theta.u)
-        if key in kept:
-            i = kept[key]
-            if ball.nu < balls[i].nu:
-                balls[i] = ball
-        else:
-            kept[key] = len(balls)
-            balls.append(ball)
+    balls = _coalesce(inst.balls, lambda b: (b.p.u, b.theta.u))
     return Instance(inst.dims, inst.target, tuple(balls))
 
 
-def _pair_value(
-    nu_a: float, nu_b: float, w: Fraction, profile: PhiValue
-) -> float:
-    return nu_a ** float(1 - w) * nu_b ** float(w) * profile.value
+def _confirm(inst: Instance, batches: Iterable[tuple], exact: Callable) -> Scan:
+    """Stages 2-3 over batches of admitted (rows, weights, log profile, unsure).
 
-
-def _component_pairs(inst: Instance, j: int) -> tuple[float, Optional[Certificate]]:
-    """Components 1-4: ordered pairs whose segment crosses a coordinate level.
-
-    The crossing runs along the p coordinate (j = 1, 3) or the theta
-    coordinate (j = 2, 4), toward the target exponent (j = 1, 2) or toward
-    2 (j = 3, 4); the other coordinate is interpolated with the same weight
-    and the profile is evaluated at (level, companion) in crossing order.
+    A row's float log-value is log profile + sum(weight * log nu).  Risky
+    rows, and rows within the window of the least non-risky log-value seen
+    so far, are re-run by `exact`; the least (value, indices) wins, which is
+    the first strict minimum in index-lexicographic order.  A row confirmed
+    before the minimum settles costs time but cannot change the result, and
+    nothing outlives its batch.
     """
-    on_p = j in (1, 3)
-    level = {1: inst.target.q, 2: inst.target.sigma, 3: TWO, 4: TWO}[j]
-
-    best = math.inf
-    cert: Optional[Certificate] = None
-    for ia, a in enumerate(inst.balls):
-        for ib, b in enumerate(inst.balls):
-            if ia == ib:
-                continue
-            if on_p:
-                w = solve_crossing(a.p, b.p, level)
-            else:
-                w = solve_crossing(a.theta, b.theta, level)
-            if w is None:
-                continue
-            if on_p:
-                pe, te = level, convex_combine(a.theta, b.theta, w)
-            else:
-                pe, te = convex_combine(a.p, b.p, w), level
-            profile = phi(pe, te, inst.target, inst.dims)
-            value = _pair_value(a.nu, b.nu, w, profile)
-            if value < best:
-                best = value
-                cert = Certificate(
-                    j, (ia, ib), (1 - w, w), pe, te, profile, value
-                )
-    return best, cert
+    la = inst._ball_arrays[2]
+    t, d = inst.target, inst.dims
+    amp = max((1 / (0.5 - float(e.u)) for e in (t.q, t.sigma) if e.u < HALF), default=1.0)
+    tol = _LOG_WINDOW * (1.0 + float(np.abs(la).max()))
+    tol += _PHI_WINDOW * amp * (1.0 + math.log(d.m * d.k * max(d.n, 1)))
+    vmin, best, cert = math.inf, (math.inf, ()), None
+    for rows, weights, lphi, unsure in batches:
+        logv = lphi + (weights * la[rows]).sum(axis=1)
+        risky = unsure | (np.abs(lphi) + (weights * np.abs(la[rows])).sum(axis=1) > _LOG_SAFE)
+        vmin = min(vmin, float(logv[~risky].min(initial=math.inf)))
+        for row in rows[risky | (logv <= vmin + tol)].tolist():
+            found = exact(tuple(row))
+            if found is not None and (found.value, found.indices) < best:
+                best, cert = (found.value, found.indices), found
+    return best[0], cert
 
 
-def _component_critical(inst: Instance) -> tuple[float, Optional[Certificate]]:
-    """Component 5: ordered pairs crossing the critical line strictly inside."""
+def _opposite_pairs(offsets: list[Fraction]) -> tuple:
+    """Pairs ia < ib whose exact offsets from a line have strictly opposite signs.
+
+    This is the side test of `solve_crossing` and `solve_critical_crossing`;
+    the float crossing weight w = f_a / (f_a - f_b) has no cancellation.  A
+    reversed pair has the same value and comes later in tie-break order, so
+    it never wins.
+    """
+    signs = np.array([(f > 0) - (f < 0) for f in offsets])
+    ia, ib = np.nonzero(np.triu(np.multiply.outer(signs, signs) < 0))
+    f = np.array([float(x) for x in offsets])
+    return ia, ib, f[ia] / (f[ia] - f[ib])
+
+
+def _single_scan(inst: Instance) -> Scan:
+    """Component 0: every ball on its own."""
+    uf, vf, la = inst._ball_arrays
+    lphi = log_phi_array(uf, vf, inst.target, inst.dims)
+
+    def exact(row: tuple[int, ...]) -> Certificate:
+        ball = inst.balls[row[0]]
+        profile = phi(ball.p, ball.theta, inst.target, inst.dims)
+        value = ball.nu * profile.value
+        return Certificate(0, row, (Fraction(1),), ball.p, ball.theta, profile, value)
+
+    rows = np.arange(len(la))[:, None]
+    return _confirm(inst, [(rows, np.ones(rows.shape), lphi, False)], exact)
+
+
+def _pair_scan(inst: Instance, j: int) -> Scan:
+    """Components 1-5: pairs whose segment crosses a line at a weight in (0, 1).
+
+    Components 1-4 cross the p (j = 1, 3) or theta (j = 2, 4) coordinate level
+    of the target (j = 1, 2) or of 2 (j = 3, 4), with the profile at (level,
+    companion) in crossing order.  Component 5 crosses the critical line inside
+    (1/q, 1/2) x (1/sigma, 1/2), screened in floats; near-edge ones are unsure.
+    """
     target = inst.target
-    if target.q.u == HALF or target.sigma.u == HALF:
+    q, sigma = target.q, target.sigma
+    if j == 5:
+        if q.u == HALF or sigma.u == HALF:
+            return math.inf, None
+        offsets = [critical_deviation(ball.point, q, sigma) for ball in inst.balls]
+    else:
+        on_p = j in (1, 3)
+        level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j]
+        offsets = [(ball.p if on_p else ball.theta).u - level.u for ball in inst.balls]
+    ia, ib, w = _opposite_pairs(offsets)
+    uf, vf, _ = inst._ball_arrays
+    cu, cv = (1.0 - w) * uf[ia] + w * uf[ib], (1.0 - w) * vf[ia] + w * vf[ib]
+    unsure = np.zeros(ia.shape, dtype=bool)
+    if j == 5:
+        # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
+        gap = np.minimum(cu - float(q.u), 0.5 - cu)
+        keep = gap >= -_CRITICAL_MARGIN
+        ia, ib, w, cu, cv, unsure = (x[keep] for x in (ia, ib, w, cu, cv, gap <= _CRITICAL_MARGIN))
+    if not ia.size:
         return math.inf, None
-    best = math.inf
-    cert: Optional[Certificate] = None
-    for ia, a in enumerate(inst.balls):
-        for ib, b in enumerate(inst.balls):
-            if ia == ib:
-                continue
-            hit = solve_critical_crossing(a.point, b.point, target.q, target.sigma)
+
+    def exact(pair: tuple[int, ...]) -> Optional[Certificate]:
+        a, b = inst.balls[pair[0]], inst.balls[pair[1]]
+        if j == 5:
+            hit = solve_critical_crossing(a.point, b.point, q, sigma)
             if hit is None:
-                continue
+                return None
             w, cross = hit
             pe, te = Exponent(cross.u), Exponent(cross.v)
-            profile = phi(pe, te, target, inst.dims)
-            value = _pair_value(a.nu, b.nu, w, profile)
-            if value < best:
-                best = value
-                cert = Certificate(
-                    5, (ia, ib), (1 - w, w), pe, te, profile, value
-                )
-    return best, cert
+        elif on_p:
+            w = solve_crossing(a.p, b.p, level)
+            pe, te = level, convex_combine(a.theta, b.theta, w)
+        else:
+            w = solve_crossing(a.theta, b.theta, level)
+            pe, te = convex_combine(a.p, b.p, w), level
+        profile = phi(pe, te, target, inst.dims)
+        value = a.nu ** float(1 - w) * b.nu ** float(w) * profile.value
+        return Certificate(j, pair, (1 - w, w), pe, te, profile, value)
+
+    rows, weights = np.column_stack((ia, ib)), np.column_stack((1.0 - w, w))
+    lphi = log_phi_array(cu, cv, target, inst.dims)
+    return _confirm(inst, [(rows, weights, lphi, unsure)], exact)
 
 
-def _component_triples(inst: Instance, j: int) -> tuple[float, Optional[Certificate]]:
-    """Components 6-7: unordered triples strictly containing the goal point.
+def _triple_scan(inst: Instance, j: int) -> Scan:
+    """Components 6-7: triples a < b < c strictly containing the goal point.
 
-    The scan is vectorized: floating-point barycentric coordinates decide
-    clear containment with margins far above their error bound (for a
-    denominator above 1e-8 the coordinate error stays below ~3e-7, against
-    a 1e-4 margin), uncertain triples fall through to the exact solver, and
-    the minimum is re-derived exactly over a small value window so the
-    certificate weights and the reported value stay exact-rational-backed.
+    With o(x, y) the orientation of (x, y) about the goal, the goal's
+    barycentric coordinates in (a, b, c) are o(b, c), o(c, a), o(a, b) over
+    their sum.  Per middle index b the triples are an a-by-c grid of views of
+    one N x N orientation table, screened in blocks of at most TRIPLE_CHUNK
+    triples.  The profile is only evaluated once a triple is admitted.
     """
     target = inst.target
+    goal, pe, te = ReciprocalPoint(HALF, HALF), TWO, TWO
     if j == 6:
-        goal = ReciprocalPoint(target.q.u, target.sigma.u)
-        pe, te = target.q, target.sigma
-    else:
-        goal = ReciprocalPoint(HALF, HALF)
-        pe, te = TWO, TWO
-    profile = phi(pe, te, target, inst.dims)
+        goal, pe, te = ReciprocalPoint(target.q.u, target.sigma.u), target.q, target.sigma
+    profile = cache(lambda: phi(pe, te, target, inst.dims))
+    points = [ball.point for ball in inst.balls]
+    uf, vf, _ = inst._ball_arrays
+    du, dv = uf - float(goal.u), vf - float(goal.v)
+    orient = np.multiply.outer(du, dv) - np.multiply.outer(dv, du)
 
-    points = [b.point for b in inst.balls]
-    count = len(points)
-    if count < 3:
-        return math.inf, None
-    combos = np.fromiter(
-        (i for c in combinations(range(count), 3) for i in c), dtype=np.int64
-    ).reshape(-1, 3)
-    uf = np.array([float(p.u) for p in points])
-    vf = np.array([float(p.v) for p in points])
-    lognu = np.log(np.array([b.nu for b in inst.balls]))
-    gu, gv = float(goal.u), float(goal.v)
+    def batches():
+        for b in range(1, len(points) - 1):
+            o_bc = orient[b, b + 1:]
+            step = max(1, TRIPLE_CHUNK // o_bc.size)
+            for a0 in range(0, b, step):
+                a = np.arange(a0, min(b, a0 + step))
+                o_ab, o_ca = orient[a, b][:, None], orient[b + 1:, a].T
+                det = o_ab + o_bc + o_ca
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ta, tb, tc = o_bc / det, o_ca / det, o_ab / det
+                tmin = np.minimum(ta, np.minimum(tb, tc))  # NaN (det = 0) is unsure
+                decisive = np.abs(det) > _DET_MARGIN
+                unsure = ~(decisive & (np.abs(tmin) > _BARY_MARGIN))
+                x, y = np.nonzero(unsure | (tmin > _BARY_MARGIN))
+                if x.size:
+                    rows = np.column_stack((a[x], np.full_like(x, b), b + 1 + y))
+                    weights = np.column_stack((ta[x, y], tb[x, y], tc[x, y]))
+                    weights[unsure[x, y]] = 0.0
+                    yield rows, weights, math.log(profile().value), unsure[x, y]
 
-    ia, ib, ic = combos[:, 0], combos[:, 1], combos[:, 2]
-    eu, ev = uf[ib] - uf[ia], vf[ib] - vf[ia]
-    fu, fv = uf[ic] - uf[ia], vf[ic] - vf[ia]
-    det = eu * fv - ev * fu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tb = ((gu - uf[ia]) * fv - (gv - vf[ia]) * fu) / det
-        tc = (eu * (gv - vf[ia]) - ev * (gu - uf[ia])) / det
-        ta = 1.0 - tb - tc
-        tmin = np.minimum(ta, np.minimum(tb, tc))  # NaN (det = 0) falls to uncertain
-    decisive = np.abs(det) > 1e-8
-    inside = decisive & (tmin > 1e-4)
-    uncertain = ~(decisive & ((tmin > 1e-4) | (tmin < -1e-4)))
-
-    values = np.full(len(combos), math.inf)
-    values[inside] = np.exp(
-        ta[inside] * lognu[ia[inside]]
-        + tb[inside] * lognu[ib[inside]]
-        + tc[inside] * lognu[ic[inside]]
-    ) * profile.value
-
-    def exact_value(t: int):
-        taus = barycentric(
-            points[combos[t, 0]], points[combos[t, 1]], points[combos[t, 2]], goal
-        )
+    def exact(triple: tuple[int, ...]) -> Optional[Certificate]:
+        taus = barycentric(*(points[i] for i in triple), goal)
         if taus is None:
-            return None, None
-        value = profile.value
-        for idx, w in zip(combos[t], taus):
-            value *= inst.balls[idx].nu ** float(w)
-        return value, taus
+            return None
+        value = profile().value
+        for i, w in zip(triple, taus):
+            value *= inst.balls[i].nu ** float(w)
+        return Certificate(j, triple, taus, pe, te, profile(), value)
 
-    for t in np.nonzero(uncertain)[0]:
-        value, _ = exact_value(int(t))
-        values[t] = math.inf if value is None else value
-
-    finite = np.isfinite(values)
-    if not finite.any():
-        return math.inf, None
-    vmin = float(values[finite].min())
-    # Re-derive the minimum exactly over every near-minimal triple; the
-    # window dominates the float-scan error, and ascending index order keeps
-    # tie-breaking lexicographic.
-    best = math.inf
-    cert: Optional[Certificate] = None
-    for t in np.nonzero(values <= vmin * (1.0 + 1e-5))[0]:
-        value, taus = exact_value(int(t))
-        if value is None or value >= best:
-            continue
-        best = value
-        cert = Certificate(
-            j, tuple(int(i) for i in combos[t]), taus, pe, te, profile, value
-        )
-    return best, cert
+    return _confirm(inst, batches(), exact)
 
 
-def psi_component(inst: Instance, j: int) -> tuple[float, Optional[Certificate]]:
+def psi_component(inst: Instance, j: int) -> Scan:
     """One component value and its minimizing certificate (None when empty).
 
-    Pairs are scanned in ordered index-lexicographic order and triples in
-    unordered combination order, so ties resolve deterministically to the
-    first minimizer.
+    Ties resolve to the first minimizer in index-lexicographic order, as in
+    an exhaustive scan of ordered pairs and of triples in combination order.
     """
+    if j not in range(8):
+        raise ValueError(f"component index must be 0..7, got {j}")
     if j == 0:
-        best = math.inf
-        cert: Optional[Certificate] = None
-        for i, ball in enumerate(inst.balls):
-            profile = phi(ball.p, ball.theta, inst.target, inst.dims)
-            value = ball.nu * profile.value
-            if value < best:
-                best = value
-                cert = Certificate(
-                    0, (i,), (Fraction(1),), ball.p, ball.theta, profile, value
-                )
-        return best, cert
-    if j in (1, 2, 3, 4):
-        return _component_pairs(inst, j)
-    if j == 5:
-        return _component_critical(inst)
-    if j in (6, 7):
-        return _component_triples(inst, j)
-    raise ValueError(f"component index must be 0..7, got {j}")
+        return _single_scan(inst)
+    return _pair_scan(inst, j) if j < 6 else _triple_scan(inst, j)
 
 
 def psi(inst: Instance) -> PsiEstimate:
@@ -343,15 +350,4 @@ def family_reduce(
         )
     if not balls:
         raise ValueError("ball family must be nonempty")
-    kept: dict[tuple[int, int], int] = {}
-    chosen: list[BallSpec] = []
-    for ball in balls:
-        cell = (int(ball.p.u // delta), int(ball.theta.u // delta))
-        if cell in kept:
-            i = kept[cell]
-            if ball.nu < chosen[i].nu:
-                chosen[i] = ball
-        else:
-            kept[cell] = len(chosen)
-            chosen.append(ball)
-    return chosen
+    return _coalesce(balls, lambda b: (int(b.p.u // delta), int(b.theta.u // delta)))

@@ -19,9 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exponents import Exponent
+from .phi import _REL_BRANCH_TOL
 from .psi import Instance
-
-_REL_BRANCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,21 +70,6 @@ class GroupElement:
             for j in range(len(self.col_perm))
         )
         return GroupElement(rp, cp, rs, cs)
-
-
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Block size (r, l) and a positive scale for one witness body t*V_{r,l}."""
-
-    r: int
-    l: int
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.l < 1:
-            raise ValueError(f"block sizes must be positive, got ({self.r}, {self.l})")
-        if not self.t > 0:
-            raise ValueError(f"scale must be positive, got {self.t}")
 
 
 def v_extreme_point(m: int, k: int, r: int, l: int) -> np.ndarray:

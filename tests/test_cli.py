@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -203,3 +204,19 @@ class TestWitnessMode:
         assert report["psi"] == pytest.approx(2.0)
         assert 0 < report["witness_lb"] <= report["psi"] * 4
         assert 1 <= report["r"] <= 4 and 1 <= report["l"] <= 4
+
+
+class TestInternalFailures:
+    @pytest.mark.parametrize("error", [ArithmeticError, RuntimeError])
+    def test_one_line_error_without_traceback(self, worked_file, capsys, monkeypatch, error):
+        def broken(*args):
+            raise error("applicable branches disagree:\n{1: 1.0, 2: 2.0}")
+
+        monkeypatch.setattr(sys.modules["mixwidth.psi"], "phi", broken)
+        code, out, err = run_cli(capsys, worked_file, "--format", "json")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "mixwidth: error: internal consistency failure: "
+            "applicable branches disagree: {1: 1.0, 2: 2.0}\n"
+        )

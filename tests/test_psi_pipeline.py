@@ -1,0 +1,226 @@
+"""The candidate pipeline of `psi_component` against the brute-force scans.
+
+The differential tests compare value and certificate with `==`: the
+pipeline must return exactly what the exhaustive exact scan in `psi_brute`
+returns, including which of several tied candidates wins.
+"""
+
+import math
+import sys
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixwidth import (
+    BallSpec,
+    Dimensions,
+    Exponent,
+    Instance,
+    TargetSpace,
+    phi,
+    psi_component,
+    validate_instance,
+)
+from mixwidth.phi import log_phi_array
+from mixwidth.verify import _rand_instance
+from psi_brute import brute_component
+
+
+def assert_matches_brute(inst):
+    for j in range(8):
+        assert psi_component(inst, j) == brute_component(inst, j), j
+
+
+def build(m, k, n, uq, vs, balls):
+    """Instance from reciprocal exponents: balls = [(u, v, nu), ...]."""
+    return validate_instance(
+        Instance(
+            Dimensions(m, k, n),
+            TargetSpace(Exponent(Fraction(uq)), Exponent(Fraction(vs))),
+            tuple(
+                BallSpec(Exponent(Fraction(u)), Exponent(Fraction(v)), nu)
+                for u, v, nu in balls
+            ),
+        )
+    )
+
+
+class TestDifferential:
+    def test_verify_generator_small(self):
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            assert_matches_brute(_rand_instance(rng))
+
+    def test_verify_generator_sixteen_balls(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            assert_matches_brute(_rand_instance(rng, max_balls=16))
+
+    def test_sixteenth_grid_equal_radii(self):
+        # collinear points, points on the levels and exact ties everywhere
+        rng = np.random.default_rng(9)
+        for trial in range(30):
+            count = int(rng.integers(3, 13))
+            cells = rng.choice(17 * 17, size=count, replace=False)
+            nu = (0.5, 1.0, 2.0)[trial % 3]
+            balls = [(Fraction(int(c) // 17, 16), Fraction(int(c) % 17, 16), nu) for c in cells]
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+            uq = Fraction(int(rng.integers(1, 9)), 16)
+            vs = Fraction(int(rng.integers(1, 9)), 16)
+            assert_matches_brute(build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls))
+
+    def test_n_zero(self):
+        # w * log(n^-1/2) with w = 0 must be 0 under the n = 0 convention
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            inst = _rand_instance(rng, max_balls=6)
+            assert_matches_brute(
+                Instance(Dimensions(inst.dims.m, inst.dims.k, 0), inst.target, inst.balls)
+            )
+
+    def test_uncertain_critical_crossing_never_sets_the_window(self):
+        # Balls 0 and 1 cross the critical line u = v of q = sigma = 4 at
+        # (1/2, 1/2), on the box edge: the pair is rejected exactly, although
+        # its float log-value is the least of all pairs.
+        inst = build(
+            16, 16, 8, "1/4", "1/4",
+            [(0, 1, 1e-3), (1, 0, 1e-3), ("3/10", "9/20", 1.0), ("9/20", "3/10", 1.0)],
+        )
+        value, cert = psi_component(inst, 5)
+        assert cert is not None and cert.indices != (0, 1)
+        assert (value, cert) == brute_component(inst, 5)
+
+    def test_mirrored_thin_triangles_tie_exactly(self):
+        # Thin triangles around (1/2, 1/2) mirrored in v = 1/2 with mirrored
+        # radii near 1e+-300 tie exactly, while their float log-values differ
+        # by the barycentric error times |log nu|; the first must still win.
+        rng = np.random.default_rng(12)
+        half = Fraction(1, 2)
+        for _ in range(20):
+            balls = []
+            for _ in range(3):
+                du = Fraction(int(rng.integers(-400, 401)), 1000)
+                dv = Fraction(int(rng.integers(1, 100)), 10 ** int(rng.integers(6, 9)))
+                nu = 10.0 ** (float(rng.choice([-300.0, 300.0])) + float(rng.uniform(-1, 1)))
+                balls += [(half + du, half + dv, nu), (half + du, half - dv, nu)]
+            m, k = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+            n = int(rng.integers(0, m * k // 2 + 1))
+            assert_matches_brute(build(m, k, n, "1/4", "1/3", balls))
+
+    def test_subnormal_products_tie_in_float(self):
+        # nu * Phi rounds to the least subnormal for both balls, so the exact
+        # scan ties and keeps ball 0, although log nu + log Phi favours ball 1.
+        inst = build(4, 4, 2, "1/2", "1/2", [("1/4", "1/2", 5e-324), ("3/8", "1/2", 5e-324)])
+        value, cert = psi_component(inst, 0)
+        assert value == 5e-324 and cert.indices == (0,)
+        assert_matches_brute(inst)
+
+    def test_small_triple_chunks(self, monkeypatch):
+        # chunks smaller than one a-by-c grid split every middle index
+        monkeypatch.setattr(sys.modules["mixwidth.psi"], "TRIPLE_CHUNK", 5)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            inst = _rand_instance(rng, max_balls=16)
+            for j in (6, 7):
+                assert psi_component(inst, j) == brute_component(inst, j), j
+
+
+def test_triple_scan_memory_is_bounded():
+    # 669,920 triples: holding them all at once would take about 70 MB
+    rng = np.random.default_rng(14)
+    cells = rng.choice(1025 * 1025, size=160, replace=False)
+    radii = np.exp(rng.uniform(-1.5, 1.5, size=160))
+    balls = [(Fraction(int(c) // 1025, 1024), Fraction(int(c) % 1025, 1024), float(nu))
+             for c, nu in zip(cells, radii)]
+    inst = build(64, 64, 1024, "1/3", "1/4", balls)
+    for j in (6, 7):
+        tracemalloc.start()
+        try:
+            psi_component(inst, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (j, peak)
+
+
+class TestLogPhiArray:
+    def test_matches_phi(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            inst = _rand_instance(rng)
+            grid = [Fraction(i, 16) for i in range(17)]
+            pts = [(u, v) for u in grid for v in grid]
+            got = log_phi_array(
+                np.array([float(u) for u, _ in pts]),
+                np.array([float(v) for _, v in pts]),
+                inst.target,
+                inst.dims,
+            )
+            want = [
+                math.log(phi(Exponent(u), Exponent(v), inst.target, inst.dims).value)
+                for u, v in pts
+            ]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_critical_line_keeps_a_branch(self):
+        # on the critical line omega_p = omega_t exactly; the float ratios may
+        # differ in the last bit, and branches 4 and 5 must not both drop out
+        target = TargetSpace(Exponent(Fraction(3, 10)), Exponent(Fraction(1, 7)))
+        dims = Dimensions(50, 40, 30)
+        s = np.linspace(0.0, 1.0, 2001)
+        u = 0.3 + s * (0.5 - 0.3)
+        v = 1 / 7 + s * (0.5 - 1 / 7)
+        got = log_phi_array(u, v, target, dims)
+        assert np.isfinite(got).all()
+        for t in (0, 333, 1000, 1777):
+            e = Fraction(t, 2000)
+            pe = Exponent(Fraction(3, 10) + e * (Fraction(1, 2) - Fraction(3, 10)))
+            te = Exponent(Fraction(1, 7) + e * (Fraction(1, 2) - Fraction(1, 7)))
+            want = math.log(phi(pe, te, target, dims).value)
+            assert got[t] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_n_zero_weight_zero_is_finite(self):
+        # at v = 1/sigma branch 2 applies with weight 0: n^(-1/2) = inf to the 0
+        target = TargetSpace(Exponent(Fraction(1, 4)), Exponent(Fraction(1, 3)))
+        dims = Dimensions(8, 8, 0)
+        got = log_phi_array(np.array([0.1, 0.4]), np.array([1 / 3, 1 / 3]), target, dims)
+        want = [
+            math.log(phi(Exponent(Fraction(u)), Exponent(Fraction(1, 3)), target, dims).value)
+            for u in (Fraction(1, 10), Fraction(2, 5))
+        ]
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+# Thin triangles around the goal and radii near 1e+-300 stress the float
+# screen and the log-space window: a barycentric error of 1e-7 times
+# |log nu| ~ 690 is far above a value window that ignores |log nu|.
+def _thin_family(draw):
+    uq = Fraction(draw(st.integers(1, 64)), 128)
+    vs = Fraction(draw(st.integers(1, 64)), 128)
+    goal = draw(st.sampled_from([(uq, vs), (Fraction(1, 2), Fraction(1, 2))]))
+    dx, dy = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    count = draw(st.integers(3, 7))
+    balls, seen = [], set()
+    for _ in range(count):
+        t = Fraction(draw(st.integers(-40, 40)), 64)
+        eps = Fraction(draw(st.integers(-3, 3)), 10 ** draw(st.integers(4, 12)))
+        u = min(max(goal[0] + t * dx / 8 - eps * dy / 8, Fraction(0)), Fraction(1))
+        v = min(max(goal[1] + t * dy / 8 + eps * dx / 8, Fraction(0)), Fraction(1))
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        scale = draw(st.sampled_from([300.0, -300.0, 0.0]))
+        nu = 10.0 ** (scale + draw(st.floats(-2.0, 2.0)))
+        balls.append((u, v, nu))
+    m, k = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    return build(m, k, draw(st.integers(0, m * k // 2)), uq, vs, balls)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_thin_triangles_and_extreme_radii(data):
+    assert_matches_brute(_thin_family(data.draw))
