@@ -18,7 +18,6 @@ from .exponents import (
     critical_deviation,
     is_general_position,
     parse_exponent,
-    perturb_to_general_position,
     solve_critical_crossing,
     solve_crossing,
 )
@@ -36,7 +35,7 @@ from .oracles import (
     numeric_width_estimate,
     sup_norm_over_M,
 )
-from .phi import Dimensions, PhiValue, TargetSpace, omega, phi, single_ball_width_estimate
+from .phi import Dimensions, PhiValue, TargetSpace, omega, phi
 from .psi import (
     BallSpec,
     Certificate,
@@ -52,7 +51,6 @@ from .witness import (
     GroupElement,
     best_witness_lower_bound,
     group_apply,
-    solve_rl_loglinear,
     v_extreme_point,
     v_inclusion_scale,
     v_width_lower_bound,
@@ -89,13 +87,11 @@ __all__ = [
     "numeric_width_estimate",
     "omega",
     "parse_exponent",
-    "perturb_to_general_position",
     "phi",
     "psi",
     "psi_component",
     "run_suites",
     "sample_boundary",
-    "single_ball_width_estimate",
     "solve_critical_crossing",
     "solve_crossing",
     "sup_norm_over_M",

@@ -193,7 +193,7 @@ def run_sweep(inst: Instance, n_from: int, n_to: int, tolerance_rel: float) -> l
     rows = [_sweep_row(inst, n) for n in range(n_from, n_to + 1)]
     for prev, cur in zip(rows, rows[1:]):
         if cur["psi"] > prev["psi"] * (1.0 + tolerance_rel):
-            raise AssertionError(
+            raise RuntimeError(
                 f"psi not monotone: n={prev['n']} -> {prev['psi']}, "
                 f"n={cur['n']} -> {cur['psi']}"
             )
@@ -342,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 1)
     except (ArithmeticError, RuntimeError) as exc:
         return _fail(f"internal consistency failure: {exc}", 4)

@@ -11,7 +11,6 @@ are decided correctly even on inputs that sit on a boundary.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -274,56 +273,3 @@ def is_general_position(
                     violations.append((4, (i, j, l)))
 
     return not violations, violations
-
-
-def perturb_to_general_position(
-    points: Sequence[ReciprocalPoint],
-    q: Exponent,
-    sigma: Exponent,
-    m: int,
-    k: int,
-    seed: int = 0,
-) -> list[ReciprocalPoint]:
-    """Move the points into general position by tiny rational jitters.
-
-    Every coordinate moves by strictly less than log 2 / log(m*k), the
-    magnitude under which each mixed-norm ball changes only by a factor of
-    two in either direction.  Points already in general position are
-    returned unchanged.  Deterministic for a fixed seed; the jitter step is
-    halved on repeated failures.
-    """
-    if m * k < 2:
-        raise ValueError("requires m*k >= 2")
-    ok, _ = is_general_position(points, q, sigma)
-    if ok:
-        return list(points)
-
-    # Rational base step: 1/ceil(2*log2(mk)) <= 1/(2*log2(mk)) < log2/log(mk).
-    base = Fraction(1, max(2, math.ceil(2 * math.log2(m * k))))
-    rng = random.Random(seed)
-    denom = 2**20
-    for halving in range(10):
-        step = base / 2**halving
-        for _ in range(8):
-            proposal = []
-            for pt in points:
-                du = step * Fraction(rng.randint(1, denom - 1), denom)
-                dv = step * Fraction(rng.randint(1, denom - 1), denom)
-                if rng.random() < 0.5:
-                    du = -du
-                if rng.random() < 0.5:
-                    dv = -dv
-                u = pt.u + du
-                if not 0 <= u <= 1:
-                    u = pt.u - du
-                v = pt.v + dv
-                if not 0 <= v <= 1:
-                    v = pt.v - dv
-                proposal.append(ReciprocalPoint(u, v))
-            try:
-                ok, _ = is_general_position(proposal, q, sigma)
-            except ValueError:
-                continue
-            if ok:
-                return proposal
-    raise RuntimeError("could not reach general position; input is pathological")

@@ -179,8 +179,3 @@ def log_phi_array(
         np.minimum(out, value, out=out, where=region)
     # Branches 4-6, whose regions cover u >= 1/q, v >= 1/sigma, take a min with 1.
     return np.minimum(out, 0.0, out=out, where=hi_u & hi_v)
-
-
-def single_ball_width_estimate(ball, target: TargetSpace, dims: Dimensions) -> float:
-    """Order estimate of the n-width of nu * B_{p,theta}: nu * Phi(p, theta)."""
-    return ball.nu * phi(ball.p, ball.theta, target, dims).value

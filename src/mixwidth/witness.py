@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exponents import Exponent
 from .phi import _REL_BRANCH_TOL
-from .psi import Instance
+from .psi import _LOG_SAFE, Instance
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,6 @@ class GroupElement:
             tuple(rng.choice((-1, 1), size=m).tolist()),
             tuple(rng.choice((-1, 1), size=k).tolist()),
         )
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """The element g with g(x) = self(other(x))."""
-        rp = tuple(other.row_perm[i] for i in self.row_perm)
-        cp = tuple(other.col_perm[j] for j in self.col_perm)
-        rs = tuple(
-            self.row_signs[i] * other.row_signs[self.row_perm[i]]
-            for i in range(len(self.row_perm))
-        )
-        cs = tuple(
-            self.col_signs[j] * other.col_signs[self.col_perm[j]]
-            for j in range(len(self.col_perm))
-        )
-        return GroupElement(rp, cp, rs, cs)
 
 
 def v_extreme_point(m: int, k: int, r: int, l: int) -> np.ndarray:
@@ -149,45 +134,56 @@ def _axis_grid(limit: int) -> list[int]:
     return sorted(vals)
 
 
+# Re-score every cell whose float log-value is within _WINDOW of the best.
+# Without over- or underflow a log-value errs by < 1e-12 and a scalar product
+# by a few ulps, so every cell that could attain the scalar maximum is kept.
+_WINDOW = 1e-9
+# Re-score every cell with |log n - log crossover| <= _CROSS_MARGIN, so that
+# the scalar code picks its branch and checks the branches agree.  The
+# crossover is at least 1, so the scalar rule |n - c| <= 1e-9 * max(1, c)
+# lies well inside.
+_CROSS_MARGIN = 1e-6
+
+
 def best_witness_lower_bound(inst: Instance) -> tuple[float, int, int]:
     """Best witness lower bound over the (r, l) grid, with its argmax.
 
     LB(r, l) = v_inclusion_scale(balls, r, l) * v_width_lower_bound(...);
-    ties resolve to the smallest r, then the smallest l.
+    ties resolve to the smallest r, then the smallest l.  numpy scores the
+    whole grid in log space.  The scalar code then re-scores, in (r, l)
+    order, every cell within a log window of the best, every cell where n
+    may sit at the crossover, and every cell whose product may leave the
+    normal float range, so the result is that of a full scalar scan.
     """
     m, k, n = inst.dims.m, inst.dims.k, inst.dims.n
     q, sigma = inst.target.q, inst.target.sigma
+    uq, vs = float(q.u), float(sigma.u)
+    rs, ls = _axis_grid(m), _axis_grid(k)
+    lr, ll = np.log(rs)[:, None], np.log(ls)[None, :]
+    lm, lk = math.log(m), math.log(k)
+    # A running minimum over the balls keeps memory O(grid), not O(N * grid).
+    log_scale = np.full((len(rs), len(ls)), np.inf)
+    for u, v, log_nu in zip(*inst._ball_arrays):
+        np.minimum(log_scale, (log_nu - u * lr) - v * ll, out=log_scale)
+    log_lb = log_scale + uq * lr + vs * ll
+    unsure = np.zeros(log_lb.shape, dtype=bool)
+    if n > 0:
+        ln = math.log(n)
+        log_cross = 2 * uq * lm + 2 * vs * lk + (1 - 2 * uq) * lr + (1 - 2 * vs) * ll
+        high = log_scale + (uq * lm + vs * lk - 0.5 * ln) + 0.5 * (lr + ll)
+        log_lb = np.where(ln <= log_cross, log_lb, high)
+        unsure = np.abs(ln - log_cross) <= _CROSS_MARGIN
+    # psi's _LOG_SAFE policy: the width's factors and partial products lie
+    # within e^(+-bound), and the scale's between its radius and the scale.
+    bound = 0.5 * math.log(max(n, 1)) + (1 + uq) * lm + (1 + vs) * lk
+    unsure |= np.abs(log_scale) + bound > _LOG_SAFE
+    top = log_lb[~unsure].max(initial=-math.inf)
     best, best_r, best_l = -math.inf, 1, 1
-    for r in _axis_grid(m):
-        for l in _axis_grid(k):
-            lb = v_inclusion_scale(inst.balls, r, l) * v_width_lower_bound(
-                m, k, r, l, n, q, sigma
-            )
-            if lb > best:
-                best, best_r, best_l = lb, r, l
+    for i, j in zip(*np.nonzero(unsure | (log_lb >= top - _WINDOW))):
+        r, l = rs[i], ls[j]
+        lb = v_inclusion_scale(inst.balls, r, l) * v_width_lower_bound(
+            m, k, r, l, n, q, sigma
+        )
+        if lb > best:
+            best, best_r, best_l = lb, r, l
     return best, best_r, best_l
-
-
-def solve_rl_loglinear(
-    ratio_ab: float,
-    ratio_bg: float,
-    exps: tuple,
-) -> Optional[tuple[float, float]]:
-    """Solve ratio_ab = r^e1 * l^e2, ratio_bg = r^e3 * l^e4 for positive (r, l).
-
-    `exps` holds the four reciprocal-exponent differences (e1, e2, e3, e4).
-    The rows (e1, e2) and (e3, e4) must be linearly independent; dependence
-    is detected exactly and yields None.  The returned (r, l) are positive
-    reals, not rounded to block sizes.
-    """
-    if not (ratio_ab > 0 and ratio_bg > 0):
-        raise ValueError("ratios must be positive")
-    e1, e2, e3, e4 = (Fraction(e) for e in exps)
-    det = e1 * e4 - e2 * e3
-    if det == 0:
-        return None
-    la, lb = math.log(ratio_ab), math.log(ratio_bg)
-    fdet = float(det)
-    log_r = (la * float(e4) - float(e2) * lb) / fdet
-    log_l = (float(e1) * lb - la * float(e3)) / fdet
-    return math.exp(log_r), math.exp(log_l)

@@ -5,6 +5,7 @@ import pytest
 from mixwidth import (
     BallSpec,
     Dimensions,
+    Exponent,
     Instance,
     TargetSpace,
     parse_exponent,
@@ -21,6 +22,20 @@ def make_instance(m, k, n, q, sigma, balls):
             tuple(
                 BallSpec(parse_exponent(p), parse_exponent(t), float(nu))
                 for p, t, nu in balls
+            ),
+        )
+    )
+
+
+def build(m, k, n, uq, vs, balls):
+    """Instance from reciprocal exponents: balls = [(u, v, nu), ...]."""
+    return validate_instance(
+        Instance(
+            Dimensions(m, k, n),
+            TargetSpace(Exponent(Fraction(uq)), Exponent(Fraction(vs))),
+            tuple(
+                BallSpec(Exponent(Fraction(u)), Exponent(Fraction(v)), nu)
+                for u, v, nu in balls
             ),
         )
     )

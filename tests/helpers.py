@@ -1,0 +1,112 @@
+"""Helpers that only the tests use, kept out of the package API.
+
+`compose` checks the group action, `solve_rl_loglinear` relates triple
+certificates to the witness grid, `perturb_to_general_position` exercises
+the general-position predicate, and `single_ball_width_estimate` spells out
+the single-ball estimate nu * Phi.
+"""
+
+import math
+import random
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from mixwidth.exponents import Exponent, ReciprocalPoint, is_general_position
+from mixwidth.phi import Dimensions, TargetSpace, phi
+from mixwidth.witness import GroupElement
+
+
+def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    """The element f with f(x) = g(h(x))."""
+    rp = tuple(h.row_perm[i] for i in g.row_perm)
+    cp = tuple(h.col_perm[j] for j in g.col_perm)
+    rs = tuple(
+        g.row_signs[i] * h.row_signs[g.row_perm[i]] for i in range(len(g.row_perm))
+    )
+    cs = tuple(
+        g.col_signs[j] * h.col_signs[g.col_perm[j]] for j in range(len(g.col_perm))
+    )
+    return GroupElement(rp, cp, rs, cs)
+
+
+def single_ball_width_estimate(ball, target: TargetSpace, dims: Dimensions) -> float:
+    """Order estimate of the n-width of nu * B_{p,theta}: nu * Phi(p, theta)."""
+    return ball.nu * phi(ball.p, ball.theta, target, dims).value
+
+
+def solve_rl_loglinear(
+    ratio_ab: float,
+    ratio_bg: float,
+    exps: tuple,
+) -> Optional[tuple[float, float]]:
+    """Solve ratio_ab = r^e1 * l^e2, ratio_bg = r^e3 * l^e4 for positive (r, l).
+
+    `exps` holds the four reciprocal-exponent differences (e1, e2, e3, e4).
+    The rows (e1, e2) and (e3, e4) must be linearly independent; dependence
+    is detected exactly and yields None.  The returned (r, l) are positive
+    reals, not rounded to block sizes.
+    """
+    if not (ratio_ab > 0 and ratio_bg > 0):
+        raise ValueError("ratios must be positive")
+    e1, e2, e3, e4 = (Fraction(e) for e in exps)
+    det = e1 * e4 - e2 * e3
+    if det == 0:
+        return None
+    la, lb = math.log(ratio_ab), math.log(ratio_bg)
+    fdet = float(det)
+    log_r = (la * float(e4) - float(e2) * lb) / fdet
+    log_l = (float(e1) * lb - la * float(e3)) / fdet
+    return math.exp(log_r), math.exp(log_l)
+
+
+def perturb_to_general_position(
+    points: Sequence[ReciprocalPoint],
+    q: Exponent,
+    sigma: Exponent,
+    m: int,
+    k: int,
+    seed: int = 0,
+) -> list[ReciprocalPoint]:
+    """Move the points into general position by tiny rational jitters.
+
+    Every coordinate moves by strictly less than log 2 / log(m*k), the
+    magnitude under which each mixed-norm ball changes only by a factor of
+    two in either direction.  Points already in general position are
+    returned unchanged.  Deterministic for a fixed seed; the jitter step is
+    halved on repeated failures.
+    """
+    if m * k < 2:
+        raise ValueError("requires m*k >= 2")
+    ok, _ = is_general_position(points, q, sigma)
+    if ok:
+        return list(points)
+
+    # Rational base step: 1/ceil(2*log2(mk)) <= 1/(2*log2(mk)) < log2/log(mk).
+    base = Fraction(1, max(2, math.ceil(2 * math.log2(m * k))))
+    rng = random.Random(seed)
+    denom = 2**20
+    for halving in range(10):
+        step = base / 2**halving
+        for _ in range(8):
+            proposal = []
+            for pt in points:
+                du = step * Fraction(rng.randint(1, denom - 1), denom)
+                dv = step * Fraction(rng.randint(1, denom - 1), denom)
+                if rng.random() < 0.5:
+                    du = -du
+                if rng.random() < 0.5:
+                    dv = -dv
+                u = pt.u + du
+                if not 0 <= u <= 1:
+                    u = pt.u - du
+                v = pt.v + dv
+                if not 0 <= v <= 1:
+                    v = pt.v - dv
+                proposal.append(ReciprocalPoint(u, v))
+            try:
+                ok, _ = is_general_position(proposal, q, sigma)
+            except ValueError:
+                continue
+            if ok:
+                return proposal
+    raise RuntimeError("could not reach general position; input is pathological")

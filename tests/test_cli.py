@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mixwidth import PsiEstimate
 from mixwidth.cli import main
 
 WORKED = {
@@ -219,4 +220,21 @@ class TestInternalFailures:
         assert err == (
             "mixwidth: error: internal consistency failure: "
             "applicable branches disagree: {1: 1.0, 2: 2.0}\n"
+        )
+
+    def test_rising_sweep_column(self, worked_file, capsys, monkeypatch):
+        def rising(inst):
+            value = float(inst.dims.n + 1)
+            return PsiEstimate(value, (value,) + (math.inf,) * 7, (0,))
+
+        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi", rising)
+        code, out, err = run_cli(
+            capsys, worked_file, "--mode", "sweep", "--format", "csv",
+            "--n-from", "0", "--n-to", "2",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "mixwidth: error: internal consistency failure: "
+            "psi not monotone: n=0 -> 1.0, n=1 -> 2.0\n"
         )

@@ -13,10 +13,10 @@ from mixwidth import (
     critical_deviation,
     is_general_position,
     parse_exponent,
-    perturb_to_general_position,
     solve_critical_crossing,
     solve_crossing,
 )
+from helpers import perturb_to_general_position
 
 E = parse_exponent
 

@@ -11,8 +11,8 @@ from mixwidth import (
     omega,
     parse_exponent,
     phi,
-    single_ball_width_estimate,
 )
+from helpers import single_ball_width_estimate
 
 E = parse_exponent
 

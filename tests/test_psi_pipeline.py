@@ -16,37 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixwidth import (
-    BallSpec,
     Dimensions,
     Exponent,
     Instance,
     TargetSpace,
     phi,
     psi_component,
-    validate_instance,
 )
 from mixwidth.phi import log_phi_array
 from mixwidth.verify import _rand_instance
+from conftest import build
 from psi_brute import brute_component
 
 
 def assert_matches_brute(inst):
     for j in range(8):
         assert psi_component(inst, j) == brute_component(inst, j), j
-
-
-def build(m, k, n, uq, vs, balls):
-    """Instance from reciprocal exponents: balls = [(u, v, nu), ...]."""
-    return validate_instance(
-        Instance(
-            Dimensions(m, k, n),
-            TargetSpace(Exponent(Fraction(uq)), Exponent(Fraction(vs))),
-            tuple(
-                BallSpec(Exponent(Fraction(u)), Exponent(Fraction(v)), nu)
-                for u, v, nu in balls
-            ),
-        )
-    )
 
 
 class TestDifferential:

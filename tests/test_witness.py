@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mixwidth.witness
 from mixwidth import (
     BallSpec,
     Exponent,
@@ -14,12 +15,14 @@ from mixwidth import (
     mixed_norm,
     parse_exponent,
     psi,
-    solve_rl_loglinear,
     v_extreme_point,
     v_inclusion_scale,
     v_width_lower_bound,
 )
-from conftest import make_instance
+from mixwidth.verify import _rand_instance
+from conftest import build, make_instance
+from helpers import compose, solve_rl_loglinear
+from witness_brute import brute_witness
 
 E = parse_exponent
 
@@ -73,7 +76,7 @@ class TestGroupAction:
             g2 = GroupElement.random(m, k, rng)
             assert np.allclose(
                 group_apply(g2, group_apply(g1, x)),
-                group_apply(g2.compose(g1), x),
+                group_apply(compose(g2, g1), x),
             )
 
     def test_validation(self):
@@ -193,6 +196,110 @@ class TestBestWitness:
             4, 4, 1, 1, 4, E("2"), E("2")
         )
         assert lb >= floor - 1e-12
+
+
+def sixteenth_family(rng, m, k, n, radii, max_balls=6):
+    """Exponents on the 1/16 grid, radii drawn from `radii`."""
+    balls = [
+        (Fraction(int(rng.integers(0, 17)), 16), Fraction(int(rng.integers(0, 17)), 16),
+         float(rng.choice(radii)))
+        for _ in range(int(rng.integers(1, max_balls + 1)))
+    ]
+    uq = Fraction(int(rng.integers(1, 9)), 16)
+    vs = Fraction(int(rng.integers(1, 9)), 16)
+    return build(m, k, n, uq, vs, balls)
+
+
+def assert_matches_brute(inst):
+    assert best_witness_lower_bound(inst) == brute_witness(inst)
+
+
+class TestGridDifferential:
+    """The numpy grid with scalar confirmation against the full scalar scan.
+
+    `==` on (lb, r, l): the value, the argmax and the tie rule (smallest r,
+    then smallest l) must be those of `witness_brute.brute_witness`.
+    """
+
+    def test_verify_generator(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            assert_matches_brute(_rand_instance(rng))
+
+    @pytest.mark.parametrize("radii", [(1.0,), (0.5, 1.0, 2.0)])
+    def test_sixteenth_grid_plateaus(self, radii):
+        # equal or repeated radii on a coarse grid make whole plateaus of
+        # cells tie, so the tie rule decides the argmax
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+            n = int(rng.integers(0, m * k // 2 + 1))
+            assert_matches_brute(sixteenth_family(rng, m, k, n, radii))
+
+    def test_logarithmic_axis(self):
+        rng = np.random.default_rng(13)
+        for n in (0, 1, 1000, 4096 * 64 // 2, int(rng.integers(2, 4096 * 32))):
+            assert_matches_brute(sixteenth_family(rng, 4096, 64, n, (0.5, 1.0, 2.0)))
+
+    def test_width_index_extremes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+            for n in (0, m * k // 2):
+                assert_matches_brute(sixteenth_family(rng, m, k, n, (0.7, 1.3)))
+
+    def test_single_ball(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+            n = int(rng.integers(0, m * k // 2 + 1))
+            inst = sixteenth_family(rng, m, k, n, (float(np.exp(rng.uniform(-3, 3))),), 1)
+            assert len(inst.balls) == 1
+            assert_matches_brute(inst)
+
+    @pytest.mark.parametrize("radii", [
+        (1e300, 1e-300),
+        (1e-300, 3e-300),
+        (1.7e308, 1e308),    # the product overflows to inf on many cells
+        (1e-310, 5e-324),    # subnormal radii: the products lose precision
+    ])
+    def test_extreme_radii(self, radii):
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+            n = int(rng.integers(0, m * k // 2 + 1))
+            assert_matches_brute(sixteenth_family(rng, m, k, n, radii, 3))
+
+    @pytest.mark.parametrize("dims, q, sigma", [
+        # crossover = 16 sqrt(r) puts n = 32 on it at r = 4
+        ((16, 4, 32), "4", "2"),
+        # n = 979 sits 5.3e-10 (relative) below the crossover at r=19, l=34
+        ((59, 49, 979), "16", "8/3"),
+    ])
+    def test_branch_mismatch_raises_on_both(self, monkeypatch, dims, q, sigma):
+        # a negative tolerance turns every branch check at a crossover into a
+        # mismatch; both scans must meet one, off the cells near the maximum
+        inst = make_instance(*dims, q, sigma, [("inf", "inf", 1.0), ("2", "inf", 3.0)])
+        assert_matches_brute(inst)
+        monkeypatch.setattr(mixwidth.witness, "_REL_BRANCH_TOL", -1.0)
+        with pytest.raises(ArithmeticError):
+            brute_witness(inst)
+        with pytest.raises(ArithmeticError):
+            best_witness_lower_bound(inst)
+
+    def test_confirms_few_cells(self, monkeypatch):
+        # the scalar code re-scores a small share of the grid, not all of it
+        calls = []
+        scale = mixwidth.witness.v_inclusion_scale
+        monkeypatch.setattr(
+            mixwidth.witness, "v_inclusion_scale", lambda *a: calls.append(a) or scale(*a)
+        )
+        inst = make_instance(
+            64, 64, 1000, "3", "5/2",
+            [("1", "2", 1.3), ("inf", "3", 0.7), ("3/2", "inf", 2.0), ("4", "4", 1.0)],
+        )
+        assert_matches_brute(inst)
+        assert 0 < len(calls) < 64 * 64 // 20
 
 
 class TestLogLinearSolver:
