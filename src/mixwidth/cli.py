@@ -20,12 +20,12 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .exponents import Exponent, parse_exponent
 from .phi import Dimensions, TargetSpace
-from .psi import BallSpec, Certificate, Instance, PsiEstimate, psi, validate_instance
+from .psi import REL_TIE_TOL, BallSpec, Certificate, Instance, PsiEstimate, psi, validate_instance
 from .verify import SUITE_NAMES, run_suites
 from .witness import best_witness_lower_bound
 
@@ -131,10 +131,6 @@ def instance_to_dict(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _finite_or_inf(value: float):
     return "inf" if math.isinf(value) else value
 
@@ -143,7 +139,7 @@ def _certificate_dict(cert: Certificate) -> dict:
     return {
         "j": cert.j,
         "indices": list(cert.indices),
-        "weights": [_fraction_str(w) for w in cert.weights],
+        "weights": [str(w) for w in cert.weights],
         "p": cert.p.render(),
         "theta": cert.theta.render(),
         "phi_value": cert.profile.value,
@@ -165,11 +161,6 @@ def estimate_report(inst: Instance, est: PsiEstimate) -> dict:
     }
 
 
-def run_estimate(inst: Instance) -> dict:
-    """Full estimate report for one instance (the json-mode payload)."""
-    return estimate_report(inst, psi(inst))
-
-
 def _sweep_row(inst: Instance, n: int) -> dict:
     shifted = Instance(
         Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls
@@ -185,14 +176,14 @@ def _sweep_row(inst: Instance, n: int) -> dict:
     }
 
 
-def run_sweep(inst: Instance, n_from: int, n_to: int, tolerance_rel: float) -> list[dict]:
+def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
     """One row per n; the psi column is checked to be nonincreasing."""
     half = inst.dims.m * inst.dims.k // 2
     if not (0 <= n_from <= n_to <= half):
         raise ValueError(f"sweep range must satisfy 0 <= from <= to <= {half}")
     rows = [_sweep_row(inst, n) for n in range(n_from, n_to + 1)]
     for prev, cur in zip(rows, rows[1:]):
-        if cur["psi"] > prev["psi"] * (1.0 + tolerance_rel):
+        if cur["psi"] > prev["psi"] * (1.0 + REL_TIE_TOL):
             raise RuntimeError(
                 f"psi not monotone: n={prev['n']} -> {prev['psi']}, "
                 f"n={cur['n']} -> {cur['psi']}"
@@ -225,14 +216,8 @@ def _rows_to_csv(rows: list[dict]) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({key: _csv_cell(row[key]) for key in CSV_COLUMNS})
+        writer.writerow({key: row[key] for key in CSV_COLUMNS})
     return buf.getvalue()
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _estimate_table(inst: Instance, est: PsiEstimate) -> str:
@@ -249,7 +234,7 @@ def _estimate_table(inst: Instance, est: PsiEstimate) -> str:
         value = est.components[j]
         if j in est.certificates:
             c = est.certificates[j]
-            weights = ", ".join(_fraction_str(w) for w in c.weights)
+            weights = ", ".join(str(w) for w in c.weights)
             detail = (
                 f"balls={c.indices} weights=({weights}) at (p={c.p}, theta={c.theta}) "
                 f"profile={c.profile.value!r} branches={c.profile.branches}"
@@ -261,7 +246,7 @@ def _estimate_table(inst: Instance, est: PsiEstimate) -> str:
 
 
 def _sweep_table(rows: list[dict]) -> str:
-    cells = [[str(_csv_cell(row[c])) for c in CSV_COLUMNS] for row in rows]
+    cells = [[str(row[c]) for c in CSV_COLUMNS] for row in rows]
     widths = [
         max(len(CSV_COLUMNS[i]), *(len(r[i]) for r in cells)) if cells else len(CSV_COLUMNS[i])
         for i in range(len(CSV_COLUMNS))
@@ -315,13 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-to", type=int, default=None, help="sweep end (default m*k/2)"
     )
     parser.add_argument(
-        "--tolerance-rel",
-        type=float,
-        default=1e-9,
-        help="relative tolerance for internal consistency checks",
-    )
-    parser.add_argument(
-        "--trials", type=int, default=500, help="trials per verification suite"
+        "--trials", type=int, default=500, help="trials per verification suite (at least 1)"
     )
     parser.add_argument(
         "--self-test-corrupt",
@@ -363,16 +342,7 @@ def _dispatch(args) -> int:
                 "schema": SCHEMA,
                 "mode": "verify",
                 "seed": args.seed,
-                "suites": [
-                    {
-                        "name": r.name,
-                        "trials": r.trials,
-                        "failures": r.failures,
-                        "worst_slack": r.worst_slack,
-                        "passed": r.passed,
-                    }
-                    for r in results
-                ],
+                "suites": [{**asdict(r), "passed": r.passed} for r in results],
             }
             print(json.dumps(payload, indent=2))
         else:
@@ -385,7 +355,7 @@ def _dispatch(args) -> int:
 
     if args.mode == "estimate":
         if args.format == "json":
-            print(json.dumps(run_estimate(inst), indent=2))
+            print(json.dumps(estimate_report(inst, psi(inst)), indent=2))
         elif args.format == "csv":
             print(_rows_to_csv([_sweep_row(inst, inst.dims.n)]), end="")
         else:
@@ -396,7 +366,7 @@ def _dispatch(args) -> int:
         half = inst.dims.m * inst.dims.k // 2
         n_from = 0 if args.n_from is None else args.n_from
         n_to = half if args.n_to is None else args.n_to
-        rows = run_sweep(inst, n_from, n_to, args.tolerance_rel)
+        rows = run_sweep(inst, n_from, n_to)
         if args.format == "json":
             print(json.dumps({"schema": SCHEMA, "mode": "sweep", "rows": rows}, indent=2))
         elif args.format == "csv":

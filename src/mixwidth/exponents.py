@@ -40,16 +40,6 @@ class Exponent:
             raise ValueError(f"reciprocal exponent must lie in [0, 1], got {u}")
         object.__setattr__(self, "u", u)
 
-    @classmethod
-    def from_p(cls, p) -> "Exponent":
-        """Build from the exponent value itself (int, Fraction, float or 'inf')."""
-        if p == math.inf or (isinstance(p, str) and p.strip().lower() == "inf"):
-            return cls(Fraction(0))
-        frac = Fraction(p)
-        if frac < 1:
-            raise ValueError(f"exponent must be >= 1, got {p}")
-        return cls(1 / frac)
-
     @property
     def is_inf(self) -> bool:
         return self.u == 0
@@ -61,20 +51,13 @@ class Exponent:
 
     def render(self) -> str:
         """Canonical text form: 'inf' or the exponent as a lowest-terms fraction."""
-        if self.u == 0:
-            return "inf"
-        p = 1 / self.u
-        if p.denominator == 1:
-            return str(p.numerator)
-        return f"{p.numerator}/{p.denominator}"
+        return "inf" if self.u == 0 else str(1 / self.u)
 
     def __str__(self) -> str:
         return self.render()
 
 
 TWO = Exponent(HALF)
-ONE = Exponent(Fraction(1))
-INF = Exponent(Fraction(0))
 
 
 def parse_exponent(text: str) -> Exponent:
@@ -133,10 +116,6 @@ class ReciprocalPoint:
             raise ValueError(f"reciprocal point must lie in [0, 1]^2, got ({u}, {v})")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @classmethod
-    def from_exponents(cls, p: Exponent, theta: Exponent) -> "ReciprocalPoint":
-        return cls(p.u, theta.u)
 
 
 def critical_deviation(pt: ReciprocalPoint, q: Exponent, sigma: Exponent) -> Fraction:

@@ -32,8 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exponents import HALF, TWO, Exponent, ReciprocalPoint, barycentric
-from .exponents import convex_combine, critical_deviation, solve_critical_crossing, solve_crossing
+from .exponents import HALF, TWO, Exponent, ReciprocalPoint, barycentric, critical_deviation
 from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi
 
 REL_TIE_TOL = 1e-9
@@ -170,10 +169,9 @@ def _confirm(inst: Instance, batches: Iterable[tuple], exact: Callable) -> Scan:
 def _opposite_pairs(offsets: list[Fraction]) -> tuple:
     """Pairs ia < ib whose exact offsets from a line have strictly opposite signs.
 
-    This is the side test of `solve_crossing` and `solve_critical_crossing`;
-    the float crossing weight w = f_a / (f_a - f_b) has no cancellation.  A
-    reversed pair has the same value and comes later in tie-break order, so
-    it never wins.
+    Exact confirmation takes w = f_a / (f_a - f_b) from the same offsets; its
+    float form has no cancellation.  A reversed pair has the same value and
+    comes later in tie-break order, so it never wins.
     """
     signs = np.array([(f > 0) - (f < 0) for f in offsets])
     ia, ib = np.nonzero(np.triu(np.multiply.outer(signs, signs) < 0))
@@ -211,9 +209,8 @@ def _pair_scan(inst: Instance, j: int) -> Scan:
             return math.inf, None
         offsets = [critical_deviation(ball.point, q, sigma) for ball in inst.balls]
     else:
-        on_p = j in (1, 3)
         level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j]
-        offsets = [(ball.p if on_p else ball.theta).u - level.u for ball in inst.balls]
+        offsets = [(ball.p if j in (1, 3) else ball.theta).u - level.u for ball in inst.balls]
     ia, ib, w = _opposite_pairs(offsets)
     uf, vf, _ = inst._ball_arrays
     cu, cv = (1.0 - w) * uf[ia] + w * uf[ib], (1.0 - w) * vf[ia] + w * vf[ib]
@@ -227,19 +224,14 @@ def _pair_scan(inst: Instance, j: int) -> Scan:
         return math.inf, None
 
     def exact(pair: tuple[int, ...]) -> Optional[Certificate]:
+        # Opposite exact offsets put w strictly inside (0, 1).
+        fa, fb = offsets[pair[0]], offsets[pair[1]]
+        w = fa / (fa - fb)
         a, b = inst.balls[pair[0]], inst.balls[pair[1]]
-        if j == 5:
-            hit = solve_critical_crossing(a.point, b.point, q, sigma)
-            if hit is None:
-                return None
-            w, cross = hit
-            pe, te = Exponent(cross.u), Exponent(cross.v)
-        elif on_p:
-            w = solve_crossing(a.p, b.p, level)
-            pe, te = level, convex_combine(a.theta, b.theta, w)
-        else:
-            w = solve_crossing(a.theta, b.theta, level)
-            pe, te = convex_combine(a.p, b.p, w), level
+        u, v = (1 - w) * a.p.u + w * b.p.u, (1 - w) * a.theta.u + w * b.theta.u
+        if j == 5 and not (q.u < u < HALF and sigma.u < v < HALF):
+            return None
+        pe, te = Exponent(u), Exponent(v)
         profile = phi(pe, te, target, inst.dims)
         value = a.nu ** float(1 - w) * b.nu ** float(w) * profile.value
         return Certificate(j, pair, (1 - w, w), pe, te, profile, value)

@@ -196,6 +196,13 @@ class TestVerifyMode:
         payload = json.loads(out)
         assert all(s["passed"] for s in payload["suites"])
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "--mode", "verify", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err == f"mixwidth: error: trials must be at least 1, got {trials}\n"
+
 
 class TestWitnessMode:
     def test_report(self, worked_file, capsys):

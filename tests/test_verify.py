@@ -22,7 +22,7 @@ def test_deterministic_reports():
     ]
 
 
-@pytest.mark.parametrize("name", ["phi-branch-overlap", "psi-homogeneity", "gamma-invariance"])
+@pytest.mark.parametrize("name", SUITE_NAMES)
 def test_forced_corruption_fails_named_suite(name):
     results = run_suites(seed=0, trials=20, corrupt=name)
     by_name = {r.name: r for r in results}
