@@ -19,41 +19,74 @@ MEMBERSHIP_SLACK = 1e-12
 ExponentPair = tuple[Exponent, Exponent]
 
 
-def _lp_rows(a: np.ndarray, p: Exponent) -> np.ndarray:
-    """l_p norm of each column of a nonnegative 2-d array (vectorized, max-factored)."""
-    if p.is_inf:
-        return a.max(axis=0)
-    pf = p.value
-    s = a.max(axis=0)
-    out = np.zeros_like(s)
-    nz = s > 0
-    if np.any(nz):
-        scaled = a[:, nz] / s[nz]
-        out[nz] = s[nz] * (scaled**pf).sum(axis=0) ** (1.0 / pf)
-    return out
+def _mixed_norms(a: np.ndarray, p: Exponent, theta: Exponent) -> np.ndarray:
+    """The (p, theta) norm of each matrix of a nonnegative c x m x k stack.
+
+    Zero columns and zero matrices are masked, not divided by.  Each column
+    is summed as one contiguous run (the stack is copied as c x k x m),
+    since numpy adds a contiguous run in another order than a strided one
+    from 8 terms up, and the outer root is a scalar power, since numpy's
+    array power can round differently.  Both keep the values of the
+    per-matrix norm in tests/norms_brute.py bit for bit.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p.is_inf:
+            cols = a.max(axis=1)
+        else:
+            pf = p.value
+            at = np.ascontiguousarray(a.transpose(0, 2, 1))
+            s = at.max(axis=2)
+            cols = np.where(
+                s > 0, s * ((at / s[..., None]) ** pf).sum(axis=2) ** (1.0 / pf), 0.0
+            )
+        if theta.is_inf:
+            return cols.max(axis=1)
+        tf = theta.value
+        s = cols.max(axis=1)
+        sums = ((cols / s[:, None]) ** tf).sum(axis=1)
+    return np.array(
+        [0.0 if si == 0 else float(si * v ** (1.0 / tf)) for si, v in zip(s, sums)]
+    )
+
+
+def _one(x) -> np.ndarray:
+    """x as a stack of one matrix, or a ValueError if it is not 2-d."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    return a[None]
+
+
+def _abs_finite(xs) -> np.ndarray:
+    """|xs| as floats, or a ValueError if an entry is not finite."""
+    a = np.abs(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def mixed_norm(x, p: Exponent, theta: Exponent) -> float:
     """The (p, theta) mixed norm of an m x k matrix; inf exponents mean max."""
-    a = np.abs(np.asarray(x, dtype=float))
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    cols = _lp_rows(a, p)
-    if theta.is_inf:
-        return float(cols.max())
-    tf = theta.value
-    s = cols.max()
-    if s == 0:
-        return 0.0
-    return float(s * ((cols / s) ** tf).sum() ** (1.0 / tf))
+    return float(_mixed_norms(_abs_finite(_one(x)), p, theta)[0])
+
+
+def membership_ratios(xs, balls: Sequence) -> np.ndarray:
+    """The largest norm/radius ratio over the balls for each m x k matrix of a
+    stack, in one pass per ball."""
+    if not balls:
+        raise ValueError("need a nonempty ball family")
+    a = _abs_finite(xs)
+    ratio = None
+    for b in balls:
+        r = _mixed_norms(a, b.p, b.theta) / b.nu
+        ratio = r if ratio is None else np.where(r > ratio, r, ratio)
+    return ratio
 
 
 def membership(x, balls: Sequence) -> tuple[bool, float]:
     """Whether x lies in every ball, and the largest norm/radius ratio seen."""
-    ratio = max(mixed_norm(x, b.p, b.theta) / b.nu for b in balls)
-    return ratio <= 1.0 + MEMBERSHIP_SLACK, float(ratio)
+    ratio = float(membership_ratios(_one(x), balls)[0])
+    return ratio <= 1.0 + MEMBERSHIP_SLACK, ratio
 
 
 def interpolation_check(

@@ -10,6 +10,13 @@ random boundary samples, and a gradient ascent that rescales back to the
 boundary.  The inner maximization can fall short of the true supremum, so
 the heuristic value is an upper estimate of the width only up to that
 shortfall; it is a consistency oracle, not a certified computation.
+
+The search runs in lock-step.  All restart frames are refined together as
+one stack, in blocks of at most SEARCH_CHUNK floats, and all ascent chains
+climb as one batch.  Each batched step keeps the memory layout of the
+one-frame step it replaces, so numpy adds and rounds in the same order: for
+every seed the estimate is bit-identical to the one-frame-at-a-time search
+in tests/oracle_brute.py.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import Exponent
-from .norms import membership, mixed_norm, sample_boundary
+from .norms import membership, membership_ratios, mixed_norm, sample_boundary
 from .witness import GroupElement, group_apply, v_extreme_point, v_inclusion_scale
 
 
@@ -56,6 +63,11 @@ def exact_width_euclidean_ball(N: int, n: int) -> float:
     return 1.0 if n < N else 0.0
 
 
+def _check_dims(m: int, k: int) -> None:
+    if m < 1 or k < 1:
+        raise ValueError(f"need m, k >= 1, got m={m}, k={k}")
+
+
 def sup_norm_over_M(
     balls: Sequence, m: int, k: int, q: Exponent, sigma: Exponent, seed: int = 0,
     samples: int = 64,
@@ -66,6 +78,7 @@ def sup_norm_over_M(
     the structured points t*e_{r,l} over the full (r, l) grid plus random
     boundary samples.
     """
+    _check_dims(m, k)
     if not balls:
         raise ValueError("need a nonempty ball family")
     uq, vs = float(q.u), float(sigma.u)
@@ -88,60 +101,68 @@ def sup_norm_over_M(
 # heuristic width estimate
 # ---------------------------------------------------------------------------
 
+# Restart frames refined at a time: a block's residuals hold at most
+# SEARCH_CHUNK floats (or one frame's worth), and its perturbations iters
+# frames per restart, whatever the number of restarts.
+SEARCH_CHUNK = 1 << 12
+# Ascent: chains per finalist frame, steps per chain, failed steps that end
+# a chain, and the conditional-gradient step sizes toward a maximizer.
+_STARTS, _STEPS, _STALL = 6, 30, 4
+_GAMMAS = np.array([1.0, 0.5, 0.2])[:, None]
 
-def _cols_norm(R: np.ndarray, m: int, k: int, qf: float, sf: float) -> np.ndarray:
-    """(q, sigma) mixed norm of each column of a stack of flattened matrices."""
-    A = np.abs(R).reshape(m, k, -1)
-    inner = (A**qf).sum(axis=0) ** (1.0 / qf)
-    return (inner**sf).sum(axis=0) ** (1.0 / sf)
+
+def _norms(R: np.ndarray, m: int, k: int, qf: float, sf: float):
+    """Inner column norms (..., k, c) and the (q, sigma) norm (..., c) of each
+    column of a stack of flattened m x k matrices R (..., m*k, c)."""
+    A = np.abs(R).reshape(R.shape[:-2] + (m, k, R.shape[-1]))
+    inner = (A**qf).sum(axis=-3) ** (1.0 / qf)
+    return inner, (inner**sf).sum(axis=-2) ** (1.0 / sf)
 
 
-def _norm_grad(R: np.ndarray, m: int, k: int, qf: float, sf: float):
-    """Gradient of the mixed norm at each column, and the norms themselves."""
-    A = R.reshape(m, k, -1)
-    X = np.abs(A)
-    inner = (X**qf).sum(axis=0) ** (1.0 / qf)
-    tot = (inner**sf).sum(axis=0) ** (1.0 / sf)
+def _grad(R, inner, tot, m: int, k: int, qf: float, sf: float) -> np.ndarray:
+    """Gradient of the mixed norm at each column of R, given `_norms(R)`."""
+    shape = R.shape[:-2] + (m, k, R.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = (
-            np.sign(A)
-            * X ** (qf - 1.0)
-            * inner[None, :, :] ** (sf - qf)
-            * tot[None, None, :] ** (1.0 - sf)
-        )
-    G = np.where(np.isfinite(G), G, 0.0)
-    return G.reshape(R.shape), tot
+        G = np.sign(R).reshape(shape) * np.abs(R).reshape(shape) ** (qf - 1.0)
+        G *= inner[..., None, :, :] ** (sf - qf)
+        G *= tot[..., None, None, :] ** (1.0 - sf)
+    G[~np.isfinite(G)] = 0.0
+    return G.reshape(R.shape)
 
 
 def _dist_to_span(
     B: np.ndarray, X: np.ndarray, m: int, k: int, qf: float, sf: float, iters: int
 ):
-    """Distance of each column of X to span(B) in the mixed norm.
+    """Distance of each column of X to span(B) in the mixed norm, per frame.
 
+    B is a stack of frames (b, N, n); X is (N, c), shared, or (b, N, c).
     Exact for the Euclidean case; otherwise a monotone batched descent on
     the coefficients, warm-started at the Euclidean projection, so the
-    returned values never undershoot the true distances.
-    Returns (distances, residuals).
+    returned values never undershoot the true distances.  The gradient
+    reuses the norms of the accepted trial.  Returns (distances (b, c),
+    residuals (b, N, c)).
     """
-    if B.shape[1] == 0:
-        R = X.copy()
-        return _cols_norm(R, m, k, qf, sf), R
-    C = B.T @ X
+    if B.shape[2] == 0:
+        R = np.broadcast_to(X, B.shape[:2] + X.shape[-1:]).copy()
+        return _norms(R, m, k, qf, sf)[1], R
+    Bt = B.transpose(0, 2, 1)
+    C = Bt @ X
     R = X - B @ C
     if qf == 2.0 and sf == 2.0:
-        return np.sqrt((R * R).sum(axis=0)), R
-    f = _cols_norm(R, m, k, qf, sf)
-    step = np.full(X.shape[1], 0.5)
+        return np.sqrt((R * R).sum(axis=1)), R
+    inner, f = _norms(R, m, k, qf, sf)
+    step = np.full(f.shape, 0.5)
     for _ in range(iters):
-        G, _ = _norm_grad(R, m, k, qf, sf)
-        D = B.T @ G  # steepest-descent direction for the coefficients is +D
-        gn = (D * D).sum(axis=0)
-        Ct = C + step * D
+        D = Bt @ _grad(R, inner, f, m, k, qf, sf)  # steepest descent is +D
+        gn = (D * D).sum(axis=1)
+        Ct = C + step[:, None, :] * D
         Rt = X - B @ Ct
-        ft = _cols_norm(Rt, m, k, qf, sf)
+        inner_t, ft = _norms(Rt, m, k, qf, sf)
         ok = ft <= f - 1e-4 * step * gn
-        C = np.where(ok, Ct, C)
-        R = np.where(ok[None, :], Rt, R)
+        col = ok[:, None, :]
+        C = np.where(col, Ct, C)
+        R = np.where(col, Rt, R)
+        inner = np.where(col, inner_t, inner)
         f = np.where(ok, ft, f)
         step = np.where(ok, np.minimum(step * 1.25, 4.0), step * 0.5)
     return f, R
@@ -221,74 +242,131 @@ def _subspace_starts(
     return starts[:restarts]
 
 
-def _ascend(
-    B: np.ndarray,
-    X: np.ndarray,
-    dists: np.ndarray,
-    balls: Sequence,
-    m: int,
-    k: int,
-    qf: float,
-    sf: float,
-    rng: np.random.Generator,
-    gd_iters: int,
-    steps: int = 30,
-    starts: int = 6,
-) -> float:
-    """Sharpen the inner maximum by ascent that stays on the boundary.
+def _search(starts, Xn, iters, rng, m, k, qf, sf, gd_iters):
+    """Refine each start frame by perturbation descent; returns (f, frames).
 
-    Each step proposes a gradient move, a jump along the residual direction,
-    and conditional-gradient moves toward each ball's linear maximizer of
-    the current distance gradient; proposals are rescaled to the boundary
-    and the best improvement is kept.
+    f is each frame's largest distance to the normalized points Xn.  The
+    restarts advance in lock-step, in blocks of at most SEARCH_CHUNK
+    residual floats.  Each block draws its perturbations in one call,
+    restart by restart, which is the order the per-frame loop drew them in.
     """
+    S = np.stack(starts)
+    N, n = S.shape[1:]
+    if n == 0:
+        return _dist_to_span(S, Xn, m, k, qf, sf, gd_iters)[0].max(axis=1), S
+    decay = (1e-3 / 0.5) ** (1.0 / max(iters - 1, 1))
+    block = max(1, SEARCH_CHUNK // Xn.size)
+    f = np.empty(len(S))
+    for lo in range(0, len(S), block):
+        B = S[lo : lo + block]
+        fb = _dist_to_span(B, Xn, m, k, qf, sf, gd_iters)[0].max(axis=1)
+        eta = 0.5
+        for Pt in rng.standard_normal((len(B), iters, N, n)).transpose(1, 0, 2, 3):
+            Q, _ = np.linalg.qr(B + eta * Pt)
+            ft = _dist_to_span(Q, Xn, m, k, qf, sf, gd_iters)[0].max(axis=1)
+            better = ft < fb
+            B = np.where(better[:, None, None], Q, B)
+            fb = np.where(better, ft, fb)
+            eta *= decay
+        S[lo : lo + block], f[lo : lo + block] = B, fb
+    return f, S
 
-    def to_boundary(y):
-        _, ratio = membership(y.reshape(m, k), balls)
-        if not ratio > 0:
-            return None
-        return y / ratio
 
-    best = float(dists.max())
-    for idx in np.argsort(-dists)[:starts]:
-        x = X[:, idx].copy()
-        d, R = _dist_to_span(B, x[:, None], m, k, qf, sf, gd_iters)
-        d, r = float(d[0]), R[:, 0]
-        stall = 0
-        for t in range(steps):
-            g, _ = _norm_grad(r[:, None], m, k, qf, sf)
-            g = g[:, 0]
-            if not np.any(g):
-                g = rng.standard_normal(len(x))
-            cands = []
-            y = to_boundary(x + 0.5 * 0.9**t * np.linalg.norm(x) * g / np.linalg.norm(g))
-            if y is not None:
-                cands.append(y)
-            y = to_boundary(r)
-            if y is not None:
-                cands.append(y)
-            for b in balls:
-                z = to_boundary(b.nu * _linear_maximizer(g, m, k, b.p, b.theta))
-                if z is None:
-                    continue
-                for gamma in (1.0, 0.5, 0.2):
-                    y = to_boundary((1.0 - gamma) * x + gamma * z)
-                    if y is not None:
-                        cands.append(y)
-            if not cands:
-                break
-            Y = np.stack(cands, axis=1)
-            dY, RY = _dist_to_span(B, Y, m, k, qf, sf, gd_iters)
-            j = int(np.argmax(dY))
-            if dY[j] > d * (1.0 + 1e-12):
-                d, x, r = float(dY[j]), Y[:, j], RY[:, j]
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 4:
-                    break
-        best = max(best, d)
-    return best
+def _l2(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, through the same dot product."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _to_boundary(V: np.ndarray, balls: Sequence, m: int, k: int):
+    """Rows of V (..., m*k) scaled onto the boundary, and where that worked."""
+    ratio = membership_ratios(V.reshape(-1, m, k), balls).reshape(V.shape[:-1])
+    ok = ratio > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return V / ratio[..., None], ok
+
+
+def _climb(B, x, r, d, stall, t0, balls, m, k, qf, sf, rng, gd_iters):
+    """Run ascent chains from step t0 in lock-step; returns their final distances.
+
+    Chain i climbs from the boundary point x[i], with residual r[i] and
+    distance d[i] to span(B[i]).  Each step proposes a gradient move, a
+    jump along the residual direction, and conditional-gradient moves toward
+    each ball's linear maximizer of the distance gradient; proposals are
+    rescaled to the boundary and the best improvement is kept.  A chain
+    ends after _STEPS steps, _STALL failed steps in a row, or a step with
+    no proposal.  A chain whose gradient vanishes moves along a random
+    direction instead, the only draw from rng: once one is due, the batch
+    draws nothing and runs each live chain alone, in order.
+    """
+    x, r, d, stall = x.copy(), r.copy(), d.copy(), stall.copy()
+    live = np.arange(len(d))
+    N = x.shape[1]
+    for t in range(t0, _STEPS):
+        if live.size == 0:
+            break
+        R = r[live, :, None]
+        g = _grad(R, *_norms(R, m, k, qf, sf), m, k, qf, sf)[:, :, 0]
+        if not g.any(axis=1).all():
+            if live.size > 1:
+                for i in live:
+                    one = slice(i, i + 1)
+                    d[i] = _climb(
+                        B[one], x[one], r[one], d[one], stall[one], t,
+                        balls, m, k, qf, sf, rng, gd_iters,
+                    )[0]
+                return d
+            g[0] = rng.standard_normal(N)
+        xs, L = x[live], live.size
+        move = xs + 0.5 * 0.9**t * _l2(xs)[:, None] * g / _l2(g)[:, None]
+        lin = [
+            [b.nu * _linear_maximizer(gi, m, k, b.p, b.theta) for b in balls] for gi in g
+        ]
+        V, ok = _to_boundary(
+            np.concatenate([move[:, None], r[live, None], np.array(lin)], axis=1),
+            balls, m, k,
+        )
+        # (1 - gamma) x + gamma z toward each maximizer z that reached the boundary
+        W = (1.0 - _GAMMAS) * xs[:, None, None] + _GAMMAS * V[:, 2:, None]
+        W_ok = np.zeros(W.shape[:3], dtype=bool)
+        W[ok[:, 2:]], W_ok[ok[:, 2:]] = _to_boundary(W[ok[:, 2:]], balls, m, k)
+        P = np.concatenate([V[:, :2], W.reshape(L, -1, N)], axis=1)
+        valid = np.concatenate([ok[:, :2], W_ok.reshape(L, -1)], axis=1)
+        count = valid.sum(axis=1)
+        for c in sorted(set(count[count > 0].tolist())):
+            sel = np.flatnonzero(count == c)
+            ch = live[sel]
+            Y = P[sel][valid[sel]].reshape(-1, c, N).transpose(0, 2, 1).copy()
+            dY, RY = _dist_to_span(B[ch], Y, m, k, qf, sf, gd_iters)
+            rows, j = np.arange(len(sel)), dY.argmax(axis=1)
+            top = dY[rows, j]
+            up = top > d[ch] * (1.0 + 1e-12)
+            d[ch[up]], x[ch[up]], r[ch[up]] = top[up], Y[rows, :, j][up], RY[rows, :, j][up]
+            stall[ch] = np.where(up, 0, stall[ch] + 1)
+        live = live[(count > 0) & (stall[live] < _STALL)]
+    return d
+
+
+def _ascend(Bs, X, dists, balls, m, k, qf, sf, rng, gd_iters) -> list[float]:
+    """Sharpen the inner maximum of each frame by ascent that stays on the boundary.
+
+    Each frame Bs[f] starts _STARTS chains at the points of X farthest from
+    its span (dists[f]); all chains climb together, frame by frame and
+    start by start.  Returns the best distance found for each frame.
+    """
+    tops = [np.argsort(-dist)[:_STARTS] for dist in dists]
+    frame = np.repeat(np.arange(len(Bs)), [len(top) for top in tops])
+    x = X[:, np.concatenate(tops)].T.copy()
+    B = Bs[frame]
+    d, R = _dist_to_span(B, x[:, :, None], m, k, qf, sf, gd_iters)
+    stall = np.zeros(len(x), dtype=int)
+    d = _climb(B, x, R[:, :, 0], d[:, 0], stall, 0, balls, m, k, qf, sf, rng, gd_iters)
+    values = []
+    for f, dist in enumerate(dists):
+        best = float(dist.max())
+        for value in d[frame == f].tolist():
+            best = max(best, value)
+        values.append(best)
+    return values
 
 
 def numeric_width_estimate(
@@ -311,6 +389,7 @@ def numeric_width_estimate(
     """
     if restarts <= 0 or iters <= 0:
         raise ValueError("budget parameters must be positive")
+    _check_dims(m, k)
     N = m * k
     if N > 16:
         raise ValueError(f"desk scale only: m*k <= 16, got {N}")
@@ -327,7 +406,7 @@ def numeric_width_estimate(
 
     rng = np.random.default_rng(seed)
     X = _candidate_points(balls, m, k, rng)
-    s0 = float(_cols_norm(X, m, k, qf, sf).max())
+    s0 = float(_norms(X, m, k, qf, sf)[1].max())
     if s0 == 0.0:
         return WidthSample(0.0, "heuristic", meta)
     Xn = X / s0  # normalized copy keeps the search scale-equivariant
@@ -336,27 +415,16 @@ def numeric_width_estimate(
     gd_search = 0 if euclid else 25
     gd_final = 0 if euclid else 120
 
-    decay = (1e-3 / 0.5) ** (1.0 / max(iters - 1, 1))
-    scored: list[tuple[float, np.ndarray]] = []
-    for B in _subspace_starts(N, n, restarts, rng):
-        f = float(_dist_to_span(B, Xn, m, k, qf, sf, gd_search)[0].max())
-        if B.shape[1] > 0:
-            eta = 0.5
-            for _ in range(iters):
-                Q, _ = np.linalg.qr(B + eta * rng.standard_normal(B.shape))
-                ft = float(_dist_to_span(Q, Xn, m, k, qf, sf, gd_search)[0].max())
-                if ft < f:
-                    B, f = Q, ft
-                eta *= decay
-        scored.append((f, B))
-    scored.sort(key=lambda t: t[0])
-
-    finalists = [B for _, B in scored[:3]]
+    f, frames = _search(
+        _subspace_starts(N, n, restarts, rng), Xn, iters, rng, m, k, qf, sf, gd_search
+    )
+    order = sorted(range(len(f)), key=f.tolist().__getitem__)
+    finalists = [frames[i] for i in order[:3]]
     if n > 0:
         finalists.append(np.eye(N)[:, :n])  # coordinate frame, always re-checked
+    Bs = np.stack(finalists)
+    d, _ = _dist_to_span(Bs, X, m, k, qf, sf, gd_final)
     best = math.inf
-    for B in finalists:
-        d, _ = _dist_to_span(B, X, m, k, qf, sf, gd_final)
-        value = _ascend(B, X, d, balls, m, k, qf, sf, rng, gd_final)
+    for value in _ascend(Bs, X, d, balls, m, k, qf, sf, rng, gd_final):
         best = min(best, value)
     return WidthSample(best, "heuristic", meta)

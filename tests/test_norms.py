@@ -14,6 +14,8 @@ from mixwidth import (
     parse_exponent,
     sample_boundary,
 )
+from mixwidth.norms import membership_ratios
+import norms_brute
 
 E = parse_exponent
 
@@ -130,6 +132,37 @@ class TestMembership:
         x[0, 0] = 1.0
         ok, ratio = membership(x, [BallSpec(E("2"), E("2"), 1.0)])
         assert ok and ratio == pytest.approx(1.0)
+
+    def test_norms_match_reference_bit_for_bit(self):
+        # the stacked norm must equal the per-matrix reference for single
+        # matrices and stacks, including zero matrices, a single nonzero
+        # column, the p, theta = 1, inf ends and columns of 8 rows or more,
+        # which numpy sums in another order
+        rng = np.random.default_rng(3)
+        for _ in range(80):
+            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+            ends = [BallSpec(E("1"), E("inf"), 2.0), BallSpec(E("inf"), E("1"), 2.5)]
+            balls = [
+                BallSpec(_random_exponent(rng), _random_exponent(rng), float(rng.uniform(0.3, 3)))
+                for _ in range(int(rng.integers(1, 4)))
+            ] + ends[: int(rng.integers(0, 3))]
+            xs = rng.standard_normal((24, m, k)) * np.exp(rng.uniform(-4, 4, (24, m, k)))
+            xs[rng.random(xs.shape) < 0.3] = 0.0
+            xs[:4, :, 1:] = 0.0
+            xs[4] = 0.0
+            want = [norms_brute.membership(x, balls) for x in xs]
+            assert membership_ratios(xs, balls).tolist() == [r for _, r in want]
+            assert [membership(x, balls) for x in xs] == want
+            for b in balls:
+                assert [mixed_norm(x, b.p, b.theta) for x in xs] == [
+                    norms_brute.mixed_norm(x, b.p, b.theta) for x in xs
+                ]
+
+    def test_ratios_reject_nonfinite(self):
+        xs = np.ones((3, 2, 2))
+        xs[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            membership_ratios(xs, [BallSpec(E("2"), E("2"), 1.0)])
 
 
 class TestInterpolation:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from mixwidth import (
     BallSpec,
     Dimensions,
     Exponent,
+    Instance,
     TargetSpace,
     WidthSample,
     exact_width_euclidean_ball,
@@ -15,8 +17,12 @@ from mixwidth import (
     numeric_width_estimate,
     parse_exponent,
     phi,
+    psi,
     sup_norm_over_M,
+    validate_instance,
 )
+from mixwidth import oracles
+from oracle_brute import _dist_to_span as brute_dist_to_span, brute_ascend, brute_width
 
 E = parse_exponent
 
@@ -71,6 +77,14 @@ class TestSupNorm:
         got = sup_norm_over_M(balls, 3, 3, E("2"), E("2"))
         assert got <= 1.0 + 1e-9  # the Euclidean ball caps the sup at 1
         assert got == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("m, k", [(0, 3), (3, 0)])
+    def test_dimensions_below_one(self, m, k):
+        balls = [BallSpec(E("inf"), E("2"), 1.0), BallSpec(E("2"), E("2"), 1.0)]
+        with pytest.raises(ValueError, match="m, k >= 1"):
+            sup_norm_over_M(balls, m, k, E("2"), E("2"))
+        with pytest.raises(ValueError, match="m, k >= 1"):
+            sup_norm_over_M(balls[:1], m, k, E("2"), E("2"))
 
 
 class TestNumericWidth:
@@ -132,36 +146,133 @@ class TestNumericWidth:
         with pytest.raises(ValueError):
             numeric_width_estimate(balls, 5, 4, 1, E("2"), E("2"))
 
+    @pytest.mark.parametrize("m, k", [(0, 2), (2, 0), (-2, -3)])
+    def test_dimensions_below_one(self, m, k):
+        balls = [BallSpec(E("2"), E("2"), 1.0)]
+        with pytest.raises(ValueError, match="m, k >= 1"):
+            numeric_width_estimate(balls, m, k, 0, E("2"), E("2"))
+
     def test_exact_samples_reject_metadata(self):
         with pytest.raises(ValueError):
             WidthSample(1.0, "exact", {"seed": 0})
 
 
+# Desk-scale intersections: (m, k, n, 1/uq, 1/us, [(p, theta, nu), ...]).
+PSI_ORDER_CASES = [
+    (2, 2, 2, Fraction(32, 15), Fraction(4), [("2", "32/9", 0.9), ("32/29", "32/5", 1.4)]),
+    (3, 3, 4, Fraction(2), Fraction(16, 5), [("4", "4", 1.0)]),
+    (2, 3, 3, Fraction(16, 7), Fraction(32, 11),
+     [("32/21", "16", 0.8), ("8", "32/25", 1.2), ("2", "2", 1.5)]),
+    (4, 4, 2, Fraction(16, 5), Fraction(4), [("inf", "2", 0.7), ("32/27", "8", 1.1)]),
+    (2, 4, 3, Fraction(8), Fraction(16, 7), [("16/3", "32/9", 1.0), ("32/23", "32/3", 0.9)]),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_order_case(i):
+    """(psi, lock-step estimate, arguments) of PSI_ORDER_CASES[i], computed
+    once for the band check and the differential test."""
+    m, k, n, uq_inv, us_inv, balls = PSI_ORDER_CASES[i]
+    target = TargetSpace(Exponent(1 / uq_inv), Exponent(1 / us_inv))
+    inst = validate_instance(
+        Instance(
+            Dimensions(m, k, n),
+            target,
+            tuple(BallSpec(E(p), E(t), nu) for p, t, nu in balls),
+        )
+    )
+    args = (inst.balls, m, k, n, target.q, target.sigma, 24, 30, 500 + i)
+    num = numeric_width_estimate(
+        inst.balls, m, k, n, target.q, target.sigma,
+        restarts=24, iters=30, seed=500 + i,
+    ).estimate
+    return psi(inst).value, num, args
+
+
 def test_numeric_oracle_tracks_psi_order():
     # on desk-scale intersections the heuristic width stays within a
     # constant band of the order estimate (dominated by it, never far below)
-    from mixwidth import Dimensions, Instance, TargetSpace, psi, validate_instance
-
-    cases = [
-        (2, 2, 2, Fraction(32, 15), Fraction(4), [("2", "32/9", 0.9), ("32/29", "32/5", 1.4)]),
-        (3, 3, 4, Fraction(2), Fraction(16, 5), [("4", "4", 1.0)]),
-        (2, 3, 3, Fraction(16, 7), Fraction(32, 11),
-         [("32/21", "16", 0.8), ("8", "32/25", 1.2), ("2", "2", 1.5)]),
-        (4, 4, 2, Fraction(16, 5), Fraction(4), [("inf", "2", 0.7), ("32/27", "8", 1.1)]),
-        (2, 4, 3, Fraction(8), Fraction(16, 7), [("16/3", "32/9", 1.0), ("32/23", "32/3", 0.9)]),
-    ]
-    for i, (m, k, n, uq_inv, us_inv, balls) in enumerate(cases):
-        target = TargetSpace(Exponent(1 / uq_inv), Exponent(1 / us_inv))
-        inst = validate_instance(
-            Instance(
-                Dimensions(m, k, n),
-                target,
-                tuple(BallSpec(E(p), E(t), nu) for p, t, nu in balls),
-            )
-        )
-        est = psi(inst).value
-        num = numeric_width_estimate(
-            inst.balls, m, k, n, target.q, target.sigma,
-            restarts=24, iters=30, seed=500 + i,
-        ).estimate
+    for i in range(len(PSI_ORDER_CASES)):
+        est, num, _ = _psi_order_case(i)
         assert 0.25 * est <= num <= 1.5 * est, (i, est, num)
+
+
+# The benchmark's oracle cases: (m, k, n, q, sigma, balls).
+_TRIPLE = [("32/21", "16", 0.8), ("8", "32/25", 1.2), ("2", "2", 1.5)]
+BENCH_ORACLE_CASES = [(2, 3, 3, "2", "2", _TRIPLE), (2, 3, 3, "16/7", "32/11", _TRIPLE)]
+
+# Edges of the lock-step batches: (m, k, n, q, sigma, balls, restarts, iters).
+# A non-Euclidean target runs the descent, and its reference ascent costs
+# about a second per finalist frame, so most edges use the closed form.
+_PAIR = [("2", "3", 1.0), ("inf", "3/2", 1.3)]
+_EDGE_CASES = {
+    "restarts-1": (2, 2, 1, "2", "2", _PAIR, 1, 4),
+    "restarts-7": (2, 2, 1, "2", "2", _PAIR, 7, 3),
+    "restarts-9-descent": (2, 2, 2, "3", "3/2", _PAIR, 9, 2),
+    "restarts-25": (2, 3, 2, "2", "2", _TRIPLE, 25, 2),
+    "iters-1": (2, 2, 1, "2", "2", _PAIR, 5, 1),
+    "n-0": (2, 2, 0, "3", "3/2", _PAIR, 4, 3),
+    "n-N-1": (2, 2, 3, "3", "3/2", _PAIR, 4, 3),
+    "single-ball": (2, 3, 2, "2", "2", [("32/21", "16", 0.8)], 4, 3),
+    "q-sigma-2": (2, 2, 1, "2", "2", [("3", "3/2", 1.0)], 6, 5),
+    "rows-8": (8, 2, 2, "2", "2", _PAIR, 3, 2),
+    "row-1": (1, 4, 1, "2", "2", _PAIR, 3, 2),
+    # p = 1, p = inf, theta = 1, theta = inf and finite: every maximizer branch
+    "maximizer-branches": (
+        2, 2, 1, "2", "2", [("1", "inf", 1.1), ("inf", "1", 1.2), ("3/2", "4", 0.9)], 3, 3,
+    ),
+}
+
+
+def _balls(balls):
+    return [BallSpec(E(p), E(t), nu) for p, t, nu in balls]
+
+
+def _same_as_brute(m, k, n, q, sigma, balls, restarts, iters, seed):
+    q, sigma, balls = E(q), E(sigma), _balls(balls)
+    got = numeric_width_estimate(
+        balls, m, k, n, q, sigma, restarts=restarts, iters=iters, seed=seed
+    ).estimate
+    assert got == brute_width(balls, m, k, n, q, sigma, restarts, iters, seed)
+
+
+class TestLockStepDifferential:
+    """The lock-step search equals the one-frame-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("i", range(len(PSI_ORDER_CASES)))
+    def test_psi_order_cases(self, i):
+        _, num, args = _psi_order_case(i)
+        assert num == brute_width(*args)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", BENCH_ORACLE_CASES, ids=["euclid", "mixed"])
+    def test_benchmark_cases(self, case, seed):
+        _same_as_brute(*case, 24, 30, seed)
+
+    @pytest.mark.parametrize("name", _EDGE_CASES)
+    def test_batch_edges(self, monkeypatch, name):
+        m, k, *_, restarts, iters = _EDGE_CASES[name]
+        # blocks of 4 restarts, so none of 1, 7, 9 and 25 fills its last block
+        points = 3 * m * k + 48  # the columns of _candidate_points
+        monkeypatch.setattr(oracles, "SEARCH_CHUNK", 4 * m * k * points)
+        _same_as_brute(*_EDGE_CASES[name], seed=3)
+
+    def test_zero_gradient_branch(self):
+        # 0.5 e_0 and 0.3 e_1 lie in span(e_0, e_1): their residuals, and so
+        # their gradients, are exactly zero, and those chains draw from rng
+        m, k, q, sigma = 2, 2, 3.0, 1.5
+        balls = _balls(_PAIR)
+        X = np.array([[0.5, 0, 0, 0], [0.1, 0.2, 0.5, -0.4], [0, 0.3, 0, 0], [0, 0, 0.4, 0.3]]).T
+        eye = np.eye(4)
+        frames = [eye[:, :2].copy(), eye[:, [1, 2]].copy()]
+        rng_brute, rng = np.random.default_rng(4), np.random.default_rng(4)
+        want = [
+            brute_ascend(B, X, brute_dist_to_span(B, X, m, k, q, sigma, 120)[0],
+                         balls, m, k, q, sigma, rng_brute, 120)
+            for B in frames
+        ]
+        Bs = np.stack(frames)
+        d, _ = oracles._dist_to_span(Bs, X, m, k, q, sigma, 120)
+        assert oracles._ascend(Bs, X, d, balls, m, k, q, sigma, rng, 120) == want
+        assert rng.bit_generator.state == rng_brute.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
