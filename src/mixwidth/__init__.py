@@ -16,7 +16,6 @@ from .exponents import (
     barycentric,
     convex_combine,
     critical_deviation,
-    is_general_position,
     parse_exponent,
     solve_critical_crossing,
     solve_crossing,
@@ -35,7 +34,7 @@ from .oracles import (
     numeric_width_estimate,
     sup_norm_over_M,
 )
-from .phi import Dimensions, PhiValue, TargetSpace, omega, phi
+from .phi import ConsistencyError, Dimensions, PhiValue, TargetSpace, omega, phi
 from .psi import (
     BallSpec,
     Certificate,
@@ -59,6 +58,7 @@ from .witness import (
 __all__ = [
     "BallSpec",
     "Certificate",
+    "ConsistencyError",
     "Dimensions",
     "Exponent",
     "GroupElement",
@@ -81,7 +81,6 @@ __all__ = [
     "family_reduce",
     "group_apply",
     "interpolation_check",
-    "is_general_position",
     "membership",
     "mixed_norm",
     "numeric_width_estimate",

@@ -24,7 +24,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .exponents import Exponent, parse_exponent
-from .phi import Dimensions, TargetSpace
+from .phi import ConsistencyError, Dimensions, TargetSpace
 from .psi import REL_TIE_TOL, BallSpec, Certificate, Instance, PsiEstimate, psi, validate_instance
 from .verify import SUITE_NAMES, run_suites
 from .witness import best_witness_lower_bound
@@ -89,6 +89,8 @@ def instance_from_dict(data: dict) -> Instance:
         nu = entry["nu"]
         if not isinstance(nu, (int, float)) or isinstance(nu, bool):
             raise ValueError(f"balls[{i}].nu: expected a number, got {nu!r}")
+        if isinstance(nu, int) and abs(nu) > sys.float_info.max:
+            raise ValueError(f"balls[{i}].nu: integer too large for a float")
         balls.append(
             BallSpec(
                 _parse_exponent_field(entry["p"], f"balls[{i}].p"),
@@ -184,7 +186,7 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
     rows = [_sweep_row(inst, n) for n in range(n_from, n_to + 1)]
     for prev, cur in zip(rows, rows[1:]):
         if cur["psi"] > prev["psi"] * (1.0 + REL_TIE_TOL):
-            raise RuntimeError(
+            raise ConsistencyError(
                 f"psi not monotone: n={prev['n']} -> {prev['psi']}, "
                 f"n={cur['n']} -> {cur['psi']}"
             )
@@ -193,6 +195,8 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
 
 def witness_report(inst: Instance) -> dict:
     est = psi(inst)
+    if est.value == 0.0:
+        raise ValueError("psi underflows to 0 for these radii, so the witness ratio is undefined")
     lb, r, l = best_witness_lower_bound(inst)
     return {
         "schema": SCHEMA,
@@ -315,7 +319,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command line and return its exit code.
 
     0 success, 1 invalid input, 2 bad arguments (from argparse), 3 a verify
-    suite failed, 4 an internal consistency check failed.
+    suite failed, 4 a ConsistencyError; any other exception is a bug and
+    propagates with its traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -323,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _dispatch(args)
     except ValueError as exc:
         return _fail(str(exc), 1)
-    except (ArithmeticError, RuntimeError) as exc:
+    except ConsistencyError as exc:
         return _fail(f"internal consistency failure: {exc}", 4)
 
 

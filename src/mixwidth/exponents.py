@@ -13,17 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 # Interpolation weights are exact rationals; the admissible interval is
 # enforced at each construction site (usually strict interiority in (0, 1)).
 Weight = Fraction
 
 HALF = Fraction(1, 2)
-
-#: A violated general-position condition: (condition number 1-4, offending indices).
-Violation = tuple[int, tuple[int, ...]]
-
 
 @dataclass(frozen=True)
 class Exponent:
@@ -177,78 +173,3 @@ def barycentric(
     if ta > 0 and tb > 0 and tc > 0:
         return ta, tb, tc
     return None
-
-
-def _on_segment(s: ReciprocalPoint, a: ReciprocalPoint, b: ReciprocalPoint) -> bool:
-    """True when s lies on the closed segment [a, b] (exact test)."""
-    if _cross(b.u - a.u, b.v - a.v, s.u - a.u, s.v - a.v) != 0:
-        return False
-    return (
-        min(a.u, b.u) <= s.u <= max(a.u, b.u)
-        and min(a.v, b.v) <= s.v <= max(a.v, b.v)
-    )
-
-
-def is_general_position(
-    points: Sequence[ReciprocalPoint], q: Exponent, sigma: Exponent
-) -> tuple[bool, list[Violation]]:
-    """Check the four non-degeneracy conditions on a family of reciprocal points.
-
-    1. no coordinate equals 1/2, 1/q (u side) or 1/2, 1/sigma (v side), and,
-       when q > 2 and sigma > 2, no point lies on the critical line;
-    2. all u coordinates distinct and all v coordinates distinct;
-    3. none of (1/2,1/2), (1/2,1/sigma), (1/q,1/2), (1/q,1/sigma) lies on a
-       segment between two of the points;
-    4. no three points collinear.
-
-    Returns (ok, violations) with one entry per violated condition instance.
-    Duplicate points are invalid input.
-    """
-    pts = list(points)
-    seen: dict[tuple[Fraction, Fraction], int] = {}
-    for i, pt in enumerate(pts):
-        key = (pt.u, pt.v)
-        if key in seen:
-            raise ValueError(f"duplicate points at indices {seen[key]} and {i}")
-        seen[key] = i
-
-    critical = q.u < HALF and sigma.u < HALF
-    violations: list[Violation] = []
-
-    for i, pt in enumerate(pts):
-        if pt.u in (HALF, q.u) or pt.v in (HALF, sigma.u):
-            violations.append((1, (i,)))
-        elif critical and critical_deviation(pt, q, sigma) == 0:
-            violations.append((1, (i,)))
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].u == pts[j].u or pts[i].v == pts[j].v:
-                violations.append((2, (i, j)))
-
-    specials = (
-        ReciprocalPoint(HALF, HALF),
-        ReciprocalPoint(HALF, sigma.u),
-        ReciprocalPoint(q.u, HALF),
-        ReciprocalPoint(q.u, sigma.u),
-    )
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if any(_on_segment(s, pts[i], pts[j]) for s in specials):
-                violations.append((3, (i, j)))
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for l in range(j + 1, len(pts)):
-                if (
-                    _cross(
-                        pts[j].u - pts[i].u,
-                        pts[j].v - pts[i].v,
-                        pts[l].u - pts[i].u,
-                        pts[l].v - pts[i].v,
-                    )
-                    == 0
-                ):
-                    violations.append((4, (i, j, l)))
-
-    return not violations, violations

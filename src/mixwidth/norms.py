@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import Exponent, Weight, convex_combine
+from .exponents import Exponent, Weight
 
 MEMBERSHIP_SLACK = 1e-12
 
@@ -95,15 +95,11 @@ def interpolation_check(
     """Two-norm interpolation inequality at the convex combination of s1, s2.
 
     With 1/p = (1-lam)/p1 + lam/p2 and likewise for theta, checks
-    ||x||_{p,theta} <= ||x||_{p1,theta1}^{1-lam} * ||x||_{p2,theta2}^{lam}.
-    Returns (lhs, rhs, holds) with a 1e-12 relative slack.
+    ||x||_{p,theta} <= ||x||_{p1,theta1}^{1-lam} * ||x||_{p2,theta2}^{lam}:
+    the two-space case of `corollary_check`, whose (lhs, rhs, holds) it returns.
     """
     lam = Fraction(lam)
-    p = convex_combine(s1[0], s2[0], lam)
-    theta = convex_combine(s1[1], s2[1], lam)
-    lhs = mixed_norm(x, p, theta)
-    rhs = mixed_norm(x, *s1) ** float(1 - lam) * mixed_norm(x, *s2) ** float(lam)
-    return lhs, rhs, lhs <= rhs * (1.0 + MEMBERSHIP_SLACK)
+    return corollary_check(x, [(s1, 1 - lam), (s2, lam)])
 
 
 def corollary_check(
@@ -130,8 +126,6 @@ def sample_boundary(balls: Sequence, m: int, k: int, seed: int = 0) -> np.ndarra
     Deterministic per seed: a Gaussian direction scaled so the largest
     norm/radius ratio equals one.
     """
-    if not balls:
-        raise ValueError("need a nonempty ball family")
     rng = np.random.default_rng(seed)
     while True:
         x = rng.standard_normal((m, k))

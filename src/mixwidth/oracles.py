@@ -34,17 +34,10 @@ from .witness import GroupElement, group_apply, v_extreme_point, v_inclusion_sca
 
 @dataclass(frozen=True)
 class WidthSample:
-    """A width value with its provenance (exact formula or stochastic search)."""
+    """A heuristic width estimate with the budget and seed that produced it."""
 
     estimate: float
-    kind: str  # "exact" | "heuristic"
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "heuristic"):
-            raise ValueError(f"kind must be 'exact' or 'heuristic', got {self.kind!r}")
-        if self.kind == "exact" and self.metadata:
-            raise ValueError("exact samples carry no stochastic metadata")
 
 
 def exact_width_linf(N: int, n: int, s: Exponent) -> float:
@@ -69,18 +62,15 @@ def _check_dims(m: int, k: int) -> None:
 
 
 def sup_norm_over_M(
-    balls: Sequence, m: int, k: int, q: Exponent, sigma: Exponent, seed: int = 0,
-    samples: int = 64,
+    balls: Sequence, m: int, k: int, q: Exponent, sigma: Exponent, seed: int = 0
 ) -> float:
     """Largest (q, sigma) norm over the ball intersection (the 0-width).
 
     Closed form for a single ball; for intersections, a lower estimate from
-    the structured points t*e_{r,l} over the full (r, l) grid plus random
+    the structured points t*e_{r,l} over the full (r, l) grid plus 64 random
     boundary samples.
     """
     _check_dims(m, k)
-    if not balls:
-        raise ValueError("need a nonempty ball family")
     uq, vs = float(q.u), float(sigma.u)
     if len(balls) == 1:
         b = balls[0]
@@ -91,7 +81,7 @@ def sup_norm_over_M(
     for r in range(1, m + 1):
         for l in range(1, k + 1):
             best = max(best, v_inclusion_scale(balls, r, l) * r**uq * l**vs)
-    for i in range(samples):
+    for i in range(64):
         x = sample_boundary(balls, m, k, seed=seed + i)
         best = max(best, mixed_norm(x, q, sigma))
     return best
@@ -169,9 +159,10 @@ def _dist_to_span(
 
 
 def _candidate_points(
-    balls: Sequence, m: int, k: int, rng: np.random.Generator, boundary: int = 32
+    balls: Sequence, m: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Structured near-extreme points plus random boundary samples, flattened."""
+    """Structured near-extreme points, 16 random sign patterns scaled onto the
+    boundary and 32 random boundary samples, flattened."""
     pts = []
     for r in range(1, m + 1):
         for l in range(1, k + 1):
@@ -181,11 +172,11 @@ def _candidate_points(
             for _ in range(2):
                 g = GroupElement.random(m, k, rng)
                 pts.append(t * group_apply(g, e))
-    for _ in range(boundary // 2):
+    for _ in range(16):
         s = rng.choice((-1.0, 1.0), size=(m, k))
         _, ratio = membership(s, balls)
         pts.append(s / ratio)
-    for _ in range(boundary):
+    for _ in range(32):
         pts.append(sample_boundary(balls, m, k, seed=int(rng.integers(0, 2**31))))
     return np.stack([p.reshape(-1) for p in pts], axis=1)
 
@@ -402,13 +393,13 @@ def numeric_width_estimate(
         raise ValueError("q and sigma must be finite")
     meta = {"restarts": restarts, "iterations": iters, "seed": seed}
     if n == N:
-        return WidthSample(0.0, "heuristic", meta)
+        return WidthSample(0.0, meta)
 
     rng = np.random.default_rng(seed)
     X = _candidate_points(balls, m, k, rng)
     s0 = float(_norms(X, m, k, qf, sf)[1].max())
     if s0 == 0.0:
-        return WidthSample(0.0, "heuristic", meta)
+        return WidthSample(0.0, meta)
     Xn = X / s0  # normalized copy keeps the search scale-equivariant
 
     euclid = qf == 2.0 and sf == 2.0
@@ -427,4 +418,4 @@ def numeric_width_estimate(
     best = math.inf
     for value in _ascend(Bs, X, d, balls, m, k, qf, sf, rng, gd_final):
         best = min(best, value)
-    return WidthSample(best, "heuristic", meta)
+    return WidthSample(best, meta)

@@ -15,6 +15,7 @@ exponents; only the final power evaluations are floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ import numpy as np
 from .exponents import HALF, Exponent
 
 _REL_BRANCH_TOL = 1e-9
+
+
+class ConsistencyError(ArithmeticError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,9 @@ class Dimensions:
             raise ValueError(f"m and k must be positive, got m={self.m}, k={self.k}")
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got n={self.n}")
+        for name in ("m", "k", "n"):
+            if getattr(self, name) > sys.float_info.max:
+                raise ValueError(f"{name}: integer too large for a float")
         if 2 * self.n > self.m * self.k:
             raise ValueError(f"n={self.n} exceeds m*k/2={self.m * self.k / 2}")
 
@@ -124,13 +132,13 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
         values[6] = min(1.0, rootn * _pow(fm, uq) * _pow(fk, vs))
 
     if not values:
-        raise RuntimeError(
+        raise ConsistencyError(
             f"no branch covers (1/p, 1/theta) = ({u}, {v}); this cannot happen "
             "for exponents in [1, inf]"
         )
     lo, hi = min(values.values()), max(values.values())
     if hi - lo > _REL_BRANCH_TOL * hi:
-        raise ArithmeticError(
+        raise ConsistencyError(
             f"applicable branches disagree beyond tolerance: {values}"
         )
     return PhiValue(lo, tuple(sorted(values)))

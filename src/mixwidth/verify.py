@@ -47,6 +47,8 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 _DEN = 1024
+# Largest m and k of the random instances, branch-overlap and inclusion draws.
+_DIM_MAX = 16
 
 
 def _rand_frac(rng) -> Fraction:
@@ -73,9 +75,9 @@ def _rand_balls(rng, count: int) -> list[BallSpec]:
     return balls
 
 
-def _rand_instance(rng, max_balls: int = 4, dim_max: int = 16) -> Instance:
-    m = int(rng.integers(1, dim_max + 1))
-    k = int(rng.integers(1, dim_max + 1))
+def _rand_instance(rng, max_balls: int = 4) -> Instance:
+    m = int(rng.integers(1, _DIM_MAX + 1))
+    k = int(rng.integers(1, _DIM_MAX + 1))
     n = int(rng.integers(0, m * k // 2 + 1))
     balls = _rand_balls(rng, int(rng.integers(1, max_balls + 1)))
     return validate_instance(
@@ -205,8 +207,8 @@ def _reference_branches(
 def _branch_overlap(rng, gain: float) -> float:
     target = _rand_target(rng)
     uq, vs = target.q.u, target.sigma.u
-    m = int(rng.integers(1, 17))
-    k = int(rng.integers(1, 17))
+    m = int(rng.integers(1, _DIM_MAX + 1))
+    k = int(rng.integers(1, _DIM_MAX + 1))
     dims = Dimensions(m, k, int(rng.integers(0, m * k // 2 + 1)))
     # Land exactly on a region boundary.
     kind = int(rng.integers(0, 5))
@@ -263,8 +265,8 @@ def _gamma_invariance(rng, gain: float) -> float:
 
 
 def _inclusion_scale(rng, gain: float) -> float:
-    m = int(rng.integers(1, 17))
-    k = int(rng.integers(1, 17))
+    m = int(rng.integers(1, _DIM_MAX + 1))
+    k = int(rng.integers(1, _DIM_MAX + 1))
     balls = _rand_balls(rng, int(rng.integers(1, 5)))
     r = int(rng.integers(1, m + 1))
     l = int(rng.integers(1, k + 1))

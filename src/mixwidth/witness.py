@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import Exponent
-from .phi import _REL_BRANCH_TOL
+from .phi import _REL_BRANCH_TOL, ConsistencyError
 from .psi import _LOG_SAFE, Instance
 
 
@@ -42,10 +42,6 @@ class GroupElement:
             self.col_signs
         ):
             raise ValueError("permutation and sign lengths must match")
-
-    @classmethod
-    def identity(cls, m: int, k: int) -> "GroupElement":
-        return cls(tuple(range(m)), tuple(range(k)), (1,) * m, (1,) * k)
 
     @classmethod
     def random(cls, m: int, k: int, rng: np.random.Generator) -> "GroupElement":
@@ -117,9 +113,7 @@ def v_width_lower_bound(
     )
     if abs(n - crossover) <= 1e-9 * max(1.0, crossover):
         if abs(low - high) > _REL_BRANCH_TOL * max(low, high):
-            raise ArithmeticError(
-                f"branch mismatch at the crossover: {low} vs {high}"
-            )
+            raise ConsistencyError(f"branch mismatch at the crossover: {low} vs {high}")
     return low if n <= crossover else high
 
 

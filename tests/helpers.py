@@ -1,9 +1,10 @@
 """Helpers that only the tests use, kept out of the package API.
 
-`compose` checks the group action, `solve_rl_loglinear` relates triple
-certificates to the witness grid, `perturb_to_general_position` exercises
-the general-position predicate, and `single_ball_width_estimate` spells out
-the single-ball estimate nu * Phi.
+`identity` and `compose` check the group action, `solve_rl_loglinear`
+relates triple certificates to the witness grid, `is_general_position` is
+the exact non-degeneracy predicate on reciprocal points and
+`perturb_to_general_position` exercises it, and `single_ball_width_estimate`
+spells out the single-ball estimate nu * Phi.
 """
 
 import math
@@ -11,9 +12,23 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mixwidth.exponents import Exponent, ReciprocalPoint, is_general_position
+from mixwidth.exponents import (
+    HALF,
+    Exponent,
+    ReciprocalPoint,
+    _cross,
+    critical_deviation,
+)
 from mixwidth.phi import Dimensions, TargetSpace, phi
 from mixwidth.witness import GroupElement
+
+#: A violated general-position condition: (condition number 1-4, offending indices).
+Violation = tuple[int, tuple[int, ...]]
+
+
+def identity(m: int, k: int) -> GroupElement:
+    """The identity element: no permutation, every sign +1."""
+    return GroupElement(tuple(range(m)), tuple(range(k)), (1,) * m, (1,) * k)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -57,6 +72,81 @@ def solve_rl_loglinear(
     log_r = (la * float(e4) - float(e2) * lb) / fdet
     log_l = (float(e1) * lb - la * float(e3)) / fdet
     return math.exp(log_r), math.exp(log_l)
+
+
+def _on_segment(s: ReciprocalPoint, a: ReciprocalPoint, b: ReciprocalPoint) -> bool:
+    """True when s lies on the closed segment [a, b] (exact test)."""
+    if _cross(b.u - a.u, b.v - a.v, s.u - a.u, s.v - a.v) != 0:
+        return False
+    return (
+        min(a.u, b.u) <= s.u <= max(a.u, b.u)
+        and min(a.v, b.v) <= s.v <= max(a.v, b.v)
+    )
+
+
+def is_general_position(
+    points: Sequence[ReciprocalPoint], q: Exponent, sigma: Exponent
+) -> tuple[bool, list[Violation]]:
+    """Check the four non-degeneracy conditions on a family of reciprocal points.
+
+    1. no coordinate equals 1/2, 1/q (u side) or 1/2, 1/sigma (v side), and,
+       when q > 2 and sigma > 2, no point lies on the critical line;
+    2. all u coordinates distinct and all v coordinates distinct;
+    3. none of (1/2,1/2), (1/2,1/sigma), (1/q,1/2), (1/q,1/sigma) lies on a
+       segment between two of the points;
+    4. no three points collinear.
+
+    Returns (ok, violations) with one entry per violated condition instance.
+    Duplicate points are invalid input.
+    """
+    pts = list(points)
+    seen: dict[tuple[Fraction, Fraction], int] = {}
+    for i, pt in enumerate(pts):
+        key = (pt.u, pt.v)
+        if key in seen:
+            raise ValueError(f"duplicate points at indices {seen[key]} and {i}")
+        seen[key] = i
+
+    critical = q.u < HALF and sigma.u < HALF
+    violations: list[Violation] = []
+
+    for i, pt in enumerate(pts):
+        if pt.u in (HALF, q.u) or pt.v in (HALF, sigma.u):
+            violations.append((1, (i,)))
+        elif critical and critical_deviation(pt, q, sigma) == 0:
+            violations.append((1, (i,)))
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i].u == pts[j].u or pts[i].v == pts[j].v:
+                violations.append((2, (i, j)))
+
+    specials = (
+        ReciprocalPoint(HALF, HALF),
+        ReciprocalPoint(HALF, sigma.u),
+        ReciprocalPoint(q.u, HALF),
+        ReciprocalPoint(q.u, sigma.u),
+    )
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if any(_on_segment(s, pts[i], pts[j]) for s in specials):
+                violations.append((3, (i, j)))
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for l in range(j + 1, len(pts)):
+                if (
+                    _cross(
+                        pts[j].u - pts[i].u,
+                        pts[j].v - pts[i].v,
+                        pts[l].u - pts[i].u,
+                        pts[l].v - pts[i].v,
+                    )
+                    == 0
+                ):
+                    violations.append((4, (i, j, l)))
+
+    return not violations, violations
 
 
 def perturb_to_general_position(

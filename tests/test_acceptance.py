@@ -19,7 +19,6 @@ from mixwidth import (
     best_witness_lower_bound,
     exact_width_linf,
     family_reduce,
-    is_general_position,
     membership,
     numeric_width_estimate,
     parse_exponent,
@@ -29,6 +28,7 @@ from mixwidth import (
     validate_instance,
 )
 from conftest import make_instance
+from helpers import is_general_position
 
 E = parse_exponent
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mixwidth import PsiEstimate
+from mixwidth import ConsistencyError, PsiEstimate
 from mixwidth.cli import main
 
 WORKED = {
@@ -33,6 +33,12 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_instance(tmp_path, data) -> str:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestEstimate:
@@ -213,12 +219,53 @@ class TestWitnessMode:
         assert 0 < report["witness_lb"] <= report["psi"] * 4
         assert 1 <= report["r"] <= 4 and 1 <= report["l"] <= 4
 
+    def test_psi_underflow_is_invalid_input(self, tmp_path, capsys):
+        data = {"m": 64, "k": 64, "n": 2048, "q": "3", "sigma": "3",
+                "balls": [{"p": "1", "theta": "1", "nu": 5e-324}]}
+        path = write_instance(tmp_path, data)
+        code, out, _ = run_cli(capsys, path, "--format", "json")
+        assert code == 0 and json.loads(out)["psi"] == 0.0
+        code, out, err = run_cli(capsys, path, "--mode", "witness")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "mixwidth: error: psi underflows to 0 for these radii, "
+            "so the witness ratio is undefined\n"
+        )
+
+
+class TestOutOfRangeIntegers:
+    @pytest.mark.parametrize("mode", ["estimate", "witness"])
+    def test_radius(self, tmp_path, capsys, mode):
+        data = dict(WORKED, balls=[WORKED["balls"][0], {"p": "1", "theta": "2", "nu": 10**400}])
+        code, out, err = run_cli(capsys, write_instance(tmp_path, data), "--mode", mode)
+        assert code == 1
+        assert out == ""
+        assert err == "mixwidth: error: balls[1].nu: integer too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [({"m": 10**400}, "m"), ({"k": 10**400}, "k"),
+         ({"m": 10**300, "k": 10**300, "n": 10**400}, "n")],
+    )
+    def test_dimension(self, tmp_path, capsys, fields, name):
+        code, out, err = run_cli(capsys, write_instance(tmp_path, dict(WORKED, **fields)))
+        assert code == 1
+        assert out == ""
+        assert err == f"mixwidth: error: {name}: integer too large for a float\n"
+
+    def test_largest_float_radius_accepted(self, tmp_path, capsys):
+        nu = int(sys.float_info.max)
+        data = dict(WORKED, balls=[{"p": "1", "theta": "2", "nu": nu}])
+        code, out, _ = run_cli(capsys, write_instance(tmp_path, data), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["instance"]["balls"][0]["nu"] == sys.float_info.max
+
 
 class TestInternalFailures:
-    @pytest.mark.parametrize("error", [ArithmeticError, RuntimeError])
-    def test_one_line_error_without_traceback(self, worked_file, capsys, monkeypatch, error):
+    def test_one_line_error_without_traceback(self, worked_file, capsys, monkeypatch):
         def broken(*args):
-            raise error("applicable branches disagree:\n{1: 1.0, 2: 2.0}")
+            raise ConsistencyError("applicable branches disagree:\n{1: 1.0, 2: 2.0}")
 
         monkeypatch.setattr(sys.modules["mixwidth.psi"], "phi", broken)
         code, out, err = run_cli(capsys, worked_file, "--format", "json")
@@ -245,3 +292,15 @@ class TestInternalFailures:
             "mixwidth: error: internal consistency failure: "
             "psi not monotone: n=0 -> 1.0, n=1 -> 2.0\n"
         )
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ArithmeticError, RuntimeError])
+    def test_stray_errors_propagate(self, worked_file, capsys, monkeypatch, error):
+        # Only a ConsistencyError is an internal consistency failure; any
+        # other exception is a bug and keeps its traceback.
+        def broken(*args):
+            raise error("float division by zero")
+
+        monkeypatch.setattr(sys.modules["mixwidth.psi"], "phi", broken)
+        with pytest.raises(error, match="float division by zero"):
+            main([worked_file, "--format", "json"])
+        assert capsys.readouterr().err == ""

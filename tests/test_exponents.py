@@ -11,12 +11,11 @@ from mixwidth import (
     barycentric,
     convex_combine,
     critical_deviation,
-    is_general_position,
     parse_exponent,
     solve_critical_crossing,
     solve_crossing,
 )
-from helpers import perturb_to_general_position
+from helpers import is_general_position, perturb_to_general_position
 
 E = parse_exponent
 

@@ -15,6 +15,7 @@ from mixwidth import (
     sample_boundary,
 )
 from mixwidth.norms import membership_ratios
+from mixwidth.verify import _rand_exponent, _rand_frac
 import norms_brute
 
 E = parse_exponent
@@ -200,6 +201,37 @@ class TestInterpolation:
             lhs, rhs, holds = interpolation_check(x, s1, s2, lam)
             assert holds, (lhs, rhs, s1, s2, lam)
 
+    def test_matches_reference_on_verify_draws(self):
+        # The draws of the interpolation-inequality verify suite.
+        rng = np.random.default_rng(15)
+        for _ in range(5000):
+            x = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+            s1 = (_rand_exponent(rng), _rand_exponent(rng))
+            s2 = (_rand_exponent(rng), _rand_exponent(rng))
+            lam = _rand_frac(rng)
+            got = interpolation_check(x, s1, s2, lam)
+            assert got == norms_brute.interpolation_check(x, s1, s2, lam)
+
+    def test_matches_reference_at_edges(self):
+        # lambda at 0 and 1 (as ints too), decimal floats such as 0.3 (whose
+        # 1 - lambda rounds in floats), scaled and zero matrices.
+        rng = np.random.default_rng(16)
+        for i in range(5000):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            x = rng.standard_normal(shape) * float(np.exp(rng.uniform(-50.0, 50.0)))
+            if i % 50 == 0:
+                x = np.zeros(shape)
+            s1 = (_random_exponent(rng), _random_exponent(rng))
+            s2 = (_random_exponent(rng), _random_exponent(rng))
+            lam = (Fraction(0), Fraction(1), 0, 1, int(rng.integers(1, 1000)) / 1000)[i % 5]
+            got = interpolation_check(x, s1, s2, lam)
+            assert got == norms_brute.interpolation_check(x, s1, s2, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            interpolation_check(np.ones((2, 2)), (E("1"), E("2")), (E("3"), E("4")), lam)
+
 
 class TestCorollary:
     def test_single_spec_is_equality(self):
@@ -215,8 +247,7 @@ class TestCorollary:
         lam = Fraction(3, 7)
         a = interpolation_check(x, s1, s2, lam)
         b = corollary_check(x, [(s1, 1 - lam), (s2, lam)])
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
+        assert a == b
 
     def test_three_specs_random(self):
         rng = np.random.default_rng(12)

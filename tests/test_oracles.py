@@ -14,10 +14,12 @@ from mixwidth import (
     WidthSample,
     exact_width_euclidean_ball,
     exact_width_linf,
+    membership,
     numeric_width_estimate,
     parse_exponent,
     phi,
     psi,
+    sample_boundary,
     sup_norm_over_M,
     validate_instance,
 )
@@ -25,6 +27,21 @@ from mixwidth import oracles
 from oracle_brute import _dist_to_span as brute_dist_to_span, brute_ascend, brute_width
 
 E = parse_exponent
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_boundary([], 2, 2),
+        lambda: membership(np.ones((2, 2)), []),
+        lambda: sup_norm_over_M([], 2, 2, E("2"), E("2")),
+        lambda: numeric_width_estimate([], 2, 2, 1, E("2"), E("2")),
+    ],
+    ids=["sample_boundary", "membership", "sup_norm_over_M", "numeric_width_estimate"],
+)
+def test_empty_family_rejected(call):
+    with pytest.raises(ValueError, match="need a nonempty ball family"):
+        call()
 
 
 class TestExactWidths:
@@ -92,7 +109,8 @@ class TestNumericWidth:
         balls = [BallSpec(E("2"), E("2"), 1.0)]
         for m, k, n in [(2, 2, 1), (3, 3, 2), (3, 3, 4)]:
             got = numeric_width_estimate(balls, m, k, n, E("2"), E("2"), seed=7)
-            assert isinstance(got, WidthSample) and got.kind == "heuristic"
+            assert isinstance(got, WidthSample)
+            assert got.metadata == {"restarts": 64, "iterations": 200, "seed": 7}
             assert abs(got.estimate - 1.0) <= 0.10
 
     def test_sup_ball_small_case(self):
@@ -151,10 +169,6 @@ class TestNumericWidth:
         balls = [BallSpec(E("2"), E("2"), 1.0)]
         with pytest.raises(ValueError, match="m, k >= 1"):
             numeric_width_estimate(balls, m, k, 0, E("2"), E("2"))
-
-    def test_exact_samples_reject_metadata(self):
-        with pytest.raises(ValueError):
-            WidthSample(1.0, "exact", {"seed": 0})
 
 
 # Desk-scale intersections: (m, k, n, 1/uq, 1/us, [(p, theta, nu), ...]).

@@ -21,7 +21,7 @@ from mixwidth import (
 )
 from mixwidth.verify import _rand_instance
 from conftest import build, make_instance
-from helpers import compose, solve_rl_loglinear
+from helpers import compose, identity, is_general_position, solve_rl_loglinear
 from witness_brute import brute_witness
 
 E = parse_exponent
@@ -53,7 +53,7 @@ class TestExtremePoint:
 class TestGroupAction:
     def test_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(group_apply(GroupElement.identity(3, 4), x), x)
+        assert np.array_equal(group_apply(identity(3, 4), x), x)
 
     def test_norm_invariance(self):
         rng = np.random.default_rng(1)
@@ -85,7 +85,7 @@ class TestGroupAction:
         with pytest.raises(ValueError):
             GroupElement((0, 1), (0,), (1, 2), (1,))
         with pytest.raises(ValueError):
-            group_apply(GroupElement.identity(2, 2), np.ones((3, 3)))
+            group_apply(identity(2, 2), np.ones((3, 3)))
 
 
 class TestInclusionScale:
@@ -362,7 +362,7 @@ def test_certificate_inequality_for_top_component():
     # on a general-position family, that ball's radius dominates every other
     # ball after the dimension adjustment
     rng = np.random.default_rng(6)
-    from mixwidth import Dimensions, Instance, TargetSpace, is_general_position, validate_instance
+    from mixwidth import Dimensions, Instance, TargetSpace, validate_instance
 
     checked = 0
     for _ in range(400):
