@@ -150,6 +150,13 @@ def _certificate_dict(cert: Certificate) -> dict:
     }
 
 
+def _finite_psi(inst: Instance) -> PsiEstimate:
+    est = psi(inst)
+    if math.isinf(est.value):
+        raise ValueError("psi overflows the float range for these radii")
+    return est
+
+
 def estimate_report(inst: Instance, est: PsiEstimate) -> dict:
     return {
         "schema": SCHEMA,
@@ -167,7 +174,7 @@ def _sweep_row(inst: Instance, n: int) -> dict:
     shifted = Instance(
         Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls
     )
-    est = psi(shifted)
+    est = _finite_psi(shifted)
     lb, _, _ = best_witness_lower_bound(shifted)
     return {
         "n": n,
@@ -194,7 +201,7 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
 
 
 def witness_report(inst: Instance) -> dict:
-    est = psi(inst)
+    est = _finite_psi(inst)
     if est.value == 0.0:
         raise ValueError("psi underflows to 0 for these radii, so the witness ratio is undefined")
     lb, r, l = best_witness_lower_bound(inst)
@@ -360,11 +367,11 @@ def _dispatch(args) -> int:
 
     if args.mode == "estimate":
         if args.format == "json":
-            print(json.dumps(estimate_report(inst, psi(inst)), indent=2))
+            print(json.dumps(estimate_report(inst, _finite_psi(inst)), indent=2))
         elif args.format == "csv":
             print(_rows_to_csv([_sweep_row(inst, inst.dims.n)]), end="")
         else:
-            print(_estimate_table(inst, psi(inst)))
+            print(_estimate_table(inst, _finite_psi(inst)))
         return 0
 
     if args.mode == "sweep":

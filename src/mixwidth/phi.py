@@ -7,9 +7,9 @@ six closed regions, each with its own formula; the formulas coincide on the
 overlaps, which `phi` asserts on every call.
 
 Region membership is decided with exact rational comparisons on reciprocal
-exponents; only the final power evaluations are floating point.
-`log_phi_array` is the float array form used to screen many points at once;
-`phi` stays the exact reference and the public API.
+exponents; only the final power evaluations are floating point.  `phi` and
+its float array form `log_phi_array` evaluate the one set of formulas in
+`_branches`.
 """
 
 from __future__ import annotations
@@ -82,9 +82,39 @@ def omega(p: Exponent, q: Exponent) -> Fraction:
     return min((p.u - q.u) / (HALF - q.u), Fraction(1))
 
 
-def _pow(base: float, e) -> float:
-    # float('inf') ** 0.0 == 1.0, which is exactly the convention needed at n = 0.
-    return base ** float(e)
+def _branches(a, b, wp, wt, target, dims, minimum, holds=(True,) * 6) -> dict:
+    """Phi's six branch formulas, written once: {j: branch j} where holds[j - 1].
+
+    a = m^(1/q - 1/p), b = k^(1/sigma - 1/theta) and the omegas wp, wt are
+    floats (from `phi`, with the builtin min) or arrays (from `log_phi_array`,
+    with np.minimum).  With G = n^(-1/2) m^(1/q) k^(1/sigma), and R (C) = G
+    with m^(1/2) for m^(1/q) (k^(1/2) for k^(1/sigma)), branch 1 is a b,
+    2 min(a, a R^wt), 3 min(b, b C^wp), 4 min(1, G^wp, a R^wt),
+    5 min(1, G^wt, b C^wp) and 6 min(1, G).  At n = 0, G, R and C are +inf
+    and inf ** 0.0 == 1.0, so each min picks its finite term.
+    """
+    uq, vs = target.q.u, target.sigma.u
+    fm, fk = float(dims.m), float(dims.k)
+    rootn = math.inf if dims.n == 0 else dims.n**-0.5
+    h1, h2, h3, h4, h5, h6 = holds
+    if h4 or h5 or h6:
+        big = rootn * fm ** float(uq) * fk ** float(vs)
+    if h2 or h4:
+        a_row = a * (rootn * math.sqrt(fm) * fk ** float(vs)) ** wt
+    if h3 or h5:
+        b_col = b * (rootn * fm ** float(uq) * math.sqrt(fk)) ** wp
+    values = {1: a * b} if h1 else {}
+    if h2:
+        values[2] = minimum(a, a_row)
+    if h3:
+        values[3] = minimum(b, b_col)
+    if h4:
+        values[4] = minimum(minimum(1.0, big**wp), a_row)
+    if h5:
+        values[5] = minimum(minimum(1.0, big**wt), b_col)
+    if h6:
+        values[6] = minimum(1.0, big)
+    return values
 
 
 def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> PhiValue:
@@ -97,58 +127,24 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
     """
     u, v = p.u, theta.u
     uq, vs = target.q.u, target.sigma.u
-    fm, fk = float(dims.m), float(dims.k)
-    rootn = math.inf if dims.n == 0 else dims.n**-0.5
-
-    values: dict[int, float] = {}
-
-    if u <= uq and v <= vs:  # p >= q, theta >= sigma
-        values[1] = _pow(fm, uq - u) * _pow(fk, vs - v)
-    if u <= uq and v >= vs:  # p >= q, theta <= sigma
-        a = _pow(fm, uq - u)
-        w = omega(theta, target.sigma)
-        values[2] = min(a, a * _pow(rootn * math.sqrt(fm) * _pow(fk, vs), w))
-    if u >= uq and v <= vs:  # p <= q, theta >= sigma
-        a = _pow(fk, vs - v)
-        w = omega(p, target.q)
-        values[3] = min(a, a * _pow(rootn * _pow(fm, uq) * math.sqrt(fk), w))
-    if uq <= u <= HALF and v >= vs:
-        wp, wt = omega(p, target.q), omega(theta, target.sigma)
-        if wp <= wt:  # 2 <= p <= q, 1 <= theta <= sigma, slower direction p
-            values[4] = min(
-                1.0,
-                _pow(rootn * _pow(fm, uq) * _pow(fk, vs), wp),
-                _pow(fm, uq - u) * _pow(rootn * math.sqrt(fm) * _pow(fk, vs), wt),
-            )
-    if vs <= v <= HALF and u >= uq:
-        wp, wt = omega(p, target.q), omega(theta, target.sigma)
-        if wt <= wp:  # 2 <= theta <= sigma, 1 <= p <= q, slower direction theta
-            values[5] = min(
-                1.0,
-                _pow(rootn * _pow(fm, uq) * _pow(fk, vs), wt),
-                _pow(fk, vs - v) * _pow(rootn * _pow(fm, uq) * math.sqrt(fk), wp),
-            )
-    if u >= HALF and v >= HALF:  # p <= 2, theta <= 2
-        values[6] = min(1.0, rootn * _pow(fm, uq) * _pow(fk, vs))
-
+    lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
+    r4 = hi_u and hi_v and u <= HALF  # 2 <= p <= q, 1 <= theta <= sigma, if wp <= wt
+    r5 = hi_u and hi_v and v <= HALF  # 2 <= theta <= sigma, 1 <= p <= q, if wt <= wp
+    # Fraction arithmetic is phi's cost: an omega, a or b is computed only
+    # when a holding branch reads it, and is NaN otherwise.
+    wp = omega(p, target.q) if (hi_u and lo_v) or r4 or r5 else math.nan
+    wt = omega(theta, target.sigma) if (lo_u and hi_v) or r4 or r5 else math.nan
+    r4, r5 = r4 and wp <= wt, r5 and wt <= wp
+    a = float(dims.m) ** float(uq - u) if lo_u or r4 else math.nan
+    b = float(dims.k) ** float(vs - v) if lo_v or r5 else math.nan
+    holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, u >= HALF and v >= HALF)
+    values = _branches(a, b, float(wp), float(wt), target, dims, min, holds)
     if not values:
-        raise ConsistencyError(
-            f"no branch covers (1/p, 1/theta) = ({u}, {v}); this cannot happen "
-            "for exponents in [1, inf]"
-        )
+        raise ConsistencyError(f"no branch covers (1/p, 1/theta) = ({u}, {v})")
     lo, hi = min(values.values()), max(values.values())
     if hi - lo > _REL_BRANCH_TOL * hi:
-        raise ConsistencyError(
-            f"applicable branches disagree beyond tolerance: {values}"
-        )
+        raise ConsistencyError(f"applicable branches disagree beyond tolerance: {values}")
     return PhiValue(lo, tuple(sorted(values)))
-
-
-def _times(w: np.ndarray, c: float) -> np.ndarray:
-    """w * c with 0 * inf = 0, the log form of inf ** 0.0 == 1.0 at n = 0."""
-    if math.isinf(c):
-        return np.where(w > 0, c, 0.0)
-    return w * c
 
 
 def log_phi_array(
@@ -156,34 +152,26 @@ def log_phi_array(
 ) -> np.ndarray:
     """log Phi at float reciprocal points (u, v), the array form of `phi`.
 
-    Each branch is evaluated in log space wherever its region contains the
-    point, and the minimum is taken, as in `phi`.  Region tests run in
-    floats, so a point within rounding of a region boundary may be assigned
-    to the neighbouring branch; the branches agree on their overlaps, so the
-    value moves only by the rounding.  The branch 4 and 5 tests compare the
-    same two float ratios both ways, so on the critical line (where the
-    ratios are equal) at least one of them holds.
+    Each branch of `_branches` is evaluated on the arrays and kept wherever
+    its region contains the point, and the minimum is taken, as in `phi`.
+    Region tests run in floats, so a point within rounding of a region
+    boundary may be assigned to the neighbouring branch; the branches agree
+    on their overlaps, so the value moves only by the rounding.  The branch
+    4 and 5 tests compare the same two float ratios both ways, so on the
+    critical line (where the ratios are equal) at least one of them holds.
     """
     uq, vs = float(target.q.u), float(target.sigma.u)
-    lm, lk = math.log(dims.m), math.log(dims.k)
-    lrn = math.inf if dims.n == 0 else -0.5 * math.log(dims.n)
     wp = np.ones_like(u) if uq == 0.5 else np.minimum((u - uq) / (0.5 - uq), 1.0)
     wt = np.ones_like(v) if vs == 0.5 else np.minimum((v - vs) / (0.5 - vs), 1.0)
-    big = lrn + uq * lm + vs * lk  # log(n^-1/2 m^(1/q) k^(1/sigma))
-    row = lrn + 0.5 * lm + vs * lk  # log(n^-1/2 m^(1/2) k^(1/sigma))
-    col = lrn + uq * lm + 0.5 * lk  # log(n^-1/2 m^(1/q) k^(1/2))
-    am, ak = (uq - u) * lm, (vs - v) * lk
+    a, b = float(dims.m) ** (uq - u), float(dims.k) ** (vs - v)
     lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
-    am_row, ak_col = am + _times(wt, row), ak + _times(wp, col)
+    regions = (lo_u & lo_v, lo_u & hi_v, hi_u & lo_v, hi_u & hi_v & (u <= 0.5) & (wp <= wt),
+               hi_u & hi_v & (v <= 0.5) & (wt <= wp), (u >= 0.5) & (v >= 0.5))
+    # A product past the float range is the larger term of a min, or lies
+    # outside its branch's region, so it never reaches the result.
+    with np.errstate(over="ignore"):
+        values = _branches(a, b, wp, wt, target, dims, np.minimum)
     out = np.full_like(u, math.inf)
-    for region, value in (
-        (lo_u & lo_v, am + ak),
-        (lo_u & hi_v, np.minimum(am, am_row)),
-        (hi_u & lo_v, np.minimum(ak, ak_col)),
-        (hi_u & hi_v & (u <= 0.5) & (wp <= wt), np.minimum(_times(wp, big), am_row)),
-        (hi_u & hi_v & (v <= 0.5) & (wt <= wp), np.minimum(_times(wt, big), ak_col)),
-        ((u >= 0.5) & (v >= 0.5), big),
-    ):
+    for region, value in zip(regions, values.values()):
         np.minimum(out, value, out=out, where=region)
-    # Branches 4-6, whose regions cover u >= 1/q, v >= 1/sigma, take a min with 1.
-    return np.minimum(out, 0.0, out=out, where=hi_u & hi_v)
+    return np.log(out)

@@ -25,6 +25,7 @@ full exact scan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -53,15 +54,17 @@ TRIPLE_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class BallSpec:
-    """One ball: exponent pair (p, theta) and radius nu > 0."""
+    """One ball: exponent pair (p, theta) and a float radius 0 < nu <= the largest float."""
 
     p: Exponent
     theta: Exponent
     nu: float
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"radius must be positive and finite, got {self.nu}")
+        # Exact for ints too; an int's repr may exceed Python's digit limit.
+        if not 0 < self.nu <= sys.float_info.max:
+            raise ValueError(f"radius must lie in (0, {sys.float_info.max!r}]")
+        object.__setattr__(self, "nu", float(self.nu))
 
     @property
     def point(self) -> ReciprocalPoint:

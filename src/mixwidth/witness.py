@@ -153,7 +153,8 @@ def best_witness_lower_bound(inst: Instance) -> tuple[float, int, int]:
     q, sigma = inst.target.q, inst.target.sigma
     uq, vs = float(q.u), float(sigma.u)
     rs, ls = _axis_grid(m), _axis_grid(k)
-    lr, ll = np.log(rs)[:, None], np.log(ls)[None, :]
+    # Float axes: beyond 2**63 a list of Python ints would make object arrays.
+    lr, ll = np.log(np.array(rs, float))[:, None], np.log(np.array(ls, float))[None, :]
     lm, lk = math.log(m), math.log(k)
     # A running minimum over the balls keeps memory O(grid), not O(N * grid).
     log_scale = np.full((len(rs), len(ls)), np.inf)

@@ -1,0 +1,67 @@
+"""Two-transcription single-ball profile: the exact reference for `mixwidth.phi`.
+
+This is `phi` as it was before its six branch formulas moved into the one
+`_branches` it now shares with `log_phi_array`: each branch is written out
+in power form, in its own region test.  `phi` must return the same value
+and branch set, bit for bit, and raise the same exception type.
+"""
+
+import math
+
+from mixwidth.exponents import HALF
+from mixwidth.phi import _REL_BRANCH_TOL, ConsistencyError, PhiValue, omega
+
+
+def _pow(base, e):
+    # float('inf') ** 0.0 == 1.0, which is exactly the convention needed at n = 0.
+    return base ** float(e)
+
+
+def brute_phi(p, theta, target, dims):
+    u, v = p.u, theta.u
+    uq, vs = target.q.u, target.sigma.u
+    fm, fk = float(dims.m), float(dims.k)
+    rootn = math.inf if dims.n == 0 else dims.n**-0.5
+
+    values = {}
+
+    if u <= uq and v <= vs:  # p >= q, theta >= sigma
+        values[1] = _pow(fm, uq - u) * _pow(fk, vs - v)
+    if u <= uq and v >= vs:  # p >= q, theta <= sigma
+        a = _pow(fm, uq - u)
+        w = omega(theta, target.sigma)
+        values[2] = min(a, a * _pow(rootn * math.sqrt(fm) * _pow(fk, vs), w))
+    if u >= uq and v <= vs:  # p <= q, theta >= sigma
+        a = _pow(fk, vs - v)
+        w = omega(p, target.q)
+        values[3] = min(a, a * _pow(rootn * _pow(fm, uq) * math.sqrt(fk), w))
+    if uq <= u <= HALF and v >= vs:
+        wp, wt = omega(p, target.q), omega(theta, target.sigma)
+        if wp <= wt:  # 2 <= p <= q, 1 <= theta <= sigma, slower direction p
+            values[4] = min(
+                1.0,
+                _pow(rootn * _pow(fm, uq) * _pow(fk, vs), wp),
+                _pow(fm, uq - u) * _pow(rootn * math.sqrt(fm) * _pow(fk, vs), wt),
+            )
+    if vs <= v <= HALF and u >= uq:
+        wp, wt = omega(p, target.q), omega(theta, target.sigma)
+        if wt <= wp:  # 2 <= theta <= sigma, 1 <= p <= q, slower direction theta
+            values[5] = min(
+                1.0,
+                _pow(rootn * _pow(fm, uq) * _pow(fk, vs), wt),
+                _pow(fk, vs - v) * _pow(rootn * _pow(fm, uq) * math.sqrt(fk), wp),
+            )
+    if u >= HALF and v >= HALF:  # p <= 2, theta <= 2
+        values[6] = min(1.0, rootn * _pow(fm, uq) * _pow(fk, vs))
+
+    if not values:
+        raise ConsistencyError(
+            f"no branch covers (1/p, 1/theta) = ({u}, {v}); this cannot happen "
+            "for exponents in [1, inf]"
+        )
+    lo, hi = min(values.values()), max(values.values())
+    if hi - lo > _REL_BRANCH_TOL * hi:
+        raise ConsistencyError(
+            f"applicable branches disagree beyond tolerance: {values}"
+        )
+    return PhiValue(lo, tuple(sorted(values)))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mixwidth import ConsistencyError, PsiEstimate
-from mixwidth.cli import main
+from mixwidth.cli import CSV_COLUMNS, load_instance, main, run_sweep, witness_report
 
 WORKED = {
     "m": 4,
@@ -304,3 +304,149 @@ class TestInternalFailures:
         with pytest.raises(error, match="float division by zero"):
             main([worked_file, "--format", "json"])
         assert capsys.readouterr().err == ""
+
+
+OVERFLOW = {"m": 64, "k": 64, "n": 4, "q": "3", "sigma": "3",
+            "balls": [{"p": "inf", "theta": "inf", "nu": 1e308}]}
+
+
+class TestPsiOverflow:
+    @pytest.mark.parametrize("args", [
+        ["--mode", "estimate"],
+        ["--mode", "estimate", "--format", "json"],
+        ["--mode", "estimate", "--format", "csv"],
+        ["--mode", "sweep", "--format", "csv", "--n-from", "0", "--n-to", "2"],
+        ["--mode", "sweep", "--format", "json", "--n-from", "4", "--n-to", "4"],
+        ["--mode", "witness"],
+        ["--mode", "witness", "--format", "json"],
+    ])
+    def test_is_invalid_input(self, tmp_path, capsys, args):
+        # nu * Phi is finite in exact arithmetic but not as a float
+        code, out, err = run_cli(capsys, write_instance(tmp_path, OVERFLOW), *args)
+        assert code == 1
+        assert out == ""
+        assert err == "mixwidth: error: psi overflows the float range for these radii\n"
+
+
+class TestHugeDimensions:
+    @pytest.mark.parametrize("args", [
+        ["--mode", "witness", "--format", "json"],
+        ["--mode", "estimate", "--format", "csv"],
+        ["--mode", "sweep", "--format", "csv", "--n-from", "0", "--n-to", "1"],
+    ])
+    def test_dimensions_beyond_int64(self, tmp_path, capsys, args):
+        data = dict(WORKED, m=10**30, k=10**30, n=10**30)
+        code, out, err = run_cli(capsys, write_instance(tmp_path, data), *args)
+        assert code == 0 and err == ""
+        if "witness" in args:
+            report = json.loads(out)
+            assert report["ratio"] == report["witness_lb"] / report["psi"]
+            assert 1 <= report["r"] <= 10**30 and 1 <= report["l"] <= 10**30
+        else:
+            assert all(math.isfinite(float(r["psi"])) for r in csv.DictReader(io.StringIO(out)))
+
+
+class TestInstanceRejections:
+    @pytest.mark.parametrize("change, message", [
+        ({"q": [2]}, "q: expected an exponent string, got [2]"),
+        ({"balls": [{"p": None, "theta": "2", "nu": 1.0}]},
+         "balls[0].p: expected an exponent string, got None"),
+        ({"m": "4"}, "m: expected an integer, got '4'"),
+        ({"k": 4.0}, "k: expected an integer, got 4.0"),
+        ({"n": True}, "n: expected an integer, got True"),
+        ({"sigma": None}, "missing field 'q' or 'sigma'"),
+        ({"balls": []}, "'balls' must be a nonempty list"),
+        ({"balls": {"p": "2"}}, "'balls' must be a nonempty list"),
+        ({"balls": [WORKED["balls"][0], "ball"]}, "balls[1]: expected an object"),
+        ({"balls": [{"p": "2", "nu": 1.0}]}, "balls[0].theta: missing"),
+        ({"balls": [{"theta": "2", "nu": 1.0}]}, "balls[0].p: missing"),
+        ({"balls": [{"p": "2", "theta": "2"}]}, "balls[0].nu: missing"),
+        ({"balls": [{"p": "2", "theta": "2", "nu": "1"}]}, "balls[0].nu: expected a number, got '1'"),
+        ({"balls": [{"p": "2", "theta": "2", "nu": False}]},
+         "balls[0].nu: expected a number, got False"),
+    ])
+    def test_field_named(self, tmp_path, capsys, change, message):
+        # a None in `change` drops the field
+        data = {key: value for key, value in {**WORKED, **change}.items() if value is not None}
+        code, out, err = run_cli(capsys, write_instance(tmp_path, data))
+        assert code == 1
+        assert out == ""
+        assert err == f"mixwidth: error: {message}\n"
+
+    @pytest.mark.parametrize("field", ["m", "k", "n"])
+    def test_missing_dimension(self, tmp_path, capsys, field):
+        data = {key: value for key, value in WORKED.items() if key != field}
+        code, out, err = run_cli(capsys, write_instance(tmp_path, data))
+        assert (code, out, err) == (1, "", f"mixwidth: error: missing field {field!r}\n")
+
+    def test_non_object_file(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, write_instance(tmp_path, [WORKED]))
+        assert (code, out) == (1, "")
+        assert err == "mixwidth: error: instance file must contain a JSON object\n"
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        code, out, err = run_cli(capsys, path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mixwidth: error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+
+class TestReportForms:
+    def test_sweep_json_rows_are_run_sweep_rows(self, worked_file, capsys):
+        code, out, _ = run_cli(
+            capsys, worked_file, "--mode", "sweep", "--format", "json", "--n-from", "2",
+            "--n-to", "6",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["schema"], payload["mode"]) == ("mixwidth-report/1", "sweep")
+        assert payload["rows"] == run_sweep(load_instance(worked_file), 2, 6)
+
+    def test_sweep_table(self, worked_file, capsys):
+        code, out, _ = run_cli(
+            capsys, worked_file, "--mode", "sweep", "--n-from", "0", "--n-to", "8"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == CSV_COLUMNS
+        rows = run_sweep(load_instance(worked_file), 0, 8)
+        assert [line.split() for line in lines[1:]] == [
+            [str(row[c]) for c in CSV_COLUMNS] for row in rows
+        ]
+
+    def test_estimate_csv_is_sweep_row(self, worked_file, capsys):
+        code, estimate, _ = run_cli(capsys, worked_file, "--format", "csv")
+        assert code == 0
+        _, sweep, _ = run_cli(
+            capsys, worked_file, "--mode", "sweep", "--format", "csv", "--n-from", "4",
+            "--n-to", "4",
+        )
+        assert estimate == sweep
+        assert estimate.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    def test_estimate_table(self, worked_file, capsys):
+        code, out, _ = run_cli(capsys, worked_file)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "instance: m=4 k=4 n=4 q=2 sigma=2 balls=2"
+        assert lines[3].split() == ["j", "value", "certificate"]
+        assert [line.split()[0] for line in lines[4:]] == [str(j) for j in range(8)]
+        assert not any(line.startswith("note:") for line in lines)
+
+    def test_n_zero_table_note(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, write_instance(tmp_path, dict(WORKED, n=0)))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3] == "note: n = 0 evaluated under the 0-width convention"
+        assert lines[4].split() == ["j", "value", "certificate"]
+
+    def test_witness_table(self, worked_file, capsys):
+        code, out, _ = run_cli(capsys, worked_file, "--mode", "witness")
+        assert code == 0
+        report = witness_report(load_instance(worked_file))
+        assert out.splitlines() == [
+            f"psi = {report['psi']!r}",
+            f"witness lower bound = {report['witness_lb']!r} at r={report['r']}, l={report['l']}",
+            f"ratio = {report['ratio']!r}",
+        ]

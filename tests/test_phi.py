@@ -1,3 +1,5 @@
+import importlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,10 @@ from mixwidth import (
     parse_exponent,
     phi,
 )
+from mixwidth.phi import log_phi_array
+from mixwidth.verify import _rand_instance, _reference_branches
 from helpers import single_ball_width_estimate
+from phi_brute import brute_phi
 
 E = parse_exponent
 
@@ -176,3 +181,86 @@ class TestPhiProperties:
             got = phi(Exponent(u), Exponent(v), tg, d)  # internal agreement assert
             if kind in (0, 1) or (kind == 4 and u <= Fraction(1, 2)):
                 assert len(got.branches) >= 2
+
+
+def _outcome(f, *args):
+    try:
+        got = f(*args)
+    except Exception as exc:  # the exception type must match too
+        return type(exc)
+    return got.value, got.branches
+
+
+def _brute_points(rng, count):
+    """Seeded points mixing n = 0, q or sigma = 2, m or k = 1, m, k up to 1e150,
+    and points on the region boundaries (u = 1/q, v = 1/sigma, 1/2, the
+    critical line) where several branches hold."""
+    half = Fraction(1, 2)
+    for i in range(count):
+        uq = half if i % 6 == 1 else Fraction(int(rng.integers(1, 49)), 96)
+        vs = half if i % 6 == 2 else Fraction(int(rng.integers(1, 49)), 96)
+        if i % 6 == 3:
+            m, k = (1, int(rng.integers(1, 40))) if i % 12 == 3 else (int(rng.integers(1, 40)), 1)
+        elif i % 6 == 4:
+            m, k = (int(10 ** rng.uniform(0, 150)) for _ in range(2))
+        else:
+            m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+        if i % 5 == 0:
+            n = 0
+        elif m * k < 2**62:
+            n = int(rng.integers(0, m * k // 2 + 1))
+        else:
+            n = min(int(10 ** rng.uniform(0, math.log10(m * k / 2))), m * k // 2)
+        u = Fraction(int(rng.integers(0, 97)), 96)
+        v = Fraction(int(rng.integers(0, 385)), 384)
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            u = uq
+        elif kind == 1:
+            v = vs
+        elif kind == 2:
+            u = half
+        elif kind == 3:
+            w = Fraction(int(rng.integers(0, 97)), 96)
+            u, v = uq + w * (half - uq), vs + w * (half - vs)
+        yield Exponent(u), Exponent(v), TargetSpace(Exponent(uq), Exponent(vs)), Dimensions(m, k, n)
+
+
+class TestOneTranscription:
+    def test_matches_two_transcription_reference(self):
+        # phi must equal the branch-by-branch power form it replaced, bit for bit
+        rng = np.random.default_rng(21)
+        for args in _brute_points(rng, 20000):
+            assert _outcome(phi, *args) == _outcome(brute_phi, *args), args
+
+    def test_matches_reference_branches_on_sixteenth_grid(self):
+        # verify's straight-line transcription is independent of _branches
+        rng = np.random.default_rng(22)
+        grid = [Fraction(i, 16) for i in range(17)]
+        pts = [(u, v) for u in grid for v in grid]
+        uf, vf = np.array([float(u) for u, _ in pts]), np.array([float(v) for _, v in pts])
+        for _ in range(40):
+            inst = _rand_instance(rng)
+            tg, d = inst.target, inst.dims
+            want = [min(_reference_branches(u, v, tg, d).values()) for u, v in pts]
+            got = [phi(Exponent(u), Exponent(v), tg, d).value for u, v in pts]
+            assert got == pytest.approx(want, rel=1e-12)
+            got_log = log_phi_array(uf, vf, tg, d)
+            assert got_log == pytest.approx(np.log(want), rel=1e-9, abs=1e-9)
+
+    def test_phi_and_array_form_share_the_formulas(self, monkeypatch):
+        # `mixwidth.phi` is the re-exported function, so reach the module
+        module = importlib.import_module("mixwidth.phi")
+        branches = module._branches
+        monkeypatch.setattr(
+            module, "_branches",
+            lambda *a: {j: 2 * value for j, value in branches(*a).items()},
+        )
+        tg, d = target("3", "4"), Dimensions(16, 8, 5)
+        pts = [(Fraction(1, 5), Fraction(1, 6)), (Fraction(2, 5), Fraction(3, 7)),
+               (Fraction(3, 4), Fraction(5, 6)), (Fraction(3, 4), Fraction(1, 6))]
+        for u, v in pts:
+            p, t = Exponent(u), Exponent(v)
+            assert phi(p, t, tg, d).value == 2 * brute_phi(p, t, tg, d).value
+            got = log_phi_array(np.array([float(u)]), np.array([float(v)]), tg, d)
+            assert got[0] == pytest.approx(math.log(2 * brute_phi(p, t, tg, d).value), rel=1e-12)

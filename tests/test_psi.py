@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,28 @@ class TestValidateInstance:
     def test_nonpositive_radius(self):
         with pytest.raises(ValueError):
             BallSpec(E("2"), E("2"), 0.0)
+
+    @pytest.mark.parametrize(
+        "nu", [10**400, 10**5000, math.nan, math.inf, -math.inf, 0, -1],
+        ids=["int-1e400", "int-1e5000", "nan", "inf", "-inf", "0", "-1"],
+    )
+    def test_radius_outside_float_range_rejected(self, nu):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            BallSpec(E("1"), E("2"), nu)
+
+    def test_radius_stored_as_float(self):
+        ball = BallSpec(E("1"), E("2"), 3)
+        assert ball.nu == 3.0 and type(ball.nu) is float
+        assert BallSpec(E("1"), E("2"), int(sys.float_info.max)).nu == sys.float_info.max
+
+    def test_int_radius_beyond_int64(self):
+        # an int radius past int64 is a float like any other: psi's log
+        # arrays would otherwise be object arrays
+        def instance(nu):
+            return Instance(Dimensions(4, 4, 4), TargetSpace(E("2"), E("2")),
+                            (BallSpec(E("1"), E("2"), nu), BallSpec(E("inf"), E("2"), 1.0)))
+
+        assert psi(instance(10**30)) == psi(instance(1e30))
 
 
 class TestComponents:

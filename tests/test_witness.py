@@ -287,6 +287,13 @@ class TestGridDifferential:
         with pytest.raises(ArithmeticError):
             best_witness_lower_bound(inst)
 
+    def test_axes_beyond_int64(self):
+        # m = k = 10**30: the grid's Python ints exceed int64, so its log axes
+        # must be built as floats (about 17k cells for the scalar scan)
+        rng = np.random.default_rng(17)
+        for n in (0, 10**30):
+            assert_matches_brute(sixteenth_family(rng, 10**30, 10**30, n, (0.5, 1.0, 2.0), 3))
+
     def test_confirms_few_cells(self, monkeypatch):
         # the scalar code re-scores a small share of the grid, not all of it
         calls = []
