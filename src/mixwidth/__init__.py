@@ -43,6 +43,7 @@ from .psi import (
     family_reduce,
     psi,
     psi_component,
+    psi_many,
     validate_instance,
 )
 from .verify import SUITE_NAMES, SuiteResult, run_suites
@@ -89,6 +90,7 @@ __all__ = [
     "phi",
     "psi",
     "psi_component",
+    "psi_many",
     "run_suites",
     "sample_boundary",
     "solve_critical_crossing",

@@ -25,7 +25,16 @@ from typing import Optional, Sequence
 
 from .exponents import Exponent, parse_exponent
 from .phi import ConsistencyError, Dimensions, TargetSpace
-from .psi import REL_TIE_TOL, BallSpec, Certificate, Instance, PsiEstimate, psi, validate_instance
+from .psi import (
+    REL_TIE_TOL,
+    BallSpec,
+    Certificate,
+    Instance,
+    PsiEstimate,
+    psi,
+    psi_many,
+    validate_instance,
+)
 from .verify import SUITE_NAMES, run_suites
 from .witness import best_witness_lower_bound
 
@@ -150,11 +159,14 @@ def _certificate_dict(cert: Certificate) -> dict:
     }
 
 
-def _finite_psi(inst: Instance) -> PsiEstimate:
-    est = psi(inst)
+def _finite(est: PsiEstimate) -> PsiEstimate:
     if math.isinf(est.value):
         raise ValueError("psi overflows the float range for these radii")
     return est
+
+
+def _finite_psi(inst: Instance) -> PsiEstimate:
+    return _finite(psi(inst))
 
 
 def estimate_report(inst: Instance, est: PsiEstimate) -> dict:
@@ -170,14 +182,15 @@ def estimate_report(inst: Instance, est: PsiEstimate) -> dict:
     }
 
 
-def _sweep_row(inst: Instance, n: int) -> dict:
-    shifted = Instance(
-        Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls
-    )
-    est = _finite_psi(shifted)
-    lb, _, _ = best_witness_lower_bound(shifted)
+def _shifted(inst: Instance, n: int) -> Instance:
+    return Instance(Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls)
+
+
+def _sweep_row(inst: Instance, est: PsiEstimate) -> dict:
+    est = _finite(est)
+    lb, _, _ = best_witness_lower_bound(inst)
     return {
-        "n": n,
+        "n": inst.dims.n,
         "psi": est.value,
         "argmin_set": "|".join(str(j) for j in est.argmin),
         **{f"psi_{j}": _finite_or_inf(est.components[j]) for j in range(8)},
@@ -190,7 +203,9 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
     half = inst.dims.m * inst.dims.k // 2
     if not (0 <= n_from <= n_to <= half):
         raise ValueError(f"sweep range must satisfy 0 <= from <= to <= {half}")
-    rows = [_sweep_row(inst, n) for n in range(n_from, n_to + 1)]
+    span = range(n_from, n_to + 1)
+    estimates = psi_many(_shifted(inst, n) for n in span)
+    rows = [_sweep_row(_shifted(inst, n), est) for n, est in zip(span, estimates)]
     for prev, cur in zip(rows, rows[1:]):
         if cur["psi"] > prev["psi"] * (1.0 + REL_TIE_TOL):
             raise ConsistencyError(
@@ -369,7 +384,7 @@ def _dispatch(args) -> int:
         if args.format == "json":
             print(json.dumps(estimate_report(inst, _finite_psi(inst)), indent=2))
         elif args.format == "csv":
-            print(_rows_to_csv([_sweep_row(inst, inst.dims.n)]), end="")
+            print(_rows_to_csv([_sweep_row(inst, _finite_psi(inst))]), end="")
         else:
             print(_estimate_table(inst, _finite_psi(inst)))
         return 0

@@ -24,6 +24,8 @@ import numpy as np
 from .exponents import HALF, Exponent
 
 _REL_BRANCH_TOL = 1e-9
+# The branches of `_branches` that read wp, wt, G, R and C.
+_READS = ((3, 4, 5), (2, 4, 5), (4, 5, 6), (2, 4), (3, 5))
 
 
 class ConsistencyError(ArithmeticError):
@@ -82,27 +84,34 @@ def omega(p: Exponent, q: Exponent) -> Fraction:
     return min((p.u - q.u) / (HALF - q.u), Fraction(1))
 
 
-def _branches(a, b, wp, wt, target, dims, minimum, holds=(True,) * 6) -> dict:
+def profile_params(target: TargetSpace, dims: Dimensions) -> tuple[float, ...]:
+    """(1/q, 1/sigma, m, k, G, R, C) in floats: what `_branches` reads of an instance.
+
+    G = n^(-1/2) m^(1/q) k^(1/sigma), and R (C) is G with m^(1/2) for
+    m^(1/q) (k^(1/2) for k^(1/sigma)).  At n = 0 all three are +inf.
+    """
+    uq, vs = float(target.q.u), float(target.sigma.u)
+    fm, fk = float(dims.m), float(dims.k)
+    rootn = math.inf if dims.n == 0 else dims.n**-0.5
+    return (uq, vs, fm, fk, rootn * fm**uq * fk**vs,
+            rootn * math.sqrt(fm) * fk**vs, rootn * fm**uq * math.sqrt(fk))
+
+
+def _branches(a, b, wp, wt, big, row, col, minimum, holds=(True,) * 6) -> dict:
     """Phi's six branch formulas, written once: {j: branch j} where holds[j - 1].
 
-    a = m^(1/q - 1/p), b = k^(1/sigma - 1/theta) and the omegas wp, wt are
-    floats (from `phi`, with the builtin min) or arrays (from `log_phi_array`,
-    with np.minimum).  With G = n^(-1/2) m^(1/q) k^(1/sigma), and R (C) = G
-    with m^(1/2) for m^(1/q) (k^(1/2) for k^(1/sigma)), branch 1 is a b,
-    2 min(a, a R^wt), 3 min(b, b C^wp), 4 min(1, G^wp, a R^wt),
+    a = m^(1/q - 1/p), b = k^(1/sigma - 1/theta), the omegas wp, wt and the
+    bases G, R, C of `profile_params` are floats (from `phi`, with the
+    builtin min) or arrays (from `log_phi_array`, with np.minimum).  Branch 1
+    is a b, 2 min(a, a R^wt), 3 min(b, b C^wp), 4 min(1, G^wp, a R^wt),
     5 min(1, G^wt, b C^wp) and 6 min(1, G).  At n = 0, G, R and C are +inf
     and inf ** 0.0 == 1.0, so each min picks its finite term.
     """
-    uq, vs = target.q.u, target.sigma.u
-    fm, fk = float(dims.m), float(dims.k)
-    rootn = math.inf if dims.n == 0 else dims.n**-0.5
     h1, h2, h3, h4, h5, h6 = holds
-    if h4 or h5 or h6:
-        big = rootn * fm ** float(uq) * fk ** float(vs)
     if h2 or h4:
-        a_row = a * (rootn * math.sqrt(fm) * fk ** float(vs)) ** wt
+        a_row = a * row**wt
     if h3 or h5:
-        b_col = b * (rootn * fm ** float(uq) * math.sqrt(fk)) ** wp
+        b_col = b * col**wp
     values = {1: a * b} if h1 else {}
     if h2:
         values[2] = minimum(a, a_row)
@@ -135,10 +144,11 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
     wp = omega(p, target.q) if (hi_u and lo_v) or r4 or r5 else math.nan
     wt = omega(theta, target.sigma) if (lo_u and hi_v) or r4 or r5 else math.nan
     r4, r5 = r4 and wp <= wt, r5 and wt <= wp
-    a = float(dims.m) ** float(uq - u) if lo_u or r4 else math.nan
-    b = float(dims.k) ** float(vs - v) if lo_v or r5 else math.nan
+    _, _, fm, fk, big, row, col = profile_params(target, dims)
+    a = fm ** float(uq - u) if lo_u or r4 else math.nan
+    b = fk ** float(vs - v) if lo_v or r5 else math.nan
     holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, u >= HALF and v >= HALF)
-    values = _branches(a, b, float(wp), float(wt), target, dims, min, holds)
+    values = _branches(a, b, float(wp), float(wt), big, row, col, min, holds)
     if not values:
         raise ConsistencyError(f"no branch covers (1/p, 1/theta) = ({u}, {v})")
     lo, hi = min(values.values()), max(values.values())
@@ -147,31 +157,42 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
     return PhiValue(lo, tuple(sorted(values)))
 
 
-def log_phi_array(
-    u: np.ndarray, v: np.ndarray, target: TargetSpace, dims: Dimensions
-) -> np.ndarray:
+def log_phi_array(u: np.ndarray, v: np.ndarray, params) -> np.ndarray:
     """log Phi at float reciprocal points (u, v), the array form of `phi`.
 
-    Each branch of `_branches` is evaluated on the arrays and kept wherever
-    its region contains the point, and the minimum is taken, as in `phi`.
-    Region tests run in floats, so a point within rounding of a region
-    boundary may be assigned to the neighbouring branch; the branches agree
-    on their overlaps, so the value moves only by the rounding.  The branch
-    4 and 5 tests compare the same two float ratios both ways, so on the
-    critical line (where the ratios are equal) at least one of them holds.
+    `params` is `profile_params` of the points' instance, or seven arrays
+    holding it per point, so one call can serve many instances.  Each branch
+    of `_branches` is evaluated only on the points its region contains, and
+    the minimum is taken, as in `phi`.  Region tests run in floats, so a
+    point within rounding of a region boundary may be assigned to the
+    neighbouring branch; the branches agree on their overlaps, so the value
+    moves only by the rounding.  The branch 4 and 5 tests compare the same
+    two float ratios both ways, so on the critical line (where the ratios
+    are equal) at least one of them holds.
     """
-    uq, vs = float(target.q.u), float(target.sigma.u)
-    wp = np.ones_like(u) if uq == 0.5 else np.minimum((u - uq) / (0.5 - uq), 1.0)
-    wt = np.ones_like(v) if vs == 0.5 else np.minimum((v - vs) / (0.5 - vs), 1.0)
-    a, b = float(dims.m) ** (uq - u), float(dims.k) ** (vs - v)
-    lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
-    regions = (lo_u & lo_v, lo_u & hi_v, hi_u & lo_v, hi_u & hi_v & (u <= 0.5) & (wp <= wt),
-               hi_u & hi_v & (v <= 0.5) & (wt <= wp), (u >= 0.5) & (v >= 0.5))
-    # A product past the float range is the larger term of a min, or lies
-    # outside its branch's region, so it never reaches the result.
-    with np.errstate(over="ignore"):
-        values = _branches(a, b, wp, wt, target, dims, np.minimum)
-    out = np.full_like(u, math.inf)
-    for region, value in zip(regions, values.values()):
-        np.minimum(out, value, out=out, where=region)
+    uq, vs, fm, fk, big, row, col = map(np.asarray, params)
+    # A product past the float range is the larger term of a min, so it
+    # never reaches the result; the omegas at q or sigma = 2 are replaced.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wp = np.where(uq == 0.5, 1.0, np.minimum((u - uq) / (0.5 - uq), 1.0))
+        wt = np.where(vs == 0.5, 1.0, np.minimum((v - vs) / (0.5 - vs), 1.0))
+        lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
+        regions = (lo_u & lo_v, lo_u & hi_v, hi_u & lo_v, hi_u & hi_v & (u <= 0.5) & (wp <= wt),
+                   hi_u & hi_v & (v <= 0.5) & (wt <= wp), (u >= 0.5) & (v >= 0.5))
+        out = np.full(u.shape, math.inf)
+        for j, region in enumerate(regions, 1):
+            (at,) = np.nonzero(region)
+            if not at.size:
+                continue
+            a = _cut(fm, at) ** (_cut(uq, at) - u[at]) if j in (1, 2, 4) else None
+            b = _cut(fk, at) ** (_cut(vs, at) - v[at]) if j in (1, 3, 5) else None
+            reads = (_cut(x, at, j in js) for x, js in zip((wp, wt, big, row, col), _READS))
+            holds = tuple(i == j for i in range(1, 7))
+            value = _branches(a, b, *reads, np.minimum, holds)[j]
+            out[at] = np.minimum(out[at], value)
     return np.log(out)
+
+
+def _cut(x: np.ndarray, at: np.ndarray, used: bool = True):
+    """x at the points `at` (a per-instance scalar as it is), or None if unused."""
+    return (x[at] if x.ndim else x) if used else None

@@ -19,7 +19,8 @@ re-values every risky candidate (uncertain, or with a float product that
 might over- or underflow) and every candidate within one log-space window
 of the least non-risky log-value, and the tie-break order picks among them.
 The window is twice the float error budget, so the result is that of a
-full exact scan.
+full exact scan.  `psi_many` runs each stage once for a block of instances,
+with the window and its minimum kept per (instance, component).
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exponents import HALF, TWO, Exponent, ReciprocalPoint, barycentric, critical_deviation
-from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi
+from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi, profile_params
 
 REL_TIE_TOL = 1e-9
 
@@ -50,6 +52,12 @@ _LOG_SAFE = 700.0
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
 # Triples screened at a time: the triple scan's memory is O(TRIPLE_CHUNK).
 TRIPLE_CHUNK = 1 << 16
+# Candidates per stage-2 pass.  `psi_many` closes a block of instances once
+# they count this many (eight per instance for its components, plus its
+# balls and opposite-sign pairs), and triple batches are joined up to this
+# many rows.  Stage 2's memory is O(BLOCK) beyond a single component's own;
+# at 1024 and more, joined triples raised the triple scan's peak at N = 128.
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class BallSpec:
             raise ValueError(f"radius must lie in (0, {sys.float_info.max!r}]")
         object.__setattr__(self, "nu", float(self.nu))
 
-    @property
+    @cached_property
     def point(self) -> ReciprocalPoint:
         return ReciprocalPoint(self.p.u, self.theta.u)
 
@@ -89,6 +97,18 @@ class Instance:
         """Float u = 1/p, v = 1/theta and log nu per ball, shared by the scans."""
         u, v, nu = zip(*((float(b.p.u), float(b.theta.u), b.nu) for b in self.balls))
         return np.array(u), np.array(v), np.log(nu)
+
+    @cached_property
+    def _params(self) -> tuple[float, ...]:
+        return profile_params(self.target, self.dims)
+
+    @cached_property
+    def _window(self) -> float:
+        """Stage 3's log-space window about the least non-risky log-value."""
+        t, d = self.target, self.dims
+        amp = max((1 / (0.5 - float(e.u)) for e in (t.q, t.sigma) if e.u < HALF), default=1.0)
+        tol = _LOG_WINDOW * (1.0 + float(np.abs(self._ball_arrays[2]).max()))
+        return tol + _PHI_WINDOW * amp * (1.0 + math.log(d.m * d.k * max(d.n, 1)))
 
 
 @dataclass(frozen=True)
@@ -142,157 +162,204 @@ def validate_instance(inst: Instance) -> Instance:
     return Instance(inst.dims, inst.target, tuple(balls))
 
 
-def _confirm(inst: Instance, batches: Iterable[tuple], exact: Callable) -> Scan:
-    """Stages 2-3 over batches of admitted (rows, weights, log profile, unsure).
+def _line(inst: Instance, j: int) -> tuple[list[Fraction], list[int], list[float]]:
+    """Exact offsets of every ball from component j's line (1 <= j <= 5), their signs and floats.
 
-    A row's float log-value is log profile + sum(weight * log nu).  Risky
-    rows, and rows within the window of the least non-risky log-value seen
-    so far, are re-run by `exact`; the least (value, indices) wins, which is
-    the first strict minimum in index-lexicographic order.  A row confirmed
-    before the minimum settles costs time but cannot change the result, and
-    nothing outlives its batch.
+    Components 1-4 measure the p (j = 1, 3) or theta (j = 2, 4) coordinate
+    from the level of the target (j = 1, 2) or of 2 (j = 3, 4); component 5
+    the critical deviation, and it has no line (every offset 0) at q = 2 or
+    sigma = 2.  A pair crosses the line at w = f_a / (f_a - f_b) when its
+    offsets have strictly opposite signs; the float form has no cancellation.
     """
-    la = inst._ball_arrays[2]
-    t, d = inst.target, inst.dims
-    amp = max((1 / (0.5 - float(e.u)) for e in (t.q, t.sigma) if e.u < HALF), default=1.0)
-    tol = _LOG_WINDOW * (1.0 + float(np.abs(la).max()))
-    tol += _PHI_WINDOW * amp * (1.0 + math.log(d.m * d.k * max(d.n, 1)))
-    vmin, best, cert = math.inf, (math.inf, ()), None
-    for rows, weights, lphi, unsure in batches:
-        logv = lphi + (weights * la[rows]).sum(axis=1)
-        risky = unsure | (np.abs(lphi) + (weights * np.abs(la[rows])).sum(axis=1) > _LOG_SAFE)
-        vmin = min(vmin, float(logv[~risky].min(initial=math.inf)))
-        for row in rows[risky | (logv <= vmin + tol)].tolist():
-            found = exact(tuple(row))
-            if found is not None and (found.value, found.indices) < best:
-                best, cert = (found.value, found.indices), found
-    return best[0], cert
-
-
-def _opposite_pairs(offsets: list[Fraction]) -> tuple:
-    """Pairs ia < ib whose exact offsets from a line have strictly opposite signs.
-
-    Exact confirmation takes w = f_a / (f_a - f_b) from the same offsets; its
-    float form has no cancellation.  A reversed pair has the same value and
-    comes later in tie-break order, so it never wins.
-    """
-    signs = np.array([(f > 0) - (f < 0) for f in offsets])
-    ia, ib = np.nonzero(np.triu(np.multiply.outer(signs, signs) < 0))
-    f = np.array([float(x) for x in offsets])
-    return ia, ib, f[ia] / (f[ia] - f[ib])
-
-
-def _single_scan(inst: Instance) -> Scan:
-    """Component 0: every ball on its own."""
-    uf, vf, la = inst._ball_arrays
-    lphi = log_phi_array(uf, vf, inst.target, inst.dims)
-
-    def exact(row: tuple[int, ...]) -> Certificate:
-        ball = inst.balls[row[0]]
-        profile = phi(ball.p, ball.theta, inst.target, inst.dims)
-        value = ball.nu * profile.value
-        return Certificate(0, row, (Fraction(1),), ball.p, ball.theta, profile, value)
-
-    rows = np.arange(len(la))[:, None]
-    return _confirm(inst, [(rows, np.ones(rows.shape), lphi, False)], exact)
-
-
-def _pair_scan(inst: Instance, j: int) -> Scan:
-    """Components 1-5: pairs whose segment crosses a line at a weight in (0, 1).
-
-    Components 1-4 cross the p (j = 1, 3) or theta (j = 2, 4) coordinate level
-    of the target (j = 1, 2) or of 2 (j = 3, 4), with the profile at (level,
-    companion) in crossing order.  Component 5 crosses the critical line inside
-    (1/q, 1/2) x (1/sigma, 1/2), screened in floats; near-edge ones are unsure.
-    """
-    target = inst.target
-    q, sigma = target.q, target.sigma
-    if j == 5:
-        if q.u == HALF or sigma.u == HALF:
-            return math.inf, None
+    q, sigma = inst.target.q, inst.target.sigma
+    if j == 5 and HALF in (q.u, sigma.u):
+        offsets = [Fraction(0)] * len(inst.balls)
+    elif j == 5:
         offsets = [critical_deviation(ball.point, q, sigma) for ball in inst.balls]
     else:
-        level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j]
-        offsets = [(ball.p if j in (1, 3) else ball.theta).u - level.u for ball in inst.balls]
-    ia, ib, w = _opposite_pairs(offsets)
-    uf, vf, _ = inst._ball_arrays
-    cu, cv = (1.0 - w) * uf[ia] + w * uf[ib], (1.0 - w) * vf[ia] + w * vf[ib]
-    unsure = np.zeros(ia.shape, dtype=bool)
-    if j == 5:
-        # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
-        gap = np.minimum(cu - float(q.u), 0.5 - cu)
-        keep = gap >= -_CRITICAL_MARGIN
-        ia, ib, w, cu, cv, unsure = (x[keep] for x in (ia, ib, w, cu, cv, gap <= _CRITICAL_MARGIN))
-    if not ia.size:
-        return math.inf, None
+        level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j].u
+        offsets = [(ball.p if j in (1, 3) else ball.theta).u - level for ball in inst.balls]
+    signs = [(f.numerator > 0) - (f.numerator < 0) for f in offsets]
+    return offsets, signs, [f.numerator / f.denominator for f in offsets]
 
-    def exact(pair: tuple[int, ...]) -> Optional[Certificate]:
+
+def _exact(inst: Instance, j: int, row: list[int], context) -> Optional[Certificate]:
+    """Stage 3: candidate `row` of component j in exact arithmetic (None if it does not qualify).
+
+    `context` is the pair offsets (j = 1..5) or (goal, p, theta, profile) of
+    a triple scan (j = 6, 7).
+    """
+    balls, target = inst.balls, inst.target
+    if j == 0:
+        ball = balls[row[0]]
+        profile = phi(ball.p, ball.theta, target, inst.dims)
+        return Certificate(0, (row[0],), (Fraction(1),), ball.p, ball.theta, profile,
+                           ball.nu * profile.value)
+    if j < 6:
         # Opposite exact offsets put w strictly inside (0, 1).
-        fa, fb = offsets[pair[0]], offsets[pair[1]]
+        fa, fb = context[row[0]], context[row[1]]
         w = fa / (fa - fb)
-        a, b = inst.balls[pair[0]], inst.balls[pair[1]]
+        a, b = balls[row[0]], balls[row[1]]
         u, v = (1 - w) * a.p.u + w * b.p.u, (1 - w) * a.theta.u + w * b.theta.u
-        if j == 5 and not (q.u < u < HALF and sigma.u < v < HALF):
+        if j == 5 and not (target.q.u < u < HALF and target.sigma.u < v < HALF):
             return None
         pe, te = Exponent(u), Exponent(v)
         profile = phi(pe, te, target, inst.dims)
         value = a.nu ** float(1 - w) * b.nu ** float(w) * profile.value
-        return Certificate(j, pair, (1 - w, w), pe, te, profile, value)
+        return Certificate(j, tuple(row), (1 - w, w), pe, te, profile, value)
+    goal, pe, te, profile = context
+    taus = barycentric(*(balls[i].point for i in row), goal)
+    if taus is None:
+        return None
+    value = profile.value
+    for i, w in zip(row, taus):
+        value *= balls[i].nu ** float(w)
+    return Certificate(j, tuple(row), taus, pe, te, profile, value)
 
-    rows, weights = np.column_stack((ia, ib)), np.column_stack((1.0 - w, w))
-    lphi = log_phi_array(cu, cv, target, inst.dims)
-    return _confirm(inst, [(rows, weights, lphi, unsure)], exact)
+
+def _contained(orient: np.ndarray, a: np.ndarray, b: int) -> tuple:
+    """Triples (a, b, c > b) of one chunk that may contain the goal: a, c, weights, unsure.
+
+    The weights are the float barycentric coordinates, zeroed where unsure.
+    """
+    o_bc = orient[b, b + 1:]
+    o_ab, o_ca = orient[a, b][:, None], orient[b + 1:, a].T
+    det = o_ab + o_bc
+    det += o_ca
+    # In place where a temporary can be reused: this is the triple scan's peak.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta, tb, tc = o_bc / det, np.divide(o_ca, det, out=o_ca), o_ab / det
+    tmin = np.minimum(tb, tc)
+    np.minimum(ta, tmin, out=tmin)  # NaN (det = 0) is unsure
+    unsure = ~((np.abs(det) > _DET_MARGIN) & (np.abs(tmin) > _BARY_MARGIN))
+    x, y = np.nonzero(unsure | (tmin > _BARY_MARGIN))
+    weights = np.column_stack((ta[x, y], tb[x, y], tc[x, y]))
+    unsure = unsure[x, y]
+    weights[unsure] = 0.0
+    return a[x], b + 1 + y, weights, unsure
 
 
-def _triple_scan(inst: Instance, j: int) -> Scan:
+def _triple_batches(inst: Instance, j: int, first: int, slot: int, contexts: dict):
     """Components 6-7: triples a < b < c strictly containing the goal point.
 
     With o(x, y) the orientation of (x, y) about the goal, the goal's
     barycentric coordinates in (a, b, c) are o(b, c), o(c, a), o(a, b) over
     their sum.  Per middle index b the triples are an a-by-c grid of views of
-    one N x N orientation table, screened in blocks of at most TRIPLE_CHUNK
+    one N x N orientation table, screened in chunks of at most TRIPLE_CHUNK
     triples.  The profile is only evaluated once a triple is admitted.
+    Yields stage-2 batches with balls numbered from `first`.
     """
     target = inst.target
     goal, pe, te = ReciprocalPoint(HALF, HALF), TWO, TWO
     if j == 6:
         goal, pe, te = ReciprocalPoint(target.q.u, target.sigma.u), target.q, target.sigma
-    profile = cache(lambda: phi(pe, te, target, inst.dims))
-    points = [ball.point for ball in inst.balls]
     uf, vf, _ = inst._ball_arrays
     du, dv = uf - float(goal.u), vf - float(goal.v)
-    orient = np.multiply.outer(du, dv) - np.multiply.outer(dv, du)
+    orient = np.multiply.outer(du, dv)
+    orient -= np.multiply.outer(dv, du)
+    for b in range(1, len(uf) - 1):
+        step = max(1, TRIPLE_CHUNK // (len(uf) - b - 1))
+        for a0 in range(0, b, step):
+            a, c, weights, unsure = _contained(orient, np.arange(a0, min(b, a0 + step)), b)
+            if a.size:
+                if slot not in contexts:
+                    contexts[slot] = (goal, pe, te, phi(pe, te, target, inst.dims))
+                rows = np.column_stack((a, np.full_like(a, b), c))
+                rows += first
+                lphi = np.full(a.size, math.log(contexts[slot][3].value))
+                yield np.full(a.size, slot), rows, weights, lphi, unsure
 
-    def batches():
-        for b in range(1, len(points) - 1):
-            o_bc = orient[b, b + 1:]
-            step = max(1, TRIPLE_CHUNK // o_bc.size)
-            for a0 in range(0, b, step):
-                a = np.arange(a0, min(b, a0 + step))
-                o_ab, o_ca = orient[a, b][:, None], orient[b + 1:, a].T
-                det = o_ab + o_bc + o_ca
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ta, tb, tc = o_bc / det, o_ca / det, o_ab / det
-                tmin = np.minimum(ta, np.minimum(tb, tc))  # NaN (det = 0) is unsure
-                decisive = np.abs(det) > _DET_MARGIN
-                unsure = ~(decisive & (np.abs(tmin) > _BARY_MARGIN))
-                x, y = np.nonzero(unsure | (tmin > _BARY_MARGIN))
-                if x.size:
-                    rows = np.column_stack((a[x], np.full_like(x, b), b + 1 + y))
-                    weights = np.column_stack((ta[x, y], tb[x, y], tc[x, y]))
-                    weights[unsure[x, y]] = 0.0
-                    yield rows, weights, math.log(profile().value), unsure[x, y]
 
-    def exact(triple: tuple[int, ...]) -> Optional[Certificate]:
-        taus = barycentric(*(points[i] for i in triple), goal)
-        if taus is None:
-            return None
-        value = profile().value
-        for i, w in zip(triple, taus):
-            value *= inst.balls[i].nu ** float(w)
-        return Certificate(j, triple, taus, pe, te, profile(), value)
+def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
+    """Consecutive batches joined while they hold at most BLOCK rows; a larger one stays alone."""
+    pending: list[tuple] = []
+    for batch in batches:
+        if pending and sum(len(p[0]) for p in pending) + len(batch[0]) > BLOCK:
+            joined, pending = _joined(pending), []
+            yield joined
+        pending.append(batch)
+    if pending:
+        yield _joined(pending)
 
-    return _confirm(inst, batches(), exact)
+
+def _joined(batches: list[tuple]) -> tuple:
+    return batches[0] if len(batches) == 1 else tuple(map(np.concatenate, zip(*batches)))
+
+
+def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[list[Scan]]:
+    """Components js of every instance of a block, by the three-stage pipeline.
+
+    `block` pairs each instance with its `_line` of each pair component in
+    js.  Slot 8 i + j is component j of instance i; balls are numbered
+    across the block.  Stage 1 enumerates the singles and the opposite-sign
+    pairs of all slots at once (a single is a pair (a, a) with weight 0 on
+    its second ball) and screens the triples per instance; stage 2 values
+    them with one `log_phi_array` pass and keeps the least non-risky
+    log-value per slot; stage 3 re-runs every risky row and every row within
+    its slot's window of that least value exactly.  The least (value,
+    indices) wins, which is the first strict minimum in index-lexicographic
+    order.  A row confirmed before its slot's minimum settles costs time but
+    cannot change the result.
+    """
+    insts = [inst for inst, _ in block]
+    sizes = np.array([len(inst.balls) for inst in insts])
+    firsts = (np.cumsum(sizes) - sizes).tolist()
+    owner = np.repeat(np.arange(len(insts)), sizes)
+    uf, vf, la = map(np.concatenate, zip(*(inst._ball_arrays for inst in insts)))
+    params = np.array([inst._params for inst in insts])
+    every = np.arange(len(uf))
+    cands = []
+    if 0 in js:
+        cands.append((owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)))
+    if any(0 < j < 6 for j in js):
+        # Every pair a < b of one instance, in index order.
+        rest = np.repeat(np.add(firsts, sizes), sizes) - 1 - every
+        pa = np.repeat(every, rest)
+        pb = pa + 1 + np.arange(len(pa)) - np.repeat(np.cumsum(rest) - rest, rest)
+    for j in (j for j in js if 0 < j < 6):
+        signs = np.array([s for _, lines in block for s in lines[j][1]], dtype=np.int8)
+        offsets = np.array([f for _, lines in block for f in lines[j][2]])
+        keep = signs[pa] * signs[pb] < 0
+        a, b = pa[keep], pb[keep]
+        w = offsets[a] / (offsets[a] - offsets[b])
+        cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
+        unsure = np.zeros(len(a), bool)
+        if j == 5:
+            # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
+            gap = np.minimum(cu - params[owner[a], 0], 0.5 - cu)
+            keep = gap >= -_CRITICAL_MARGIN
+            a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
+        cands.append((owner[a] * 8 + j, a, b, w, cu, cv, unsure))
+    batches = []
+    if cands:
+        label, a, b, w, cu, cv, unsure = _joined(cands)
+        lphi = log_phi_array(cu, cv, params[owner[a]].T if len(insts) > 1 else params[0])
+        batches.append((label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure))
+    contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
+    triples = (_triple_batches(inst, j, first, 8 * i + j, contexts)
+               for i, (inst, first) in enumerate(zip(insts, firsts)) for j in js if j > 5)
+    window = np.repeat([inst._window for inst in insts], 8)
+    vmin = np.full(8 * len(insts), math.inf)
+    best: dict[int, tuple] = {}
+    for label, rows, weights, lphi, unsure in chain(batches, _merged(chain.from_iterable(triples))):
+        # In place where an operand is not needed again: numpy keeps freed
+        # small buffers per size, so fewer live arrays hold less memory.
+        lnu = la[rows]
+        logv = lphi + (weights * lnu).sum(axis=1)
+        risky = np.abs(lphi) + (weights * np.abs(lnu, out=lnu)).sum(axis=1) > _LOG_SAFE
+        risky |= unsure
+        np.minimum.at(vmin, label[~risky], logv[~risky])
+        pick = logv <= (vmin + window)[label]
+        pick |= risky
+        for slot, row in zip(label[pick].tolist(), rows[pick].tolist()):
+            i, j = divmod(slot, 8)
+            found = _exact(insts[i], j, [r - firsts[i] for r in row], contexts.get(slot))
+            if found is not None and (found.value, found.indices) < best.get(slot, (math.inf, ())):
+                best[slot] = (found.value, found.indices, found)
+    scans = [[(math.inf, None)] * 8 for _ in insts]
+    for slot, (value, _, cert) in best.items():
+        scans[slot // 8][slot % 8] = (value, cert)
+    return scans
 
 
 def psi_component(inst: Instance, j: int) -> Scan:
@@ -303,25 +370,43 @@ def psi_component(inst: Instance, j: int) -> Scan:
     """
     if j not in range(8):
         raise ValueError(f"component index must be 0..7, got {j}")
-    if j == 0:
-        return _single_scan(inst)
-    return _pair_scan(inst, j) if j < 6 else _triple_scan(inst, j)
+    lines = {j: _line(inst, j)} if 0 < j < 6 else {}
+    return _scan_block([(inst, lines)], (j,))[0][j]
+
+
+def _estimate(scans: Sequence[Scan]) -> PsiEstimate:
+    """The estimate from the eight component scans."""
+    values = tuple(value for value, _ in scans)
+    best = min(values)
+    argmin = tuple(j for j, v in enumerate(values) if v <= best * (1.0 + REL_TIE_TOL))
+    certificates = {j: cert for j, (_, cert) in enumerate(scans) if cert is not None}
+    return PsiEstimate(best, values, argmin, certificates)
 
 
 def psi(inst: Instance) -> PsiEstimate:
     """All eight components, the overall minimum, the tie set and certificates."""
-    values: list[float] = []
-    certificates: dict[int, Certificate] = {}
-    for j in range(8):
-        value, cert = psi_component(inst, j)
-        values.append(value)
-        if cert is not None:
-            certificates[j] = cert
-    best = min(values)
-    argmin = tuple(
-        j for j, v in enumerate(values) if v <= best * (1.0 + REL_TIE_TOL)
-    )
-    return PsiEstimate(best, tuple(values), argmin, certificates)
+    return _estimate([psi_component(inst, j) for j in range(8)])
+
+
+def psi_many(instances: Iterable[Instance]) -> Iterator[PsiEstimate]:
+    """`psi` of each instance, in order, sharing each pipeline stage across a block.
+
+    Instances are read lazily and gathered until they count BLOCK
+    candidates; the block is then scanned at once and its estimates
+    yielded, so memory does not grow with the number of instances.  Every
+    value, tie set and certificate is the one `psi` returns.
+    """
+    block: list[tuple[Instance, dict]] = []
+    size = 0
+    for inst in instances:
+        lines = {j: _line(inst, j) for j in range(1, 6)}
+        block.append((inst, lines))
+        size += 8 + len(inst.balls) + sum(s.count(1) * s.count(-1) for _, s, _ in lines.values())
+        if size >= BLOCK:
+            yield from map(_estimate, _scan_block(block, range(8)))
+            block, size = [], 0
+    if block:
+        yield from map(_estimate, _scan_block(block, range(8)))
 
 
 def family_reduce(

@@ -1,8 +1,11 @@
 """Randomized invariant suites, shared by the CLI verify mode and the tests.
 
-Each suite is one per-trial check: it draws seeded random inputs and returns
-the slack by which one invariant of the library is violated (0 when it
-holds exactly).  `_SUITES` pairs each check with its tolerance, and
+Each suite yields, per trial, the slack by which one invariant of the
+library is violated (0 when it holds exactly) on seeded random inputs.  A
+psi suite is a draw (rng -> instances and a fold) plus its fold (estimates
+-> slack): its trials are drawn in order and valued together by
+`psi_many`.  Every other suite is one per-trial check that draws its inputs
+and returns the slack.  `_SUITES` pairs each suite with its tolerance, and
 `run_suites` runs the trials and reports the trial count, failures and worst
 observed slack.  A suite name can be passed as `corrupt` to deliberately
 skew its comparison; that is a self-test hook proving the harness detects
@@ -12,9 +15,11 @@ real deviations.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .norms import (
     mixed_norm,
 )
 from .phi import Dimensions, TargetSpace, phi
-from .psi import BallSpec, Instance, psi, validate_instance
+from .psi import BallSpec, Instance, psi_many, validate_instance
 from .witness import GroupElement, group_apply, v_extreme_point, v_inclusion_scale
 
 
@@ -100,11 +105,11 @@ def _rel_gap(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-trial checks: (rng, gain) -> slack
+# psi suites: rng -> (instances, fold), where fold(estimates, gain) -> slack
 # ---------------------------------------------------------------------------
 
 
-def _homogeneity(rng, gain: float) -> float:
+def _homogeneity(rng):
     inst = _rand_instance(rng)
     c = float(np.exp(rng.uniform(-2.0, 2.0)))
     scaled = Instance(
@@ -112,57 +117,92 @@ def _homogeneity(rng, gain: float) -> float:
         inst.target,
         tuple(BallSpec(b.p, b.theta, c * b.nu) for b in inst.balls),
     )
-    return abs(gain * psi(scaled).value / (c * psi(inst).value) - 1.0)
+    return (scaled, inst), lambda e, gain: abs(gain * e[0].value / (c * e[1].value) - 1.0)
 
 
-def _monotone_n(rng, gain: float) -> float:
+def _monotone_n(rng):
     inst = _rand_instance(rng)
     half = inst.dims.m * inst.dims.k // 2
     n1 = int(rng.integers(0, half + 1))
     n2 = int(rng.integers(n1, half + 1))
-    v1 = psi(Instance(Dimensions(inst.dims.m, inst.dims.k, n1), inst.target, inst.balls)).value
-    v2 = psi(Instance(Dimensions(inst.dims.m, inst.dims.k, n2), inst.target, inst.balls)).value
-    return max(0.0, gain * v2 / v1 - 1.0)
+    shifted = tuple(
+        Instance(Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls)
+        for n in (n1, n2)
+    )
+    return shifted, lambda e, gain: max(0.0, gain * e[1].value / e[0].value - 1.0)
 
 
-def _monotone_radius(rng, gain: float) -> float:
+def _monotone_radius(rng):
     inst = _rand_instance(rng)
     i = int(rng.integers(0, len(inst.balls)))
     grown = list(inst.balls)
     grown[i] = BallSpec(
         grown[i].p, grown[i].theta, grown[i].nu * float(np.exp(rng.uniform(0.0, 1.0)))
     )
-    v0 = psi(inst).value
-    v1 = psi(Instance(inst.dims, inst.target, tuple(grown))).value
-    return max(0.0, gain * v0 / v1 - 1.0)  # v1 >= v0 expected
+    grown_inst = Instance(inst.dims, inst.target, tuple(grown))
+    # a larger radius may only raise psi
+    return (inst, grown_inst), lambda e, gain: max(0.0, gain * e[0].value / e[1].value - 1.0)
 
 
-def _ball_added(rng, gain: float) -> float:
+def _ball_added(rng):
     inst = _rand_instance(rng, max_balls=3)
     extra = _rand_balls(rng, 1)[0]
     bigger = validate_instance(
         Instance(inst.dims, inst.target, inst.balls + (extra,))
     )
-    v0 = psi(inst).value
-    v1 = psi(bigger).value
-    return max(0.0, gain * v1 / v0 - 1.0)  # v1 <= v0 expected
+    # another ball may only lower psi
+    return (inst, bigger), lambda e, gain: max(0.0, gain * e[1].value / e[0].value - 1.0)
 
 
 _TRANSPOSE_MAP = (0, 2, 1, 4, 3, 5, 6, 7)
 
 
-def _transpose(rng, gain: float) -> float:
+def _transpose(rng):
     inst = _rand_instance(rng)
     swapped = Instance(
         Dimensions(inst.dims.k, inst.dims.m, inst.dims.n),
         TargetSpace(inst.target.sigma, inst.target.q),
         tuple(BallSpec(b.theta, b.p, b.nu) for b in inst.balls),
     )
-    a, b = psi(inst), psi(swapped)
-    slack = abs(gain * b.value / a.value - 1.0)
-    for j in range(8):
-        slack = max(slack, _rel_gap(a.components[j], b.components[_TRANSPOSE_MAP[j]]))
-    return slack
+
+    def fold(e, gain):
+        a, b = e
+        slack = abs(gain * b.value / a.value - 1.0)
+        for j in range(8):
+            slack = max(slack, _rel_gap(a.components[j], b.components[_TRANSPOSE_MAP[j]]))
+        return slack
+
+    return (inst, swapped), fold
+
+
+def _psi_suite(draw: Callable) -> Callable:
+    """Slacks of a psi suite: trials are drawn lazily, in order, and valued by `psi_many`."""
+
+    def slacks(rng, trials: int, gain: float) -> Iterator[float]:
+        folds: deque = deque()
+
+        def instances():
+            for _ in range(trials):
+                insts, fold = draw(rng)
+                folds.append((len(insts), fold))
+                yield from insts
+
+        estimates = psi_many(instances())
+        for first in estimates:
+            count, fold = folds.popleft()
+            yield fold([first, *islice(estimates, count - 1)], gain)
+
+    return slacks
+
+
+def _per_trial(check: Callable) -> Callable:
+    """Slacks of a suite whose trial draws its inputs and returns its slack."""
+    return lambda rng, trials, gain: (check(rng, gain) for _ in range(trials))
+
+
+# ---------------------------------------------------------------------------
+# per-trial checks: (rng, gain) -> slack
+# ---------------------------------------------------------------------------
 
 
 def _reference_branches(
@@ -275,18 +315,18 @@ def _inclusion_scale(rng, gain: float) -> float:
     return abs(ratio - 1.0)
 
 
-# name -> (per-trial check, tolerance on its slack); the order fixes each
-# suite's seed and the report order.
+# name -> (slacks(rng, trials, gain), tolerance on a slack); the order fixes
+# each suite's seed and the report order.
 _SUITES: dict[str, tuple[Callable, float]] = {
-    "psi-homogeneity": (_homogeneity, 1e-12),
-    "psi-monotone-n": (_monotone_n, 1e-12),
-    "psi-monotone-radius": (_monotone_radius, 1e-12),
-    "psi-ball-added": (_ball_added, 1e-12),
-    "psi-transpose": (_transpose, 1e-12),
-    "phi-branch-overlap": (_branch_overlap, 1e-9),
-    "interpolation-inequality": (_interpolation, 1e-12),
-    "gamma-invariance": (_gamma_invariance, 1e-14),
-    "inclusion-scale-tightness": (_inclusion_scale, 1e-12),
+    "psi-homogeneity": (_psi_suite(_homogeneity), 1e-12),
+    "psi-monotone-n": (_psi_suite(_monotone_n), 1e-12),
+    "psi-monotone-radius": (_psi_suite(_monotone_radius), 1e-12),
+    "psi-ball-added": (_psi_suite(_ball_added), 1e-12),
+    "psi-transpose": (_psi_suite(_transpose), 1e-12),
+    "phi-branch-overlap": (_per_trial(_branch_overlap), 1e-9),
+    "interpolation-inequality": (_per_trial(_interpolation), 1e-12),
+    "gamma-invariance": (_per_trial(_gamma_invariance), 1e-14),
+    "inclusion-scale-tightness": (_per_trial(_inclusion_scale), 1e-12),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -306,13 +346,14 @@ def run_suites(
         raise ValueError(f"unknown suite {corrupt!r}; choose from {SUITE_NAMES}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     results = []
-    for idx, (name, (check, tol)) in enumerate(_SUITES.items()):
+    for idx, (name, (slacks, tol)) in enumerate(_SUITES.items()):
         rng = np.random.default_rng([seed, idx])
         gain = _CORRUPT_GAIN if name == corrupt else 1.0
         failures, worst = 0, 0.0
-        for _ in range(trials):
-            slack = check(rng, gain)
+        for slack in slacks(rng, trials, gain):
             worst = max(worst, slack)
             failures += slack > tol
         results.append(SuiteResult(name, trials, failures, worst))

@@ -8,8 +8,17 @@ and branch set, bit for bit, and raise the same exception type.
 
 import math
 
+import numpy as np
+
 from mixwidth.exponents import HALF
-from mixwidth.phi import _REL_BRANCH_TOL, ConsistencyError, PhiValue, omega
+from mixwidth.phi import (
+    _REL_BRANCH_TOL,
+    ConsistencyError,
+    PhiValue,
+    _branches,
+    omega,
+    profile_params,
+)
 
 
 def _pow(base, e):
@@ -65,3 +74,23 @@ def brute_phi(p, theta, target, dims):
             f"applicable branches disagree beyond tolerance: {values}"
         )
     return PhiValue(lo, tuple(sorted(values)))
+
+
+def brute_log_phi_array(u, v, target, dims):
+    """log Phi by evaluating every branch on every point, then the masked minimum.
+
+    This is `log_phi_array` as it was before it evaluated each branch only on
+    its region's points.
+    """
+    uq, vs, fm, fk, big, row, col = profile_params(target, dims)
+    wp = np.ones_like(u) if uq == 0.5 else np.minimum((u - uq) / (0.5 - uq), 1.0)
+    wt = np.ones_like(v) if vs == 0.5 else np.minimum((v - vs) / (0.5 - vs), 1.0)
+    lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
+    regions = (lo_u & lo_v, lo_u & hi_v, hi_u & lo_v, hi_u & hi_v & (u <= 0.5) & (wp <= wt),
+               hi_u & hi_v & (v <= 0.5) & (wt <= wp), (u >= 0.5) & (v >= 0.5))
+    with np.errstate(over="ignore"):
+        values = _branches(fm ** (uq - u), fk ** (vs - v), wp, wt, big, row, col, np.minimum)
+    out = np.full_like(u, math.inf)
+    for region, value in zip(regions, values.values()):
+        np.minimum(out, value, out=out, where=region)
+    return np.log(out)

@@ -202,6 +202,12 @@ class TestVerifyMode:
         payload = json.loads(out)
         assert all(s["passed"] for s in payload["suites"])
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "--mode", "verify", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "mixwidth: error: seed must be a nonnegative integer, got -1\n"
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_rejected(self, capsys, trials):
         code, out, err = run_cli(capsys, "--mode", "verify", "--trials", trials)
@@ -281,7 +287,8 @@ class TestInternalFailures:
             value = float(inst.dims.n + 1)
             return PsiEstimate(value, (value,) + (math.inf,) * 7, (0,))
 
-        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi", rising)
+        # sweep rows take their estimates from psi_many
+        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi_many", lambda insts: map(rising, insts))
         code, out, err = run_cli(
             capsys, worked_file, "--mode", "sweep", "--format", "csv",
             "--n-from", "0", "--n-to", "2",

@@ -14,10 +14,10 @@ from mixwidth import (
     parse_exponent,
     phi,
 )
-from mixwidth.phi import log_phi_array
+from mixwidth.phi import log_phi_array, profile_params
 from mixwidth.verify import _rand_instance, _reference_branches
 from helpers import single_ball_width_estimate
-from phi_brute import brute_phi
+from phi_brute import brute_log_phi_array, brute_phi
 
 E = parse_exponent
 
@@ -245,7 +245,7 @@ class TestOneTranscription:
             want = [min(_reference_branches(u, v, tg, d).values()) for u, v in pts]
             got = [phi(Exponent(u), Exponent(v), tg, d).value for u, v in pts]
             assert got == pytest.approx(want, rel=1e-12)
-            got_log = log_phi_array(uf, vf, tg, d)
+            got_log = log_phi_array(uf, vf, profile_params(tg, d))
             assert got_log == pytest.approx(np.log(want), rel=1e-9, abs=1e-9)
 
     def test_phi_and_array_form_share_the_formulas(self, monkeypatch):
@@ -262,5 +262,29 @@ class TestOneTranscription:
         for u, v in pts:
             p, t = Exponent(u), Exponent(v)
             assert phi(p, t, tg, d).value == 2 * brute_phi(p, t, tg, d).value
-            got = log_phi_array(np.array([float(u)]), np.array([float(v)]), tg, d)
+            got = log_phi_array(np.array([float(u)]), np.array([float(v)]), profile_params(tg, d))
             assert got[0] == pytest.approx(math.log(2 * brute_phi(p, t, tg, d).value), rel=1e-12)
+
+
+class TestLogPhiArrayRegions:
+    def test_matches_every_branch_on_every_point(self):
+        # each branch on its own region's points only: the same values
+        rng = np.random.default_rng(23)
+        points = list(_brute_points(rng, 3000))
+        u = np.array([float(p.u) for p, _, _, _ in points])
+        v = np.array([float(t.u) for _, t, _, _ in points])
+        params = np.array([profile_params(tg, d) for _, _, tg, d in points]).T
+        want = [brute_log_phi_array(u[i:i + 1], v[i:i + 1], tg, d)[0]
+                for i, (_, _, tg, d) in enumerate(points)]
+        np.testing.assert_allclose(log_phi_array(u, v, params), want, rtol=1e-12, atol=1e-12)
+
+    def test_one_call_serves_many_instances(self):
+        rng = np.random.default_rng(24)
+        insts = [_rand_instance(rng) for _ in range(30)]
+        u, v = rng.uniform(0, 1, (30, 50)), rng.uniform(0, 1, (30, 50))
+        u[:, :17], v[:, 17:34] = 0.5, 0.5
+        params = np.array([profile_params(i.target, i.dims) for i in insts])
+        label = np.repeat(np.arange(30), 50)
+        got = log_phi_array(u.ravel(), v.ravel(), params[label].T)
+        want = np.concatenate([log_phi_array(u[i], v[i], params[i]) for i in range(30)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)

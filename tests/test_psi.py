@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mixwidth import (
     Dimensions,
     Exponent,
     Instance,
+    ReciprocalPoint,
     TargetSpace,
     family_reduce,
     membership,
@@ -75,6 +77,18 @@ class TestValidateInstance:
                             (BallSpec(E("1"), E("2"), nu), BallSpec(E("inf"), E("2"), 1.0)))
 
         assert psi(instance(10**30)) == psi(instance(1e30))
+
+    def test_point_is_cached(self):
+        ball, twin = BallSpec(E("3"), E("4"), 2.0), BallSpec(E("3"), E("4"), 2.0)
+        first = ball.point
+        assert ball.point is first
+        assert first == ReciprocalPoint(ball.p.u, ball.theta.u)
+        # the cache is no field: equality, hashing and pickling are unchanged
+        assert ball == twin and hash(ball) == hash(twin)
+        for copy in (pickle.loads(pickle.dumps(ball)), pickle.loads(pickle.dumps(twin))):
+            assert copy == ball and hash(copy) == hash(ball)
+            assert copy.point == first
+        assert ball != BallSpec(E("3"), E("4"), 3.0)
 
 
 class TestComponents:

@@ -1,0 +1,155 @@
+"""`psi_many` against `psi` and the brute-force scans, on mixed batches.
+
+One block mixes instances of every size, dimension and target, so every
+value, tie set and certificate must come out as if each instance were
+estimated on its own.
+"""
+
+import importlib
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mixwidth import Dimensions, Instance, psi
+from mixwidth.psi import psi_many
+from mixwidth.verify import _rand_instance
+from conftest import build
+from psi_brute import brute_component
+
+psi_module = importlib.import_module("mixwidth.psi")
+
+
+def _one_ball(rng):
+    return _rand_instance(rng, max_balls=1)
+
+
+def _pairs_infinite(rng):
+    # q = sigma = 2 and every ball beyond (1/2, 1/2): only psi_0 is finite
+    cells = rng.choice(8 * 8, size=int(rng.integers(1, 7)), replace=False)
+    balls = [(Fraction(9 + int(c) // 8, 16), Fraction(9 + int(c) % 8, 16), 1.0) for c in cells]
+    return build(8, 8, int(rng.integers(0, 33)), "1/2", "1/2", balls)
+
+
+def _n_zero(rng):
+    inst = _rand_instance(rng, max_balls=6)
+    return Instance(Dimensions(inst.dims.m, inst.dims.k, 0), inst.target, inst.balls)
+
+
+def _target_two(rng):
+    # q = 2 or sigma = 2: psi_5 has no critical line
+    inst = _rand_instance(rng, max_balls=6)
+    uq, vs = inst.target.q.u, inst.target.sigma.u
+    uq, vs = (Fraction(1, 2), vs) if rng.integers(0, 2) else (uq, Fraction(1, 2))
+    return build(inst.dims.m, inst.dims.k, inst.dims.n, uq, vs,
+                 [(b.p.u, b.theta.u, b.nu) for b in inst.balls])
+
+
+def _equal_radii(rng):
+    count = int(rng.integers(3, 10))
+    cells = rng.choice(17 * 17, size=count, replace=False)
+    balls = [(Fraction(int(c) // 17, 16), Fraction(int(c) % 17, 16), 1.0) for c in cells]
+    m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    uq, vs = Fraction(int(rng.integers(1, 9)), 16), Fraction(int(rng.integers(1, 9)), 16)
+    return build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls)
+
+
+def _extreme_radii(rng):
+    inst = _rand_instance(rng, max_balls=8)
+    scale = float(rng.choice([300.0, -300.0]))
+    return build(inst.dims.m, inst.dims.k, inst.dims.n, inst.target.q.u, inst.target.sigma.u,
+                 [(b.p.u, b.theta.u, 10.0 ** (scale + float(rng.uniform(-2, 2))))
+                  for b in inst.balls])
+
+
+def _verify_size(rng):
+    return _rand_instance(rng)
+
+
+def _larger(rng):
+    return _rand_instance(rng, max_balls=12)
+
+
+KINDS = (_one_ball, _pairs_infinite, _n_zero, _target_two, _equal_radii, _extreme_radii,
+         _verify_size, _larger)
+
+
+def mixed_batch(seed, count):
+    rng = np.random.default_rng(seed)
+    batch = [KINDS[int(rng.integers(0, len(KINDS)))](rng) for _ in range(count)]
+    # repeated instances: the same object, and an equal copy
+    batch.insert(count // 2, batch[0])
+    batch.append(Instance(batch[1].dims, batch[1].target, batch[1].balls))
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_psi_and_brute(seed):
+    batch = mixed_batch(seed, 60)
+    got = list(psi_many(batch))
+    assert got == [psi(inst) for inst in batch]
+    for inst, est in zip(batch, got):
+        for j in range(8):
+            assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
+
+
+def test_every_kind_is_exercised():
+    batch = mixed_batch(0, 60)
+    estimates = list(psi_many(batch))
+    assert any(len(inst.balls) == 1 for inst in batch)
+    assert any(inst.dims.n == 0 for inst in batch)
+    assert any(est.argmin == (0,) and all(v == float("inf") for v in est.components[1:])
+               for est in estimates)
+    assert any(Fraction(1, 2) in (inst.target.q.u, inst.target.sigma.u) for inst in batch)
+    assert any(max(abs(np.log(b.nu)) for b in inst.balls) > 600 for inst in batch)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_small_blocks(monkeypatch, block):
+    # blocks closing after every instance, or in the middle of a trial's pair
+    batch = mixed_batch(10 + block, 40)
+    want = [psi(inst) for inst in batch]
+    monkeypatch.setattr(psi_module, "BLOCK", block)
+    assert list(psi_many(batch)) == want
+
+
+def test_empty_and_generator_input():
+    assert list(psi_many([])) == []
+    batch = mixed_batch(20, 12)
+    assert list(psi_many(inst for inst in batch)) == [psi(inst) for inst in batch]
+
+
+def test_yields_before_reading_everything():
+    read = []
+
+    def instances():
+        rng = np.random.default_rng(21)
+        while True:
+            read.append(_rand_instance(rng))
+            yield read[-1]
+
+    estimates = psi_many(instances())
+    assert next(estimates) == psi(read[0])
+    assert len(read) <= psi_module.BLOCK
+
+
+def test_memory_does_not_grow_with_instance_count():
+    # 5,000 fresh instances valued one block at a time; holding them all, or
+    # their estimates, would take several MB.  Single balls keep it quick.
+    rng = np.random.default_rng(22)
+    pool = [_rand_instance(rng, max_balls=1) for _ in range(64)]
+
+    def instances():
+        for i in range(5000):
+            inst = pool[i % len(pool)]
+            yield Instance(inst.dims, inst.target, inst.balls)
+
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in psi_many(instances()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 5000
+    assert peak < 2 * 2**20, peak

@@ -23,7 +23,7 @@ from mixwidth import (
     phi,
     psi_component,
 )
-from mixwidth.phi import log_phi_array
+from mixwidth.phi import log_phi_array, profile_params
 from mixwidth.verify import _rand_instance
 from conftest import build
 from psi_brute import brute_component
@@ -142,8 +142,7 @@ class TestLogPhiArray:
             got = log_phi_array(
                 np.array([float(u) for u, _ in pts]),
                 np.array([float(v) for _, v in pts]),
-                inst.target,
-                inst.dims,
+                profile_params(inst.target, inst.dims),
             )
             want = [
                 math.log(phi(Exponent(u), Exponent(v), inst.target, inst.dims).value)
@@ -159,7 +158,7 @@ class TestLogPhiArray:
         s = np.linspace(0.0, 1.0, 2001)
         u = 0.3 + s * (0.5 - 0.3)
         v = 1 / 7 + s * (0.5 - 1 / 7)
-        got = log_phi_array(u, v, target, dims)
+        got = log_phi_array(u, v, profile_params(target, dims))
         assert np.isfinite(got).all()
         for t in (0, 333, 1000, 1777):
             e = Fraction(t, 2000)
@@ -172,7 +171,7 @@ class TestLogPhiArray:
         # at v = 1/sigma branch 2 applies with weight 0: n^(-1/2) = inf to the 0
         target = TargetSpace(Exponent(Fraction(1, 4)), Exponent(Fraction(1, 3)))
         dims = Dimensions(8, 8, 0)
-        got = log_phi_array(np.array([0.1, 0.4]), np.array([1 / 3, 1 / 3]), target, dims)
+        got = log_phi_array(np.array([0.1, 0.4]), np.array([1 / 3, 1 / 3]), profile_params(target, dims))
         want = [
             math.log(phi(Exponent(Fraction(u)), Exponent(Fraction(1, 3)), target, dims).value)
             for u in (Fraction(1, 10), Fraction(2, 5))

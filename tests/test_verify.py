@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
 from mixwidth import SUITE_NAMES, run_suites
+from mixwidth.psi import BLOCK
+from mixwidth.verify import _psi_suite, _rand_instance
+from verify_brute import brute_run_suites
 
 
 TRIALS = 60  # smoke-level trial count; the acceptance suite runs the full 500
@@ -35,3 +39,34 @@ def test_forced_corruption_fails_named_suite(name):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(trials=1, corrupt="nope")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_per_trial_reference(seed):
+    # psi suites value their trials through psi_many; the reports must not move
+    for trials in (1, 7, 64):
+        assert run_suites(seed=seed, trials=trials) == brute_run_suites(seed=seed, trials=trials)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_corrupt_run_matches_per_trial_reference(name):
+    got = run_suites(seed=3, trials=7, corrupt=name)
+    assert got == brute_run_suites(seed=3, trials=7, corrupt=name)
+
+
+def test_psi_suite_draws_trials_lazily():
+    # a run must never hold all its trials: one block is drawn ahead at most
+    drawn = []
+
+    def draw(rng):
+        drawn.append(_rand_instance(rng))
+        return (drawn[-1],), lambda estimates, gain: 0.0
+
+    slacks = _psi_suite(draw)(np.random.default_rng(0), 10**9, 1.0)
+    assert next(slacks) == 0.0
+    assert 1 <= len(drawn) <= BLOCK
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        run_suites(seed=-1, trials=1)
