@@ -203,9 +203,8 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
     half = inst.dims.m * inst.dims.k // 2
     if not (0 <= n_from <= n_to <= half):
         raise ValueError(f"sweep range must satisfy 0 <= from <= to <= {half}")
-    span = range(n_from, n_to + 1)
-    estimates = psi_many(_shifted(inst, n) for n in span)
-    rows = [_sweep_row(_shifted(inst, n), est) for n, est in zip(span, estimates)]
+    shifted = [_shifted(inst, n) for n in range(n_from, n_to + 1)]
+    rows = [_sweep_row(row, est) for row, est in zip(shifted, psi_many(shifted))]
     for prev, cur in zip(rows, rows[1:]):
         if cur["psi"] > prev["psi"] * (1.0 + REL_TIE_TOL):
             raise ConsistencyError(

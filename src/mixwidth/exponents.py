@@ -6,6 +6,12 @@ affine equation over the rationals.  Everything in this module is exact:
 predicates and solvers operate on `fractions.Fraction` values and never
 round, so strict conditions (interior weights, collinearity, positivity)
 are decided correctly even on inputs that sit on a boundary.
+
+`psi` makes the same decisions on integer numerators over per-ball and
+per-target denominators, which is far cheaper than `Fraction` arithmetic;
+the solvers here (`solve_crossing`, `convex_combine`,
+`critical_deviation`, `solve_critical_crossing`, `barycentric`) are the
+references its tests and `tests/psi_brute.py` compare it with.
 """
 
 from __future__ import annotations
@@ -21,6 +27,12 @@ Weight = Fraction
 
 HALF = Fraction(1, 2)
 
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction: a Fraction as it is, anything else (an int, a string) converted."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class Exponent:
     """A norm exponent p in [1, inf], stored as the exact reciprocal u = 1/p.
@@ -31,8 +43,8 @@ class Exponent:
     u: Fraction
 
     def __post_init__(self) -> None:
-        u = Fraction(self.u)
-        if not 0 <= u <= 1:
+        u = _fraction(self.u)
+        if not 0 <= u.numerator <= u.denominator:  # 0 <= u <= 1, without Fraction comparisons
             raise ValueError(f"reciprocal exponent must lie in [0, 1], got {u}")
         object.__setattr__(self, "u", u)
 
@@ -107,8 +119,8 @@ class ReciprocalPoint:
     v: Fraction
 
     def __post_init__(self) -> None:
-        u, v = Fraction(self.u), Fraction(self.v)
-        if not (0 <= u <= 1 and 0 <= v <= 1):
+        u, v = _fraction(self.u), _fraction(self.v)
+        if not (0 <= u.numerator <= u.denominator and 0 <= v.numerator <= v.denominator):
             raise ValueError(f"reciprocal point must lie in [0, 1]^2, got ({u}, {v})")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

@@ -7,9 +7,10 @@ six closed regions, each with its own formula; the formulas coincide on the
 overlaps, which `phi` asserts on every call.
 
 Region membership is decided with exact rational comparisons on reciprocal
-exponents; only the final power evaluations are floating point.  `phi` and
-its float array form `log_phi_array` evaluate the one set of formulas in
-`_branches`.
+exponents, made in `phi_ints` on integer numerators and denominators; only
+the final power evaluations are floating point.  `phi` (through
+`phi_ints`) and its float array form `log_phi_array` evaluate the one set
+of formulas in `_branches`.
 """
 
 from __future__ import annotations
@@ -135,21 +136,43 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
     taken as +inf so each min picks its finite branch.
     """
     u, v = p.u, theta.u
+    return phi_ints(u.numerator, u.denominator, v.numerator, v.denominator, target,
+                    profile_params(target, dims))
+
+
+def _omega(num: int, den: int) -> tuple[int, int]:
+    """min(num / den, 1) as (numerator, denominator) for num >= 0, and 1 when den = 0."""
+    return (num, den) if 0 <= num < den else (1, 1)
+
+
+def phi_ints(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) -> PhiValue:
+    """`phi` at (1/p, 1/theta) = (un/ud, vn/vd), ud, vd > 0, with `params` its `profile_params`.
+
+    The region tests and omegas are exact: integers compared by
+    cross-multiplication.  Each float exponent is an int true division,
+    which is correctly rounded as float(Fraction) is.
+    """
     uq, vs = target.q.u, target.sigma.u
-    lo_u, hi_u, lo_v, hi_v = u <= uq, u >= uq, v <= vs, v >= vs
-    r4 = hi_u and hi_v and u <= HALF  # 2 <= p <= q, 1 <= theta <= sigma, if wp <= wt
-    r5 = hi_u and hi_v and v <= HALF  # 2 <= theta <= sigma, 1 <= p <= q, if wt <= wp
-    # Fraction arithmetic is phi's cost: an omega, a or b is computed only
-    # when a holding branch reads it, and is NaN otherwise.
-    wp = omega(p, target.q) if (hi_u and lo_v) or r4 or r5 else math.nan
-    wt = omega(theta, target.sigma) if (lo_u and hi_v) or r4 or r5 else math.nan
-    r4, r5 = r4 and wp <= wt, r5 and wt <= wp
-    _, _, fm, fk, big, row, col = profile_params(target, dims)
-    a = fm ** float(uq - u) if lo_u or r4 else math.nan
-    b = fk ** float(vs - v) if lo_v or r5 else math.nan
-    holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, u >= HALF and v >= HALF)
-    values = _branches(a, b, float(wp), float(wt), big, row, col, min, holds)
+    aq, bq, av, bv = uq.numerator, uq.denominator, vs.numerator, vs.denominator
+    # u - 1/q = du / (ud bq) and v - 1/sigma = dv / (vd bv)
+    du, dv = un * bq - aq * ud, vn * bv - av * vd
+    lo_u, hi_u, lo_v, hi_v = du <= 0, du >= 0, dv <= 0, dv >= 0
+    r4 = hi_u and hi_v and 2 * un <= ud  # 2 <= p <= q, 1 <= theta <= sigma, if wp <= wt
+    r5 = hi_u and hi_v and 2 * vn <= vd  # 2 <= theta <= sigma, 1 <= p <= q, if wt <= wp
+    # (u - 1/q) / (1/2 - 1/q) = 2 du / (ud (bq - 2 aq)), whose denominator is 0 at q = 2.
+    # An omega is computed only when a holding branch reads it, and is NaN otherwise.
+    wp = _omega(2 * du, ud * (bq - 2 * aq)) if (hi_u and lo_v) or r4 or r5 else (math.nan, 1)
+    wt = _omega(2 * dv, vd * (bv - 2 * av)) if (lo_u and hi_v) or r4 or r5 else (math.nan, 1)
+    if r4 or r5:
+        p_first, t_first = wp[0] * wt[1] <= wt[0] * wp[1], wt[0] * wp[1] <= wp[0] * wt[1]
+        r4, r5 = r4 and p_first, r5 and t_first
+    _, _, fm, fk, big, row, col = params
+    a = fm ** (-du / (ud * bq)) if lo_u or r4 else math.nan
+    b = fk ** (-dv / (vd * bv)) if lo_v or r5 else math.nan
+    holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, 2 * un >= ud and 2 * vn >= vd)
+    values = _branches(a, b, wp[0] / wp[1], wt[0] / wt[1], big, row, col, min, holds)
     if not values:
+        u, v = Fraction(un, ud), Fraction(vn, vd)
         raise ConsistencyError(f"no branch covers (1/p, 1/theta) = ({u}, {v})")
     lo, hi = min(values.values()), max(values.values())
     if hi - lo > _REL_BRANCH_TOL * hi:

@@ -21,6 +21,15 @@ of the least non-risky log-value, and the tie-break order picks among them.
 The window is twice the float error budget, so the result is that of a
 full exact scan.  `psi_many` runs each stage once for a block of instances,
 with the window and its minimum kept per (instance, component).
+
+The exact work is on Python integers: each ball's reciprocal point is
+(U/D, V/D) over its own denominator D, offsets, crossing points and
+barycentric coordinates are integer numerators over positive denominators,
+and `phi_ints` decides the profile's regions by cross-multiplication.
+Every float is an int true division, correctly rounded as float(Fraction)
+is, so the results equal those of the `Fraction` solvers in `exponents`
+bit for bit.  A `Certificate`, with its `Fraction` weights and `Exponent`s,
+is built only for the row that wins its component.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exponents import HALF, TWO, Exponent, ReciprocalPoint, barycentric, critical_deviation
-from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi, profile_params
+from .exponents import HALF, Exponent, ReciprocalPoint
+from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi_ints, profile_params
 
 REL_TIE_TOL = 1e-9
 
@@ -77,6 +86,13 @@ class BallSpec:
     @cached_property
     def point(self) -> ReciprocalPoint:
         return ReciprocalPoint(self.p.u, self.theta.u)
+
+    @cached_property
+    def _ints(self) -> tuple[int, int, int]:
+        """(U, V, D): the reciprocal point is (U/D, V/D), over its least common denominator D."""
+        u, v = self.p.u, self.theta.u
+        d = math.lcm(u.denominator, v.denominator)
+        return u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d
 
 
 @dataclass(frozen=True)
@@ -162,59 +178,90 @@ def validate_instance(inst: Instance) -> Instance:
     return Instance(inst.dims, inst.target, tuple(balls))
 
 
-def _line(inst: Instance, j: int) -> tuple[list[Fraction], list[int], list[float]]:
-    """Exact offsets of every ball from component j's line (1 <= j <= 5), their signs and floats.
+def _line(inst: Instance, j: int) -> tuple[list[int], list[int], list[float]]:
+    """Offsets of every ball from component j's line (1 <= j <= 5): numerators, signs and floats.
 
     Components 1-4 measure the p (j = 1, 3) or theta (j = 2, 4) coordinate
     from the level of the target (j = 1, 2) or of 2 (j = 3, 4); component 5
     the critical deviation, and it has no line (every offset 0) at q = 2 or
-    sigma = 2.  A pair crosses the line at w = f_a / (f_a - f_b) when its
+    sigma = 2.  Ball i's offset is c F_i / D_i: an integer numerator F_i
+    over the denominator D_i of `_ints`, times c = cn / cd > 0 fixed by the
+    component.  A pair crosses the line at w = f_a / (f_a - f_b) when its
     offsets have strictly opposite signs; the float form has no cancellation.
     """
-    q, sigma = inst.target.q, inst.target.sigma
-    if j == 5 and HALF in (q.u, sigma.u):
-        offsets = [Fraction(0)] * len(inst.balls)
-    elif j == 5:
-        offsets = [critical_deviation(ball.point, q, sigma) for ball in inst.balls]
+    q, sigma = inst.target.q.u, inst.target.sigma.u
+    ints = [ball._ints for ball in inst.balls]
+    if j == 5 and HALF in (q, sigma):
+        return [0] * len(ints), [0] * len(ints), [0.0] * len(ints)
+    if j == 5:
+        # (u - 1/q)/(1/2 - 1/q) - (v - 1/sigma)/(1/2 - 1/sigma) = 2 F / (D cq cs)
+        aq, bq, av, bv = q.numerator, q.denominator, sigma.numerator, sigma.denominator
+        cq, cs = bq - 2 * aq, bv - 2 * av
+        nums = [(u * bq - aq * d) * cs - (v * bv - av * d) * cq for u, v, d in ints]
+        cn, cd = 2, cq * cs
     else:
-        level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j].u
-        offsets = [(ball.p if j in (1, 3) else ball.theta).u - level for ball in inst.balls]
-    signs = [(f.numerator > 0) - (f.numerator < 0) for f in offsets]
-    return offsets, signs, [f.numerator / f.denominator for f in offsets]
+        level = {1: q, 2: sigma, 3: HALF, 4: HALF}[j]
+        on_p = j in (1, 3)
+        nums = [(u if on_p else v) * level.denominator - level.numerator * d for u, v, d in ints]
+        cn, cd = 1, level.denominator
+    signs = [(f > 0) - (f < 0) for f in nums]
+    return nums, signs, [cn * f / (d * cd) for f, (_, _, d) in zip(nums, ints)]
 
 
-def _exact(inst: Instance, j: int, row: list[int], context) -> Optional[Certificate]:
-    """Stage 3: candidate `row` of component j in exact arithmetic (None if it does not qualify).
+def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tuple]:
+    """Stage 3: candidate `row` of component j in integer arithmetic (None if it does not qualify).
 
-    `context` is the pair offsets (j = 1..5) or (goal, p, theta, profile) of
-    a triple scan (j = 6, 7).
+    Returns (value, indices, weights, p, theta, profile), the fields of its
+    `Certificate` with each weight and reciprocal exponent as an integer
+    (numerator, denominator) pair, denominator positive.  `context` is the
+    offset numerators of `_line` (j = 1..5) or the goal, its profile and
+    every ball's offset from the goal (j = 6, 7).
     """
-    balls, target = inst.balls, inst.target
+    balls, target, params = inst.balls, inst.target, inst._params
     if j == 0:
-        ball = balls[row[0]]
-        profile = phi(ball.p, ball.theta, target, inst.dims)
-        return Certificate(0, (row[0],), (Fraction(1),), ball.p, ball.theta, profile,
-                           ball.nu * profile.value)
+        u, v, d = balls[row[0]]._ints
+        profile = phi_ints(u, d, v, d, target, params)
+        return balls[row[0]].nu * profile.value, row[:1], ((1, 1),), (u, d), (v, d), profile
     if j < 6:
-        # Opposite exact offsets put w strictly inside (0, 1).
+        (ua, va, da), (ub, vb, db) = balls[row[0]]._ints, balls[row[1]]._ints
         fa, fb = context[row[0]], context[row[1]]
-        w = fa / (fa - fb)
-        a, b = balls[row[0]], balls[row[1]]
-        u, v = (1 - w) * a.p.u + w * b.p.u, (1 - w) * a.theta.u + w * b.theta.u
-        if j == 5 and not (target.q.u < u < HALF and target.sigma.u < v < HALF):
-            return None
-        pe, te = Exponent(u), Exponent(v)
-        profile = phi(pe, te, target, inst.dims)
-        value = a.nu ** float(1 - w) * b.nu ** float(w) * profile.value
-        return Certificate(j, tuple(row), (1 - w, w), pe, te, profile, value)
-    goal, pe, te, profile = context
-    taus = barycentric(*(balls[i].point for i in row), goal)
-    if taus is None:
+        if fa < 0:
+            fa, fb = -fa, -fb
+        # fa > 0 > fb: w = fa db / den on b lies in (0, 1), and the crossing
+        # point (1 - w) a + w b is (fa b - fb a) / den in the _ints numerators.
+        den = fa * db - fb * da
+        un, vn = fa * ub - fb * ua, fa * vb - fb * va
+        if j == 5:
+            q, sigma = target.q.u, target.sigma.u
+            if not (q.numerator * den < un * q.denominator and 2 * un < den
+                    and sigma.numerator * den < vn * sigma.denominator and 2 * vn < den):
+                return None
+        profile = phi_ints(un, den, vn, den, target, params)
+        wa, wb = -fb * da, fa * db
+        value = balls[row[0]].nu ** (wa / den) * balls[row[1]].nu ** (wb / den) * profile.value
+        return value, row, ((wa, den), (wb, den)), (un, den), (vn, den), profile
+    pe, te, profile, offsets = context
+    # With x_i - goal = (P_i / (D_i s), Q_i / (D_i t)), the orientation o(x, y) is
+    # (P_x Q_y - Q_x P_y) / (D_x D_y s t), so o(b, c), o(c, a), o(a, b) times
+    # D_a D_b D_c s t are the barycentric numerators, over their sum.
+    (pa, qa, da), (pb, qb, db), (pc, qc, dc) = (offsets[i] for i in row)
+    ta, tb, tc = (pb * qc - qb * pc) * da, (pc * qa - qc * pa) * db, (pa * qb - qa * pb) * dc
+    det = ta + tb + tc
+    if det < 0:
+        ta, tb, tc, det = -ta, -tb, -tc, -det
+    if not (ta > 0 and tb > 0 and tc > 0):  # also when det = 0
         return None
     value = profile.value
-    for i, w in zip(row, taus):
-        value *= balls[i].nu ** float(w)
-    return Certificate(j, tuple(row), taus, pe, te, profile, value)
+    for i, t in zip(row, (ta, tb, tc)):
+        value *= balls[i].nu ** (t / det)
+    return value, row, ((ta, det), (tb, det), (tc, det)), pe, te, profile
+
+
+def _certificate(j: int, found: tuple) -> Certificate:
+    """The `Certificate` of a row `_exact` found, with its weights and exponents as `Fraction`s."""
+    value, indices, weights, p, theta, profile = found
+    return Certificate(j, indices, tuple(Fraction(n, d) for n, d in weights),
+                       Exponent(Fraction(*p)), Exponent(Fraction(*theta)), profile, value)
 
 
 def _contained(orient: np.ndarray, a: np.ndarray, b: int) -> tuple:
@@ -250,11 +297,9 @@ def _triple_batches(inst: Instance, j: int, first: int, slot: int, contexts: dic
     Yields stage-2 batches with balls numbered from `first`.
     """
     target = inst.target
-    goal, pe, te = ReciprocalPoint(HALF, HALF), TWO, TWO
-    if j == 6:
-        goal, pe, te = ReciprocalPoint(target.q.u, target.sigma.u), target.q, target.sigma
+    goal = (target.q.u, target.sigma.u) if j == 6 else (HALF, HALF)
     uf, vf, _ = inst._ball_arrays
-    du, dv = uf - float(goal.u), vf - float(goal.v)
+    du, dv = uf - float(goal[0]), vf - float(goal[1])
     orient = np.multiply.outer(du, dv)
     orient -= np.multiply.outer(dv, du)
     for b in range(1, len(uf) - 1):
@@ -263,11 +308,20 @@ def _triple_batches(inst: Instance, j: int, first: int, slot: int, contexts: dic
             a, c, weights, unsure = _contained(orient, np.arange(a0, min(b, a0 + step)), b)
             if a.size:
                 if slot not in contexts:
-                    contexts[slot] = (goal, pe, te, phi(pe, te, target, inst.dims))
+                    contexts[slot] = _goal_context(inst, *goal)
                 rows = np.column_stack((a, np.full_like(a, b), c))
                 rows += first
-                lphi = np.full(a.size, math.log(contexts[slot][3].value))
+                lphi = np.full(a.size, math.log(contexts[slot][2].value))
                 yield np.full(a.size, slot), rows, weights, lphi, unsure
+
+
+def _goal_context(inst: Instance, gu: Fraction, gv: Fraction) -> tuple:
+    """Stage 3's context of a triple scan about the goal (gu, gv): see `_exact`."""
+    (gun, gud), (gvn, gvd) = pe, te = (gu.numerator, gu.denominator), (gv.numerator, gv.denominator)
+    profile = phi_ints(gun, gud, gvn, gvd, inst.target, inst._params)
+    ints = (ball._ints for ball in inst.balls)
+    offsets = [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints]
+    return pe, te, profile, offsets
 
 
 def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
@@ -353,12 +407,12 @@ def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[l
         pick |= risky
         for slot, row in zip(label[pick].tolist(), rows[pick].tolist()):
             i, j = divmod(slot, 8)
-            found = _exact(insts[i], j, [r - firsts[i] for r in row], contexts.get(slot))
-            if found is not None and (found.value, found.indices) < best.get(slot, (math.inf, ())):
-                best[slot] = (found.value, found.indices, found)
+            found = _exact(insts[i], j, tuple(r - firsts[i] for r in row), contexts.get(slot))
+            if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
+                best[slot] = found
     scans = [[(math.inf, None)] * 8 for _ in insts]
-    for slot, (value, _, cert) in best.items():
-        scans[slot // 8][slot % 8] = (value, cert)
+    for slot, found in best.items():
+        scans[slot // 8][slot % 8] = (found[0], _certificate(slot % 8, found))
     return scans
 
 

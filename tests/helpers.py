@@ -3,8 +3,9 @@
 `identity` and `compose` check the group action, `solve_rl_loglinear`
 relates triple certificates to the witness grid, `is_general_position` is
 the exact non-degeneracy predicate on reciprocal points and
-`perturb_to_general_position` exercises it, and `single_ball_width_estimate`
-spells out the single-ball estimate nu * Phi.
+`perturb_to_general_position` exercises it, `single_ball_width_estimate`
+spells out the single-ball estimate nu * Phi, and `primes_from` gives
+pairwise-coprime denominators.
 """
 
 import math
@@ -24,6 +25,16 @@ from mixwidth.witness import GroupElement
 
 #: A violated general-position condition: (condition number 1-4, offending indices).
 Violation = tuple[int, tuple[int, ...]]
+
+
+def primes_from(start: int, count: int) -> list[int]:
+    """The `count` least primes >= start, by trial division."""
+    primes, n = [], max(start, 2)
+    while len(primes) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 def identity(m: int, k: int) -> GroupElement:

@@ -1,6 +1,7 @@
 import importlib
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mixwidth import (
 )
 from mixwidth.phi import log_phi_array, profile_params
 from mixwidth.verify import _rand_instance, _reference_branches
-from helpers import single_ball_width_estimate
+from helpers import primes_from, single_ball_width_estimate
 from phi_brute import brute_log_phi_array, brute_phi
 
 E = parse_exponent
@@ -226,11 +227,37 @@ def _brute_points(rng, count):
         yield Exponent(u), Exponent(v), TargetSpace(Exponent(uq), Exponent(vs)), Dimensions(m, k, n)
 
 
+def _coprime_points(rng, count):
+    """Seeded points whose u, v, 1/q and 1/sigma have distinct prime denominators
+    near 10^6, now and then moved onto a region boundary (u = 1/q, v = 1/sigma,
+    u = 1/2, or the critical line at a weight over a further prime)."""
+    primes = primes_from(10**6, 24)
+    half = Fraction(1, 2)
+    for i in range(count):
+        du, dv, dq, ds, dw = (primes[int(j)] for j in rng.choice(len(primes), 5, replace=False))
+        uq = half if i % 7 == 1 else Fraction(int(rng.integers(1, dq // 2)), dq)
+        vs = half if i % 7 == 2 else Fraction(int(rng.integers(1, ds // 2)), ds)
+        u, v = Fraction(int(rng.integers(0, du + 1)), du), Fraction(int(rng.integers(0, dv + 1)), dv)
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            u = uq
+        elif kind == 1:
+            v = vs
+        elif kind == 2:
+            u = half
+        elif kind == 3:
+            w = Fraction(int(rng.integers(0, dw + 1)), dw)
+            u, v = uq + w * (half - uq), vs + w * (half - vs)
+        m, k = int(rng.integers(1, 4097)), int(rng.integers(1, 4097))
+        n = 0 if i % 5 == 0 else int(rng.integers(0, m * k // 2 + 1))
+        yield Exponent(u), Exponent(v), TargetSpace(Exponent(uq), Exponent(vs)), Dimensions(m, k, n)
+
+
 class TestOneTranscription:
     def test_matches_two_transcription_reference(self):
         # phi must equal the branch-by-branch power form it replaced, bit for bit
         rng = np.random.default_rng(21)
-        for args in _brute_points(rng, 20000):
+        for args in chain(_brute_points(rng, 20000), _coprime_points(rng, 4000)):
             assert _outcome(phi, *args) == _outcome(brute_phi, *args), args
 
     def test_matches_reference_branches_on_sixteenth_grid(self):

@@ -6,6 +6,7 @@ estimated on its own.
 """
 
 import importlib
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 
 from mixwidth import Dimensions, Instance, psi
+from mixwidth.cli import run_sweep
 from mixwidth.psi import psi_many
 from mixwidth.verify import _rand_instance
 from conftest import build
+from helpers import primes_from
 from psi_brute import brute_component
 
 psi_module = importlib.import_module("mixwidth.psi")
@@ -71,8 +74,25 @@ def _larger(rng):
     return _rand_instance(rng, max_balls=12)
 
 
+PRIMES = primes_from(10**6, 24)
+
+
+def _coprime(rng):
+    # every ball coordinate and the target on its own prime denominator near 10^6
+    count = 2 + 2 * int(rng.integers(1, 11))
+    dens = [int(d) for d in rng.choice(PRIMES, size=count, replace=False)]
+    uq, vs = (Fraction(int(rng.integers(1, d // 2 + 1)), d) for d in dens[:2])
+    equal = bool(rng.integers(0, 2))
+    balls = []
+    for du, dv in zip(dens[2::2], dens[3::2]):
+        u, v = (Fraction(int(rng.integers(0, d + 1)), d) for d in (du, dv))
+        balls.append((u, v, 1.0 if equal else float(rng.uniform(0.2, 5.0))))
+    m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    return build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls)
+
+
 KINDS = (_one_ball, _pairs_infinite, _n_zero, _target_two, _equal_radii, _extreme_radii,
-         _verify_size, _larger)
+         _verify_size, _larger, _coprime)
 
 
 def mixed_batch(seed, count):
@@ -103,6 +123,30 @@ def test_every_kind_is_exercised():
                for est in estimates)
     assert any(Fraction(1, 2) in (inst.target.q.u, inst.target.sigma.u) for inst in batch)
     assert any(max(abs(np.log(b.nu)) for b in inst.balls) > 600 for inst in batch)
+    assert any(inst.target.q.u.denominator in PRIMES for inst in batch)
+
+
+def _brute_estimate(inst):
+    return psi_module._estimate([brute_component(inst, j) for j in range(8)])
+
+
+@pytest.mark.parametrize("m, k, count", [(64, 64, 16), (4096, 64, 12)])
+def test_sweep_rows_on_equal_radii_families(m, k, count):
+    # as the benchmark's sweeps: points on the 1/16 grid, one radius, 16 consecutive n
+    rng = random.Random(f"{m}/{k}")
+    uq, vs = Fraction(rng.randint(1, 8), 16), Fraction(rng.randint(1, 8), 16)
+    cells = rng.sample(range(17 * 17), count)
+    nu = rng.choice((0.5, 1.0, 2.0))
+    balls = [(Fraction(c // 17, 16), Fraction(c % 17, 16), nu) for c in cells]
+    inst = build(m, k, 0, uq, vs, balls)
+    n0 = rng.randint(0, m * k // 2 - 15)
+    shifted = [Instance(Dimensions(m, k, n), inst.target, inst.balls) for n in range(n0, n0 + 16)]
+    got = list(psi_many(shifted))
+    assert got == [psi(s) for s in shifted] == [_brute_estimate(s) for s in shifted]
+    for row, est in zip(run_sweep(inst, n0, n0 + 15), got):
+        assert (row["psi"], row["argmin_set"]) == (est.value, "|".join(map(str, est.argmin)))
+        assert [row[f"psi_{j}"] for j in range(8)] == [
+            "inf" if v == float("inf") else v for v in est.components]
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
