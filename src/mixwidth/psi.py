@@ -22,6 +22,13 @@ The window is twice the float error budget, so the result is that of a
 full exact scan.  `psi_many` runs each stage once for a block of instances,
 with the window and its minimum kept per (instance, component).
 
+Triples take one of two paths by the size rule `_flat`.  An instance with
+at most FLAT_TRIPLES triples has them enumerated with those of the rest of
+its block, all at once (`_flat_triples`); a larger one screens its own
+orientation table per middle index (`_grid_triples`).  Both compute every
+orientation with the same float operations and screen it with the same
+margins (`_screen`), so which path an instance takes changes no result.
+
 The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
 barycentric coordinates are integer numerators over positive denominators,
@@ -59,13 +66,22 @@ _LOG_SAFE = 700.0
 # Critical crossings this near the box edges, and triangles with |det| <=
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
-# Triples screened at a time: the triple scan's memory is O(TRIPLE_CHUNK).
+# Triples screened at a time, on either path: the triple scan's memory is
+# O(TRIPLE_CHUNK).
 TRIPLE_CHUNK = 1 << 16
+# The size rule: an instance with at most this many triples (N <= 30) takes
+# the flat path.  Measured on psi_6 and psi_7 of random families on the
+# 1/1024 grid, the flat path takes 0.2x the grid's time from N = 16 to 31,
+# 0.45x at N = 48 and 0.6x at N = 64; the two cross near N = 80.  The flat
+# screen holds about 120 bytes per triple at once (the grid O(N^2)), so the
+# rule sits where that stays below the grid's own peak at N = 128 (0.6 MB).
+# `psi_many` also closes a block once its flat triples reach this many.
+FLAT_TRIPLES = 1 << 12
 # Candidates per stage-2 pass.  `psi_many` closes a block of instances once
 # they count this many (eight per instance for its components, plus its
-# balls and opposite-sign pairs), and triple batches are joined up to this
-# many rows.  Stage 2's memory is O(BLOCK) beyond a single component's own;
-# at 1024 and more, joined triples raised the triple scan's peak at N = 128.
+# balls and opposite-sign pairs), and grid triple batches are joined up to
+# this many rows.  Stage 2's memory is O(BLOCK) beyond a single component's
+# own; at 1024 and more, joined triples raised the grid's peak at N = 128.
 BLOCK = 512
 
 
@@ -264,13 +280,14 @@ def _certificate(j: int, found: tuple) -> Certificate:
                        Exponent(Fraction(*p)), Exponent(Fraction(*theta)), profile, value)
 
 
-def _contained(orient: np.ndarray, a: np.ndarray, b: int) -> tuple:
-    """Triples (a, b, c > b) of one chunk that may contain the goal: a, c, weights, unsure.
+def _screen(o_ab, o_bc, o_ca) -> tuple:
+    """Triples (a, b, c) that may contain the goal, from their orientations about it.
 
-    The weights are the float barycentric coordinates, zeroed where unsure.
+    The goal's barycentric coordinates are o(b, c), o(c, a), o(a, b) over
+    their sum.  The three arrays broadcast to the triples' shape, and `o_ca`
+    is overwritten.  Returns the kept triples' indices in that shape, their
+    float coordinates (zeroed where unsure) and which of them are unsure.
     """
-    o_bc = orient[b, b + 1:]
-    o_ab, o_ca = orient[a, b][:, None], orient[b + 1:, a].T
     det = o_ab + o_bc
     det += o_ca
     # In place where a temporary can be reused: this is the triple scan's peak.
@@ -279,40 +296,67 @@ def _contained(orient: np.ndarray, a: np.ndarray, b: int) -> tuple:
     tmin = np.minimum(tb, tc)
     np.minimum(ta, tmin, out=tmin)  # NaN (det = 0) is unsure
     unsure = ~((np.abs(det) > _DET_MARGIN) & (np.abs(tmin) > _BARY_MARGIN))
-    x, y = np.nonzero(unsure | (tmin > _BARY_MARGIN))
-    weights = np.column_stack((ta[x, y], tb[x, y], tc[x, y]))
-    unsure = unsure[x, y]
+    hit = np.nonzero(unsure | (tmin > _BARY_MARGIN))
+    weights = np.column_stack((ta[hit], tb[hit], tc[hit]))
+    unsure = unsure[hit]
     weights[unsure] = 0.0
-    return a[x], b + 1 + y, weights, unsure
+    return hit, weights, unsure
 
 
-def _triple_batches(inst: Instance, j: int, first: int, slot: int, contexts: dict):
-    """Components 6-7: triples a < b < c strictly containing the goal point.
+def _orient(du: np.ndarray, dv: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """o(x, y) = du_x dv_y - dv_x du_y per pair of ball indices."""
+    o = du[x] * dv[y]
+    o -= dv[x] * du[y]
+    return o
 
-    With o(x, y) the orientation of (x, y) about the goal, the goal's
-    barycentric coordinates in (a, b, c) are o(b, c), o(c, a), o(a, b) over
-    their sum.  Per middle index b the triples are an a-by-c grid of views of
-    one N x N orientation table, screened in chunks of at most TRIPLE_CHUNK
-    triples.  The profile is only evaluated once a triple is admitted.
-    Yields stage-2 batches with balls numbered from `first`.
+
+def _flat_triples(pa: np.ndarray, pb: np.ndarray, ends: np.ndarray, slot: np.ndarray,
+                  goals: dict) -> Iterator[tuple]:
+    """Components 6-7 of the small instances: every triple a < b < c at once.
+
+    The triples extend the pairs (pa, pb) by each c < ends[b], in index
+    order, and are screened TRIPLE_CHUNK at a time across instances.
+    `slot` is each ball's slot of component 0, and `goals` maps j to every
+    ball's float offsets (du, dv) from its instance's goal; o(x, y) =
+    du_x dv_y - dv_x du_y is `_grid_triples`' table entry, operation for
+    operation.  Yields one stage-2 batch per chunk, without profile logs.
     """
-    target = inst.target
-    goal = (target.q.u, target.sigma.u) if j == 6 else (HALF, HALF)
-    uf, vf, _ = inst._ball_arrays
-    du, dv = uf - float(goal[0]), vf - float(goal[1])
+    rest = ends[pb] - 1 - pb
+    stop = np.cumsum(rest)
+    start = stop - rest
+    total = int(stop[-1]) if len(stop) else 0
+    for first in range(0, total, TRIPLE_CHUNK):
+        # Triple t extends the pair p whose run [start, stop) holds t.
+        c = np.arange(first, min(total, first + TRIPLE_CHUNK))
+        p = np.searchsorted(stop, c, side="right")
+        a, b = pa[p], pb[p]
+        c += b + 1 - start[p]
+        batch = []
+        for j, (du, dv) in goals.items():
+            (hit,), weights, unsure = _screen(*(_orient(du, dv, x, y) for x, y in ((a, b), (b, c), (c, a))))
+            batch.append((slot[a[hit]] + j, np.column_stack((a[hit], b[hit], c[hit])), weights, unsure))
+        yield _joined(batch)
+
+
+def _grid_triples(du: np.ndarray, dv: np.ndarray, first: int, slot: int) -> Iterator[tuple]:
+    """Component 6 or 7 of one larger instance: triples a < b < c, per middle index b.
+
+    (du, dv) are its balls' float offsets from the goal.  Per b the triples
+    are an a-by-c grid of views of one N x N orientation table, screened in
+    chunks of at most TRIPLE_CHUNK triples.  Yields stage-2 batches without
+    their profile logs, with balls numbered from `first`.
+    """
     orient = np.multiply.outer(du, dv)
     orient -= np.multiply.outer(dv, du)
-    for b in range(1, len(uf) - 1):
-        step = max(1, TRIPLE_CHUNK // (len(uf) - b - 1))
+    for b in range(1, len(du) - 1):
+        step = max(1, TRIPLE_CHUNK // (len(du) - b - 1))
         for a0 in range(0, b, step):
-            a, c, weights, unsure = _contained(orient, np.arange(a0, min(b, a0 + step)), b)
-            if a.size:
-                if slot not in contexts:
-                    contexts[slot] = _goal_context(inst, *goal)
-                rows = np.column_stack((a, np.full_like(a, b), c))
+            a = np.arange(a0, min(b, a0 + step))
+            (x, y), weights, unsure = _screen(orient[a, b][:, None], orient[b, b + 1:], orient[b + 1:, a].T)
+            if x.size:
+                rows = np.column_stack((a[x], np.full_like(x, b), b + 1 + y))
                 rows += first
-                lphi = np.full(a.size, math.log(contexts[slot][2].value))
-                yield np.full(a.size, slot), rows, weights, lphi, unsure
+                yield np.full(x.size, slot), rows, weights, unsure
 
 
 def _goal_context(inst: Instance, gu: Fraction, gv: Fraction) -> tuple:
@@ -340,34 +384,43 @@ def _joined(batches: list[tuple]) -> tuple:
     return batches[0] if len(batches) == 1 else tuple(map(np.concatenate, zip(*batches)))
 
 
+def _flat(n: int) -> bool:
+    """Whether an instance of n balls takes the block path for its triples."""
+    return math.comb(n, 3) <= FLAT_TRIPLES
+
+
 def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[list[Scan]]:
     """Components js of every instance of a block, by the three-stage pipeline.
 
     `block` pairs each instance with its `_line` of each pair component in
     js.  Slot 8 i + j is component j of instance i; balls are numbered
-    across the block.  Stage 1 enumerates the singles and the opposite-sign
-    pairs of all slots at once (a single is a pair (a, a) with weight 0 on
-    its second ball) and screens the triples per instance; stage 2 values
-    them with one `log_phi_array` pass and keeps the least non-risky
-    log-value per slot; stage 3 re-runs every risky row and every row within
-    its slot's window of that least value exactly.  The least (value,
-    indices) wins, which is the first strict minimum in index-lexicographic
-    order.  A row confirmed before its slot's minimum settles costs time but
-    cannot change the result.
+    across the block.  Stage 1 enumerates the singles, the opposite-sign
+    pairs and the triples of the small instances (`_flat`) of all slots at
+    once (a single is a pair (a, a) with weight 0 on its second ball), and
+    screens a larger instance's triples on its own grid; stage 2 values
+    them with `log_phi_array`, or the goal's profile for a triple, and
+    keeps the least non-risky log-value per slot; stage 3 re-runs every
+    risky row and every row within its slot's window of that least value
+    exactly.  The least (value, indices) wins, which is the first strict
+    minimum in index-lexicographic order.  A row confirmed before its
+    slot's minimum settles costs time but cannot change the result.
     """
     insts = [inst for inst, _ in block]
     sizes = np.array([len(inst.balls) for inst in insts])
     firsts = (np.cumsum(sizes) - sizes).tolist()
     owner = np.repeat(np.arange(len(insts)), sizes)
+    ends = np.repeat(np.add(firsts, sizes), sizes)
     uf, vf, la = map(np.concatenate, zip(*(inst._ball_arrays for inst in insts)))
     params = np.array([inst._params for inst in insts])
     every = np.arange(len(uf))
+    flat = np.array([_flat(len(inst.balls)) for inst in insts])
+    tjs = [j for j in js if j > 5]
     cands = []
     if 0 in js:
         cands.append((owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)))
-    if any(0 < j < 6 for j in js):
+    if any(0 < j < 6 for j in js) or tjs and flat.any():
         # Every pair a < b of one instance, in index order.
-        rest = np.repeat(np.add(firsts, sizes), sizes) - 1 - every
+        rest = ends - 1 - every
         pa = np.repeat(every, rest)
         pb = pa + 1 + np.arange(len(pa)) - np.repeat(np.cumsum(rest) - rest, rest)
     for j in (j for j in js if 0 < j < 6):
@@ -390,12 +443,35 @@ def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[l
         lphi = log_phi_array(cu, cv, params[owner[a]].T if len(insts) > 1 else params[0])
         batches.append((label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure))
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
-    triples = (_triple_batches(inst, j, first, 8 * i + j, contexts)
-               for i, (inst, first) in enumerate(zip(insts, firsts)) for j in js if j > 5)
+    goals = {j: (uf - params[owner, 0], vf - params[owner, 1]) if j == 6 else (uf - 0.5, vf - 0.5)
+             for j in tjs}
+    lgoal = np.full(8 * len(insts), math.nan)
+
+    def profiled(triples: Iterable[tuple]) -> Iterator[tuple]:
+        """Triple batches with the log of their goal's profile; a slot's context is built at its first row."""
+        for label, rows, weights, unsure in triples:
+            lphi = lgoal[label]
+            missing = np.isnan(lphi)
+            if missing.any():
+                for slot in set(label[missing].tolist()):
+                    inst = insts[slot // 8]
+                    goal = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
+                    contexts[slot] = _goal_context(inst, *goal)
+                    lgoal[slot] = math.log(contexts[slot][2].value)
+                lphi = lgoal[label]
+            yield label, rows, weights, lphi, unsure
+
+    triples = chain.from_iterable(
+        _grid_triples(du[f:f + n], dv[f:f + n], f, 8 * i + j)
+        for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]
+        for j, (du, dv) in goals.items())
+    if goals and flat.any():
+        small = flat[owner[pa]]
+        triples = chain(_flat_triples(pa[small], pb[small], ends, owner * 8, goals), triples)
     window = np.repeat([inst._window for inst in insts], 8)
     vmin = np.full(8 * len(insts), math.inf)
     best: dict[int, tuple] = {}
-    for label, rows, weights, lphi, unsure in chain(batches, _merged(chain.from_iterable(triples))):
+    for label, rows, weights, lphi, unsure in chain(batches, profiled(_merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
         lnu = la[rows]
@@ -446,19 +522,21 @@ def psi_many(instances: Iterable[Instance]) -> Iterator[PsiEstimate]:
     """`psi` of each instance, in order, sharing each pipeline stage across a block.
 
     Instances are read lazily and gathered until they count BLOCK
-    candidates; the block is then scanned at once and its estimates
-    yielded, so memory does not grow with the number of instances.  Every
-    value, tie set and certificate is the one `psi` returns.
+    candidates, or FLAT_TRIPLES triples on the flat path; the block is then
+    scanned at once and its estimates yielded, so memory does not grow with
+    the number of instances.  Every value, tie set and certificate is the
+    one `psi` returns.
     """
     block: list[tuple[Instance, dict]] = []
-    size = 0
+    size = triples = 0
     for inst in instances:
         lines = {j: _line(inst, j) for j in range(1, 6)}
         block.append((inst, lines))
         size += 8 + len(inst.balls) + sum(s.count(1) * s.count(-1) for _, s, _ in lines.values())
-        if size >= BLOCK:
+        triples += math.comb(len(inst.balls), 3) if _flat(len(inst.balls)) else 0
+        if size >= BLOCK or triples >= FLAT_TRIPLES:
             yield from map(_estimate, _scan_block(block, range(8)))
-            block, size = [], 0
+            block, size, triples = [], 0, 0
     if block:
         yield from map(_estimate, _scan_block(block, range(8)))
 

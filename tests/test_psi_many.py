@@ -6,9 +6,11 @@ estimated on its own.
 """
 
 import importlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, count, islice
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from helpers import primes_from
 from psi_brute import brute_component
 
 psi_module = importlib.import_module("mixwidth.psi")
+# The size rule: families of at most LAST_FLAT balls take the block path for
+# their triples, larger ones the per-instance grid.
+LAST_FLAT = max(n for n in range(3, 200) if math.comb(n, 3) <= psi_module.FLAT_TRIPLES)
 
 
 def _one_ball(rng):
@@ -95,9 +100,69 @@ KINDS = (_one_ball, _pairs_infinite, _n_zero, _target_two, _equal_radii, _extrem
          _verify_size, _larger, _coprime)
 
 
+def _target_and_goal(rng):
+    uq, vs = (Fraction(int(rng.integers(8, 33)), 64) for _ in range(2))
+    return uq, vs, (uq, vs) if rng.integers(0, 2) else (Fraction(1, 2), Fraction(1, 2))
+
+
+def _others(rng, size):
+    return [(Fraction(int(rng.integers(0, 65)), 64), Fraction(int(rng.integers(0, 65)), 64),
+             float(np.exp(rng.uniform(-1, 1)))) for _ in range(size)]
+
+
+def _goal_on_edge(rng):
+    # pairs of balls mirrored through a goal, which lies on their segment, and
+    # maybe a ball at the goal; their small radii make a triangle with the
+    # goal on an edge or at a vertex the least, were it admitted
+    uq, vs, goal = _target_and_goal(rng)
+    balls = []
+    for _ in range(int(rng.integers(1, 3))):
+        du, dv = (Fraction(int(rng.integers(-8, 9)), 64) for _ in range(2))
+        balls += [(goal[0] + du, goal[1] + dv, 0.01), (goal[0] - du, goal[1] - dv, 0.01)]
+    if rng.integers(0, 2):
+        balls.append((goal[0], goal[1], 0.01))
+    balls += _others(rng, int(rng.integers(1, 4)))
+    m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    return build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls)
+
+
+def _collinear(rng):
+    # four or more balls on one line, through a goal or beside it, and a few off it
+    uq, vs, goal = _target_and_goal(rng)
+    du, dv = (Fraction(int(rng.integers(-2, 3)), 64) for _ in range(2))
+    if du == dv == 0:
+        du = Fraction(1, 64)
+    shift = Fraction(int(rng.integers(0, 3)), 64)
+    steps = rng.choice(np.arange(-4, 5), size=int(rng.integers(4, 8)), replace=False)
+    nu = float(rng.choice([0.5, 1.0, 2.0]))
+    balls = [(goal[0] + int(t) * du - shift * dv, goal[1] + int(t) * dv + shift * du, nu)
+             for t in steps]
+    balls += _others(rng, int(rng.integers(1, 3)))
+    m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    return build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls)
+
+
+def _sized(rng, size):
+    # `size` balls on the 1/64 grid, with random, equal or extreme radii
+    cells = rng.choice(65 * 65, size=size, replace=False)
+    radius = [lambda: float(np.exp(rng.uniform(-1.5, 1.5))), lambda: 1.0,
+              lambda: 10.0 ** (float(rng.choice([300.0, -300.0])) + float(rng.uniform(-2, 2)))]
+    style = radius[int(rng.integers(0, 3))]
+    balls = [(Fraction(int(c) // 65, 64), Fraction(int(c) % 65, 64), style()) for c in cells]
+    uq, vs, _ = _target_and_goal(rng)
+    m, k = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    return build(m, k, int(rng.integers(0, m * k // 2 + 1)), uq, vs, balls)
+
+
+# One family per seed at 3 balls and at the size rule's boundary -1, 0 and +1.
+SIZES = (3, LAST_FLAT - 1, LAST_FLAT, LAST_FLAT + 1)
+
+
 def mixed_batch(seed, count):
     rng = np.random.default_rng(seed)
     batch = [KINDS[int(rng.integers(0, len(KINDS)))](rng) for _ in range(count)]
+    batch += [_goal_on_edge(rng), _collinear(rng), _goal_on_edge(rng), _collinear(rng)]
+    batch.append(_sized(rng, SIZES[seed % len(SIZES)]))
     # repeated instances: the same object, and an equal copy
     batch.insert(count // 2, batch[0])
     batch.append(Instance(batch[1].dims, batch[1].target, batch[1].balls))
@@ -124,6 +189,22 @@ def test_every_kind_is_exercised():
     assert any(Fraction(1, 2) in (inst.target.q.u, inst.target.sigma.u) for inst in batch)
     assert any(max(abs(np.log(b.nu)) for b in inst.balls) > 600 for inst in batch)
     assert any(inst.target.q.u.denominator in PRIMES for inst in batch)
+    goals = [((inst.target.q.u, inst.target.sigma.u), (Fraction(1, 2), Fraction(1, 2)))
+             for inst in batch]
+    points = [[(b.p.u, b.theta.u) for b in inst.balls] for inst in batch]
+    # a goal at a ball, a goal inside a segment, and three collinear balls
+    assert any(g in pts for gs, pts in zip(goals, points) for g in gs)
+    assert any(_orient(x, y, g) == 0 and x != y and (x[0] - g[0]) * (y[0] - g[0]) <= 0
+               and (x[1] - g[1]) * (y[1] - g[1]) <= 0 and g not in (x, y)
+               for gs, pts in zip(goals, points) for g in gs for x, y in combinations(pts, 2))
+    assert any(_orient(x, y, z) == 0 for pts in points for x, y, z in combinations(pts[:12], 3))
+    sizes = {len(inst.balls) for seed in range(len(SIZES)) for inst in mixed_batch(seed, 60)}
+    assert set(SIZES) <= sizes
+    assert psi_module._flat(LAST_FLAT) and not psi_module._flat(LAST_FLAT + 1)
+
+
+def _orient(x, y, z):
+    return (y[0] - x[0]) * (z[1] - x[1]) - (y[1] - x[1]) * (z[0] - x[0])
 
 
 def _brute_estimate(inst):
@@ -179,21 +260,35 @@ def test_yields_before_reading_everything():
 
 
 def test_memory_does_not_grow_with_instance_count():
-    # 5,000 fresh instances valued one block at a time; holding them all, or
-    # their estimates, would take several MB.  Single balls keep it quick.
+    # Fresh instances valued one block at a time, traced over a window after
+    # the first blocks: holding the window's instances or their estimates
+    # would take several MB.  Single balls keep it quick.  Runs of families
+    # at the size rule with no opposite-sign pair (q = sigma = 2, every ball
+    # beyond (1/2, 1/2)) check that a block counts its triples: at 38
+    # candidates and 4,060 triples each, a block counting candidates alone
+    # would screen 13 of them at once.
     rng = np.random.default_rng(22)
     pool = [_rand_instance(rng, max_balls=1) for _ in range(64)]
+    wide = []
+    for size in (LAST_FLAT - 1, LAST_FLAT):
+        cells = rng.choice(1024 * 1024, size=size, replace=False)
+        wide.append(build(8, 8, 4, "1/2", "1/2", [
+            (Fraction(1025 + int(c) // 1024, 2048), Fraction(1025 + int(c) % 1024, 2048),
+             float(rng.uniform(0.5, 2.0))) for c in cells]))
 
     def instances():
-        for i in range(5000):
-            inst = pool[i % len(pool)]
+        for i in count():
+            inst = wide[i % 2] if i % 400 < 16 else pool[i % len(pool)]
             yield Instance(inst.dims, inst.target, inst.balls)
 
+    estimates = psi_many(instances())
+    for _ in islice(estimates, 350):
+        pass
     tracemalloc.start()
     try:
-        count = sum(1 for _ in psi_many(instances()))
+        valued = sum(1 for _ in islice(estimates, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 5000
+    assert valued == 1000
     assert peak < 2 * 2**20, peak

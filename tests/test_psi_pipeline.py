@@ -22,6 +22,7 @@ from mixwidth import (
     TargetSpace,
     phi,
     psi_component,
+    psi_many,
 )
 from mixwidth.phi import log_phi_array, profile_params
 from mixwidth.verify import _rand_instance
@@ -105,13 +106,22 @@ class TestDifferential:
         assert_matches_brute(inst)
 
     def test_small_triple_chunks(self, monkeypatch):
-        # chunks smaller than one a-by-c grid split every middle index
-        monkeypatch.setattr(sys.modules["mixwidth.psi"], "TRIPLE_CHUNK", 5)
+        # Chunks of five triples: on the block path they split one family's
+        # triples and join the next family's, on the grid (the last family,
+        # one ball past the size rule) they split every middle index.
+        psi_module = sys.modules["mixwidth.psi"]
+        monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
         rng = np.random.default_rng(13)
-        for _ in range(10):
-            inst = _rand_instance(rng, max_balls=16)
+        batch = [_rand_instance(rng, max_balls=16) for _ in range(10)]
+        size = max(n for n in range(3, 200) if psi_module._flat(n)) + 1
+        cells = rng.choice(65 * 65, size=size, replace=False)
+        batch.append(build(16, 16, 8, "1/3", "1/4", [
+            (Fraction(int(c) // 65, 64), Fraction(int(c) % 65, 64), float(np.exp(rng.uniform(-1, 1))))
+            for c in cells]))
+        for inst, est in zip(batch, psi_many(batch)):
             for j in (6, 7):
-                assert psi_component(inst, j) == brute_component(inst, j), j
+                want = brute_component(inst, j)
+                assert psi_component(inst, j) == (est.components[j], est.certificates.get(j)) == want, j
 
 
 def test_triple_scan_memory_is_bounded():
