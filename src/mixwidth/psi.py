@@ -13,14 +13,16 @@ component value.
 Every component runs one candidate pipeline.  (1) Admission is exact on
 per-ball quantities (the side of a level or of the critical line), or a
 float screen with margins far above its error, whose uncertain candidates
-are kept as risky.  (2) Float log-values of the admitted candidates come at
-once, with `log_phi_array` for the profile.  (3) The exact scalar code
+are kept as risky.  (2) Float log-values of the admitted candidates come in
+batches, with `log_phi_array` for the profile.  (3) The exact scalar code
 re-values every risky candidate (uncertain, or with a float product that
 might over- or underflow) and every candidate within one log-space window
 of the least non-risky log-value, and the tie-break order picks among them.
 The window is twice the float error budget, so the result is that of a
 full exact scan.  `psi_many` runs each stage once for a block of instances,
-with the window and its minimum kept per (instance, component).
+with the window and its minimum kept per (instance, component), and `psi`
+is `psi_many` of one instance.  Stage 2 values a block's batches joined up
+to BLOCK rows: small instances together, a large one a component at a time.
 
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated with those of the rest of
@@ -46,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,9 +81,10 @@ TRIPLE_CHUNK = 1 << 16
 FLAT_TRIPLES = 1 << 12
 # Candidates per stage-2 pass.  `psi_many` closes a block of instances once
 # they count this many (eight per instance for its components, plus its
-# balls and opposite-sign pairs), and grid triple batches are joined up to
-# this many rows.  Stage 2's memory is O(BLOCK) beyond a single component's
-# own; at 1024 and more, joined triples raised the grid's peak at N = 128.
+# balls and opposite-sign pairs), and pair and triple batches alike are
+# joined up to this many rows.  Stage 2's memory is O(BLOCK) beyond a single
+# component's own; at 1024 and more, joined triples raised the grid's peak
+# at N = 128.
 BLOCK = 512
 
 
@@ -310,17 +313,24 @@ def _orient(du: np.ndarray, dv: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.
     return o
 
 
-def _flat_triples(pa: np.ndarray, pb: np.ndarray, ends: np.ndarray, slot: np.ndarray,
-                  goals: dict) -> Iterator[tuple]:
-    """Components 6-7 of the small instances: every triple a < b < c at once.
+def _pairs(balls: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b of one instance with a in `balls`, in index order; ends[a] ends a's instance."""
+    rest = ends[balls] - 1 - balls
+    pa = np.repeat(balls, rest)
+    return pa, pa + 1 + np.arange(len(pa)) - np.repeat(np.cumsum(rest) - rest, rest)
 
-    The triples extend the pairs (pa, pb) by each c < ends[b], in index
-    order, and are screened TRIPLE_CHUNK at a time across instances.
+
+def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, goals: dict) -> Iterator[tuple]:
+    """Components 6-7 of the small instances, of balls `balls`: every triple a < b < c at once.
+
+    The triples extend the `_pairs` of `balls` by each c < ends[b], in
+    index order, and are screened TRIPLE_CHUNK at a time across instances.
     `slot` is each ball's slot of component 0, and `goals` maps j to every
     ball's float offsets (du, dv) from its instance's goal; o(x, y) =
     du_x dv_y - dv_x du_y is `_grid_triples`' table entry, operation for
     operation.  Yields one stage-2 batch per chunk, without profile logs.
     """
+    pa, pb = _pairs(balls, ends)
     rest = ends[pb] - 1 - pb
     stop = np.cumsum(rest)
     start = stop - rest
@@ -369,13 +379,21 @@ def _goal_context(inst: Instance, gu: Fraction, gv: Fraction) -> tuple:
 
 
 def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
-    """Consecutive batches joined while they hold at most BLOCK rows; a larger one stays alone."""
+    """Consecutive batches joined while they hold at most BLOCK rows; a larger one stays alone.
+
+    A full join is yielded before the next batch is built.
+    """
     pending: list[tuple] = []
+    rows = 0
     for batch in batches:
-        if pending and sum(len(p[0]) for p in pending) + len(batch[0]) > BLOCK:
-            joined, pending = _joined(pending), []
-            yield joined
+        if pending and rows + len(batch[0]) > BLOCK:
+            yield _joined(pending)
+            pending, rows = [], 0
         pending.append(batch)
+        rows += len(batch[0])
+        if rows >= BLOCK:
+            yield _joined(pending)
+            pending, rows = [], 0
     if pending:
         yield _joined(pending)
 
@@ -389,21 +407,22 @@ def _flat(n: int) -> bool:
     return math.comb(n, 3) <= FLAT_TRIPLES
 
 
-def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[list[Scan]]:
-    """Components js of every instance of a block, by the three-stage pipeline.
+def _scan_block(block: list[tuple[Instance, dict]]) -> list[list[Scan]]:
+    """All eight components of every instance of a block, by the three-stage pipeline.
 
-    `block` pairs each instance with its `_line` of each pair component in
-    js.  Slot 8 i + j is component j of instance i; balls are numbered
-    across the block.  Stage 1 enumerates the singles, the opposite-sign
-    pairs and the triples of the small instances (`_flat`) of all slots at
-    once (a single is a pair (a, a) with weight 0 on its second ball), and
-    screens a larger instance's triples on its own grid; stage 2 values
-    them with `log_phi_array`, or the goal's profile for a triple, and
-    keeps the least non-risky log-value per slot; stage 3 re-runs every
-    risky row and every row within its slot's window of that least value
-    exactly.  The least (value, indices) wins, which is the first strict
-    minimum in index-lexicographic order.  A row confirmed before its
-    slot's minimum settles costs time but cannot change the result.
+    `block` pairs each instance with its `_line` of each pair component.
+    Slot 8 i + j is component j of instance i; balls are numbered across
+    the block.  Stage 1 enumerates the singles (a pair (a, a) with weight 0
+    on its second ball), the opposite-sign pairs and the triples of the
+    small instances (`_flat`) of all slots, a batch per pair component or
+    triple chunk, and screens a larger instance's triples on its own grid;
+    stage 2 values joined batches (`_merged`) with `log_phi_array`, or the
+    goal's profile for a triple, and keeps the least non-risky log-value
+    per slot; stage 3 re-runs every risky row and every row within its
+    slot's window of that least value exactly.  The least (value, indices)
+    wins, which is the first strict minimum in index-lexicographic order.
+    A row confirmed before its slot's minimum settles costs time but cannot
+    change the result.
     """
     insts = [inst for inst, _ in block]
     sizes = np.array([len(inst.balls) for inst in insts])
@@ -414,64 +433,53 @@ def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[l
     params = np.array([inst._params for inst in insts])
     every = np.arange(len(uf))
     flat = np.array([_flat(len(inst.balls)) for inst in insts])
-    tjs = [j for j in js if j > 5]
-    cands = []
-    if 0 in js:
-        cands.append((owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)))
-    if any(0 < j < 6 for j in js) or tjs and flat.any():
-        # Every pair a < b of one instance, in index order.
-        rest = ends - 1 - every
-        pa = np.repeat(every, rest)
-        pb = pa + 1 + np.arange(len(pa)) - np.repeat(np.cumsum(rest) - rest, rest)
-    for j in (j for j in js if 0 < j < 6):
-        signs = np.array([s for _, lines in block for s in lines[j][1]], dtype=np.int8)
-        offsets = np.array([f for _, lines in block for f in lines[j][2]])
-        keep = signs[pa] * signs[pb] < 0
-        a, b = pa[keep], pb[keep]
-        w = offsets[a] / (offsets[a] - offsets[b])
-        cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
-        unsure = np.zeros(len(a), bool)
-        if j == 5:
-            # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
-            gap = np.minimum(cu - params[owner[a], 0], 0.5 - cu)
-            keep = gap >= -_CRITICAL_MARGIN
-            a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
-        cands.append((owner[a] * 8 + j, a, b, w, cu, cv, unsure))
-    batches = []
-    if cands:
-        label, a, b, w, cu, cv, unsure = _joined(cands)
+
+    def pairs() -> Iterator[tuple]:
+        """Stage-1 batches of components 0-5, one per component, without profile logs."""
+        yield owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)
+        pa, pb = _pairs(every, ends)
+        for j in range(1, 6):
+            signs = np.array([s for _, lines in block for s in lines[j][1]], dtype=np.int8)
+            offsets = np.array([f for _, lines in block for f in lines[j][2]])
+            keep = signs[pa] * signs[pb] < 0
+            a, b = pa[keep], pb[keep]
+            w = offsets[a] / (offsets[a] - offsets[b])
+            cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
+            unsure = np.zeros(len(a), bool)
+            if j == 5:
+                # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
+                gap = np.minimum(cu - params[owner[a], 0], 0.5 - cu)
+                keep = gap >= -_CRITICAL_MARGIN
+                a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
+            yield owner[a] * 8 + j, a, b, w, cu, cv, unsure
+
+    def valued(label, a, b, w, cu, cv, unsure) -> tuple:
+        """A pair batch with the log of the profile at each crossing."""
         lphi = log_phi_array(cu, cv, params[owner[a]].T if len(insts) > 1 else params[0])
-        batches.append((label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure))
+        return label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure
+
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
-    goals = {j: (uf - params[owner, 0], vf - params[owner, 1]) if j == 6 else (uf - 0.5, vf - 0.5)
-             for j in tjs}
+    goals = {6: (uf - params[owner, 0], vf - params[owner, 1]), 7: (uf - 0.5, vf - 0.5)}
     lgoal = np.full(8 * len(insts), math.nan)
 
-    def profiled(triples: Iterable[tuple]) -> Iterator[tuple]:
-        """Triple batches with the log of their goal's profile; a slot's context is built at its first row."""
-        for label, rows, weights, unsure in triples:
-            lphi = lgoal[label]
-            missing = np.isnan(lphi)
-            if missing.any():
-                for slot in set(label[missing].tolist()):
-                    inst = insts[slot // 8]
-                    goal = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
-                    contexts[slot] = _goal_context(inst, *goal)
-                    lgoal[slot] = math.log(contexts[slot][2].value)
-                lphi = lgoal[label]
-            yield label, rows, weights, lphi, unsure
+    def profiled(label, rows, weights, unsure) -> tuple:
+        """A triple batch with the log of its goal's profile; a slot's context is built at its first row."""
+        for slot in set(label[np.isnan(lgoal[label])].tolist()):
+            inst = insts[slot // 8]
+            goal = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
+            contexts[slot] = _goal_context(inst, *goal)
+            lgoal[slot] = math.log(contexts[slot][2].value)
+        return label, rows, weights, lgoal[label], unsure
 
-    triples = chain.from_iterable(
+    triples = chain(_flat_triples(np.flatnonzero(flat[owner]), ends, owner * 8, goals), *(
         _grid_triples(du[f:f + n], dv[f:f + n], f, 8 * i + j)
         for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]
-        for j, (du, dv) in goals.items())
-    if goals and flat.any():
-        small = flat[owner[pa]]
-        triples = chain(_flat_triples(pa[small], pb[small], ends, owner * 8, goals), triples)
+        for j, (du, dv) in goals.items()))
     window = np.repeat([inst._window for inst in insts], 8)
     vmin = np.full(8 * len(insts), math.inf)
     best: dict[int, tuple] = {}
-    for label, rows, weights, lphi, unsure in chain(batches, profiled(_merged(triples))):
+    for label, rows, weights, lphi, unsure in chain(starmap(valued, _merged(pairs())),
+                                                    starmap(profiled, _merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
         lnu = la[rows]
@@ -486,6 +494,8 @@ def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[l
             found = _exact(insts[i], j, tuple(r - firsts[i] for r in row), contexts.get(slot))
             if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
                 best[slot] = found
+        # Free this batch before the next one is built.
+        del label, rows, weights, lphi, unsure, lnu, logv, risky, pick
     scans = [[(math.inf, None)] * 8 for _ in insts]
     for slot, found in best.items():
         scans[slot // 8][slot % 8] = (found[0], _certificate(slot % 8, found))
@@ -493,15 +503,15 @@ def _scan_block(block: list[tuple[Instance, dict]], js: Sequence[int]) -> list[l
 
 
 def psi_component(inst: Instance, j: int) -> Scan:
-    """One component value and its minimizing certificate (None when empty).
+    """Component j of `psi(inst)`: its value and minimizing certificate (None when empty).
 
     Ties resolve to the first minimizer in index-lexicographic order, as in
     an exhaustive scan of ordered pairs and of triples in combination order.
     """
     if j not in range(8):
         raise ValueError(f"component index must be 0..7, got {j}")
-    lines = {j: _line(inst, j)} if 0 < j < 6 else {}
-    return _scan_block([(inst, lines)], (j,))[0][j]
+    est = psi(inst)
+    return est.components[j], est.certificates.get(j)
 
 
 def _estimate(scans: Sequence[Scan]) -> PsiEstimate:
@@ -515,7 +525,7 @@ def _estimate(scans: Sequence[Scan]) -> PsiEstimate:
 
 def psi(inst: Instance) -> PsiEstimate:
     """All eight components, the overall minimum, the tie set and certificates."""
-    return _estimate([psi_component(inst, j) for j in range(8)])
+    return next(psi_many([inst]))
 
 
 def psi_many(instances: Iterable[Instance]) -> Iterator[PsiEstimate]:
@@ -535,10 +545,10 @@ def psi_many(instances: Iterable[Instance]) -> Iterator[PsiEstimate]:
         size += 8 + len(inst.balls) + sum(s.count(1) * s.count(-1) for _, s, _ in lines.values())
         triples += math.comb(len(inst.balls), 3) if _flat(len(inst.balls)) else 0
         if size >= BLOCK or triples >= FLAT_TRIPLES:
-            yield from map(_estimate, _scan_block(block, range(8)))
+            yield from map(_estimate, _scan_block(block))
             block, size, triples = [], 0, 0
     if block:
-        yield from map(_estimate, _scan_block(block, range(8)))
+        yield from map(_estimate, _scan_block(block))
 
 
 def family_reduce(

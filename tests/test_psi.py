@@ -94,9 +94,14 @@ class TestValidateInstance:
 class TestComponents:
     def test_single_ball_pairs_empty(self):
         inst = make_instance(4, 4, 4, "2", "2", [("3", "2", 1.0)])
+        est = psi(inst)
         for j in range(1, 8):
-            value, cert = psi_component(inst, j)
-            assert value == math.inf and cert is None
+            assert est.components[j] == math.inf and est.certificates.get(j) is None
+
+    @pytest.mark.parametrize("j", [-1, 8])
+    def test_component_index_checked(self, two_ball_instance, j):
+        with pytest.raises(ValueError, match="component index"):
+            psi_component(two_ball_instance, j)
 
     def test_pair_component_worked(self, two_ball_instance):
         value, cert = psi_component(two_ball_instance, 1)

@@ -1,4 +1,4 @@
-"""The candidate pipeline of `psi_component` against the brute-force scans.
+"""The candidate pipeline of `psi` against the brute-force scans.
 
 The differential tests compare value and certificate with `==`: the
 pipeline must return exactly what the exhaustive exact scan in `psi_brute`
@@ -21,6 +21,7 @@ from mixwidth import (
     Instance,
     TargetSpace,
     phi,
+    psi,
     psi_component,
     psi_many,
 )
@@ -31,8 +32,9 @@ from psi_brute import brute_component
 
 
 def assert_matches_brute(inst):
+    est = psi(inst)
     for j in range(8):
-        assert psi_component(inst, j) == brute_component(inst, j), j
+        assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
 class TestDifferential:
@@ -124,22 +126,24 @@ class TestDifferential:
                 assert psi_component(inst, j) == (est.components[j], est.certificates.get(j)) == want, j
 
 
-def test_triple_scan_memory_is_bounded():
-    # 669,920 triples: holding them all at once would take about 70 MB
+@pytest.mark.parametrize("size", [160, 256])
+def test_psi_memory_is_bounded(size):
+    # 669,920 triples at 160 balls: holding them all at once would take about
+    # 70 MB.  At 256 balls the pair components have 75,602 crossings, and
+    # valuing them in one joined pass would peak near 13 MB.
     rng = np.random.default_rng(14)
-    cells = rng.choice(1025 * 1025, size=160, replace=False)
-    radii = np.exp(rng.uniform(-1.5, 1.5, size=160))
+    cells = rng.choice(1025 * 1025, size=size, replace=False)
+    radii = np.exp(rng.uniform(-1.5, 1.5, size=size))
     balls = [(Fraction(int(c) // 1025, 1024), Fraction(int(c) % 1025, 1024), float(nu))
              for c, nu in zip(cells, radii)]
     inst = build(64, 64, 1024, "1/3", "1/4", balls)
-    for j in (6, 7):
-        tracemalloc.start()
-        try:
-            psi_component(inst, j)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, (j, peak)
+    tracemalloc.start()
+    try:
+        psi(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 class TestLogPhiArray:
