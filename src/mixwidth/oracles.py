@@ -17,6 +17,22 @@ climb as one batch.  Each batched step keeps the memory layout of the
 one-frame step it replaces, so numpy adds and rounds in the same order: for
 every seed the estimate is bit-identical to the one-frame-at-a-time search
 in tests/oracle_brute.py.
+
+Two prunes skip descents that cannot change the estimate.  The search
+descends a perturbed frame Q only if `_search_bound` could put it below the
+frame it would replace: g - Q Q^T g, for the gradient g at the projection
+residual, is orthogonal to span(Q), so by Hoelder its inner product with a
+point over its dual (q', sigma') norm is at most the point's distance to the
+span, and so at most any value the descent reports (with a slack of 1e-9
+relative and 1e-12 absolute for rounding).  The ascent skips the descent of
+a chain whose proposals all project to at most its current distance: the
+descent only accepts steps that lower a distance, so such a chain cannot
+move up, and it counts a failed step.  The Euclidean target has no descent
+and is not pruned; at q = 1 or sigma = 1 the dual exponent is inf and the
+bound takes the max; a point whose bound is not finite (zero residual, or a
+gradient inside the span) bounds nothing.  Rejected frames and chains leave
+the stack, but no point leaves a frame, so every descent keeps its shapes
+and its rounding.
 """
 
 from __future__ import annotations
@@ -94,30 +110,89 @@ def sup_norm_over_M(
 # Restart frames refined at a time: a block's residuals hold at most
 # SEARCH_CHUNK floats (or one frame's worth), and its perturbations iters
 # frames per restart, whatever the number of restarts.
-SEARCH_CHUNK = 1 << 12
+SEARCH_CHUNK = 1 << 14
 # Ascent: chains per finalist frame, steps per chain, failed steps that end
 # a chain, and the conditional-gradient step sizes toward a maximizer.
 _STARTS, _STEPS, _STALL = 6, 30, 4
 _GAMMAS = np.array([1.0, 0.5, 0.2])[:, None]
 
 
+def _pnorm(A: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """l_p norm of the nonnegative A along axis, for p in [1, inf]."""
+    if p == math.inf:
+        return A.max(axis=axis)
+    return (A**p).sum(axis=axis) ** (1.0 / p)
+
+
+def _dual(p: float) -> float:
+    """The conjugate exponent p' with 1/p + 1/p' = 1."""
+    return p / (p - 1.0) if p > 1.0 else math.inf
+
+
 def _norms(R: np.ndarray, m: int, k: int, qf: float, sf: float):
     """Inner column norms (..., k, c) and the (q, sigma) norm (..., c) of each
     column of a stack of flattened m x k matrices R (..., m*k, c)."""
     A = np.abs(R).reshape(R.shape[:-2] + (m, k, R.shape[-1]))
-    inner = (A**qf).sum(axis=-3) ** (1.0 / qf)
-    return inner, (inner**sf).sum(axis=-2) ** (1.0 / sf)
+    inner = _pnorm(A, qf, -3)
+    return inner, _pnorm(inner, sf, -2)
 
 
 def _grad(R, inner, tot, m: int, k: int, qf: float, sf: float) -> np.ndarray:
-    """Gradient of the mixed norm at each column of R, given `_norms(R)`."""
+    """Gradient of the mixed norm at each column of R, given `_norms(R)`.
+
+    Zero residual entries make 0/0 and 0*inf, which become 0; callers run
+    it under np.errstate(divide="ignore", invalid="ignore").
+    """
     shape = R.shape[:-2] + (m, k, R.shape[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = np.sign(R).reshape(shape) * np.abs(R).reshape(shape) ** (qf - 1.0)
-        G *= inner[..., None, :, :] ** (sf - qf)
-        G *= tot[..., None, None, :] ** (1.0 - sf)
+    G = np.sign(R).reshape(shape) * np.abs(R).reshape(shape) ** (qf - 1.0)
+    G *= inner[..., None, :, :] ** (sf - qf)
+    G *= tot[..., None, None, :] ** (1.0 - sf)
     G[~np.isfinite(G)] = 0.0
     return G.reshape(R.shape)
+
+
+def _project(B: np.ndarray, X: np.ndarray, m: int, k: int, qf: float, sf: float):
+    """Euclidean projection of each column of X onto span(B), per frame.
+
+    B is a stack of orthonormal frames (b, N, n) with n > 0; X is (N, c),
+    shared, or (b, N, c).  Returns the coefficients C (b, n, c), the
+    residuals R (b, N, c), R's inner column norms (None for the Euclidean
+    target) and R's distances f (b, c).
+    """
+    C = B.transpose(0, 2, 1) @ X
+    R = X - B @ C
+    if qf == 2.0 and sf == 2.0:
+        return C, R, None, np.sqrt((R * R).sum(axis=1))
+    return (C, R, *_norms(R, m, k, qf, sf))
+
+
+def _descend(B, X, C, R, inner, f, m, k, qf, sf, iters, G=None):
+    """Monotone batched descent on the coefficients from a projection.
+
+    (C, R, inner, f) is `_project(B, X)`, and G, if given, the gradient at R.
+    A step is accepted only where it lowers f, so no distance ever rises
+    above the projection's; the gradient reuses the norms of the accepted
+    trial.  Updates C, R, inner and f in place and returns (f, R).
+    """
+    Bt = B.transpose(0, 2, 1)
+    step = np.full(f.shape, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(iters):
+            if i or G is None:
+                G = _grad(R, inner, f, m, k, qf, sf)
+            D = Bt @ G  # steepest descent is +D
+            gn = (D * D).sum(axis=1)
+            Ct = C + step[:, None, :] * D
+            Rt = X - B @ Ct
+            inner_t, ft = _norms(Rt, m, k, qf, sf)
+            ok = ft <= f - 1e-4 * step * gn
+            col = ok[:, None, :]
+            np.copyto(C, Ct, where=col)
+            np.copyto(R, Rt, where=col)
+            np.copyto(inner, inner_t, where=col)
+            np.copyto(f, ft, where=ok)
+            step = np.where(ok, np.minimum(step * 1.25, 4.0), step * 0.5)
+    return f, R
 
 
 def _dist_to_span(
@@ -126,36 +201,55 @@ def _dist_to_span(
     """Distance of each column of X to span(B) in the mixed norm, per frame.
 
     B is a stack of frames (b, N, n); X is (N, c), shared, or (b, N, c).
-    Exact for the Euclidean case; otherwise a monotone batched descent on
-    the coefficients, warm-started at the Euclidean projection, so the
-    returned values never undershoot the true distances.  The gradient
-    reuses the norms of the accepted trial.  Returns (distances (b, c),
-    residuals (b, N, c)).
+    Exact for the Euclidean case; otherwise `_descend` from the Euclidean
+    projection, so the returned values never undershoot the true distances.
+    Returns (distances (b, c), residuals (b, N, c)).
     """
     if B.shape[2] == 0:
         R = np.broadcast_to(X, B.shape[:2] + X.shape[-1:]).copy()
         return _norms(R, m, k, qf, sf)[1], R
-    Bt = B.transpose(0, 2, 1)
-    C = Bt @ X
-    R = X - B @ C
-    if qf == 2.0 and sf == 2.0:
-        return np.sqrt((R * R).sum(axis=1)), R
-    inner, f = _norms(R, m, k, qf, sf)
-    step = np.full(f.shape, 0.5)
-    for _ in range(iters):
-        D = Bt @ _grad(R, inner, f, m, k, qf, sf)  # steepest descent is +D
-        gn = (D * D).sum(axis=1)
-        Ct = C + step[:, None, :] * D
-        Rt = X - B @ Ct
-        inner_t, ft = _norms(Rt, m, k, qf, sf)
-        ok = ft <= f - 1e-4 * step * gn
-        col = ok[:, None, :]
-        C = np.where(col, Ct, C)
-        R = np.where(col, Rt, R)
-        inner = np.where(col, inner_t, inner)
-        f = np.where(ok, ft, f)
-        step = np.where(ok, np.minimum(step * 1.25, 4.0), step * 0.5)
-    return f, R
+    C, R, inner, f = _project(B, X, m, k, qf, sf)
+    if inner is None:
+        return f, R
+    return _descend(B, X, C, R, inner, f, m, k, qf, sf, iters)
+
+
+def _search_bound(Q, X, G, m, k, qf, sf) -> np.ndarray:
+    """Lower bound on the largest distance of the columns of X to span(Q[i]).
+
+    G is the gradient at the projection residuals.  H = G - Q Q^T G is
+    orthogonal to span(Q), so <x - v, H> = <x, H> for every v in the span,
+    and by Hoelder <x, H> / ||H||_* (the dual (q', sigma') norm) is at most
+    the distance of x to the span; the descent reports the norm of some
+    x - Qc, which is no smaller.  Columns whose ratio is not finite (zero
+    residual or H = 0) bound nothing, and a frame with no finite ratio gets
+    -inf.
+    """
+    H = G - Q @ (Q.transpose(0, 2, 1) @ G)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = (X * H).sum(axis=1) / _norms(H, m, k, _dual(qf), _dual(sf))[1]
+    return np.where(np.isfinite(lb), lb, -np.inf).max(axis=1)
+
+
+def _search_dists(Q, X, fb, m, k, qf, sf, iters) -> np.ndarray:
+    """Largest distance of the columns of X to each span(Q[i]), or inf for a
+    frame that `_search_bound` shows cannot come below fb[i].
+
+    Only rejected frames are dropped from the stack, never columns, so each
+    descended frame keeps the shapes, and the rounding, of a full descent.
+    """
+    if iters == 0:
+        return _dist_to_span(Q, X, m, k, qf, sf, 0)[0].max(axis=1)
+    C, R, inner, f = _project(Q, X, m, k, qf, sf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = _grad(R, inner, f, m, k, qf, sf)
+    lb = _search_bound(Q, X, G, m, k, qf, sf)
+    go = np.flatnonzero(lb * (1.0 - 1e-9) - 1e-12 < fb)
+    ft = np.full(len(Q), np.inf)
+    if go.size:
+        sub = (C[go], R[go], inner[go], f[go])
+        ft[go] = _descend(Q[go], X, *sub, m, k, qf, sf, iters, G[go])[0].max(axis=1)
+    return ft
 
 
 def _candidate_points(
@@ -196,9 +290,8 @@ def _linear_maximizer(g: np.ndarray, m: int, k: int, p, theta) -> np.ndarray:
         a = np.sign(G)
         c = A.sum(axis=0)
     else:
-        pf = 1.0 / float(p.u)
-        pd = pf / (pf - 1.0)
-        c = (A**pd).sum(axis=0) ** (1.0 / pd)
+        pd = _dual(1.0 / float(p.u))
+        c = _pnorm(A, pd, 0)
         a = np.zeros_like(G)
         nz = c > 0
         a[:, nz] = np.sign(G[:, nz]) * (A[:, nz] / c[nz]) ** (pd - 1.0)
@@ -209,9 +302,8 @@ def _linear_maximizer(g: np.ndarray, m: int, k: int, p, theta) -> np.ndarray:
     elif theta.u == 0:
         s = np.ones(k)
     else:
-        tf = 1.0 / float(theta.u)
-        td = tf / (tf - 1.0)
-        cd = (c**td).sum() ** (1.0 / td)
+        td = _dual(1.0 / float(theta.u))
+        cd = _pnorm(c, td, 0)
         s = (c / cd) ** (td - 1.0) if cd > 0 else np.zeros(k)
     return (a * s[None, :]).reshape(-1)
 
@@ -254,7 +346,7 @@ def _search(starts, Xn, iters, rng, m, k, qf, sf, gd_iters):
         eta = 0.5
         for Pt in rng.standard_normal((len(B), iters, N, n)).transpose(1, 0, 2, 3):
             Q, _ = np.linalg.qr(B + eta * Pt)
-            ft = _dist_to_span(Q, Xn, m, k, qf, sf, gd_iters)[0].max(axis=1)
+            ft = _search_dists(Q, Xn, fb, m, k, qf, sf, gd_iters)
             better = ft < fb
             B = np.where(better[:, None, None], Q, B)
             fb = np.where(better, ft, fb)
@@ -296,7 +388,8 @@ def _climb(B, x, r, d, stall, t0, balls, m, k, qf, sf, rng, gd_iters):
         if live.size == 0:
             break
         R = r[live, :, None]
-        g = _grad(R, *_norms(R, m, k, qf, sf), m, k, qf, sf)[:, :, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = _grad(R, *_norms(R, m, k, qf, sf), m, k, qf, sf)[:, :, 0]
         if not g.any(axis=1).all():
             if live.size > 1:
                 for i in live:
@@ -327,7 +420,15 @@ def _climb(B, x, r, d, stall, t0, balls, m, k, qf, sf, rng, gd_iters):
             sel = np.flatnonzero(count == c)
             ch = live[sel]
             Y = P[sel][valid[sel]].reshape(-1, c, N).transpose(0, 2, 1).copy()
-            dY, RY = _dist_to_span(B[ch], Y, m, k, qf, sf, gd_iters)
+            Bc = B[ch]
+            C, RY, inner, dY = _project(Bc, Y, m, k, qf, sf)
+            # The descent never raises a distance above the projection's, so
+            # a chain whose proposals all start at most at d cannot move up:
+            # it stalls without a descent.
+            go = np.flatnonzero(dY.max(axis=1) > d[ch] * (1.0 + 1e-12))
+            if inner is not None and go.size:
+                sub = (C[go], RY[go], inner[go], dY[go])
+                dY[go], RY[go] = _descend(Bc[go], Y[go], *sub, m, k, qf, sf, gd_iters)
             rows, j = np.arange(len(sel)), dY.argmax(axis=1)
             top = dY[rows, j]
             up = top > d[ch] * (1.0 + 1e-12)

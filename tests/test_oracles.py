@@ -235,6 +235,11 @@ _EDGE_CASES = {
     "maximizer-branches": (
         2, 2, 1, "2", "2", [("1", "inf", 1.1), ("inf", "1", 1.2), ("3/2", "4", 0.9)], 3, 3,
     ),
+    # q = 1 and sigma = 1: the search bound's dual exponent is inf (the max
+    # form).  At seed 3 the bound rejects both frames at one perturbation
+    # step (step 1 for q = 1, step 0 for sigma = 1) and neither at steps 2-4
+    "q-1-descent": (2, 2, 2, "1", "3", [("2", "3", 1.0)], 2, 5),
+    "sigma-1-descent": (1, 3, 1, "3", "1", [("2", "3", 1.0)], 2, 5),
 }
 
 
@@ -290,3 +295,76 @@ class TestLockStepDifferential:
         assert oracles._ascend(Bs, X, d, balls, m, k, q, sigma, rng, 120) == want
         assert rng.bit_generator.state == rng_brute.bit_generator.state
         assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+
+# Search-bound instances: (m, k, n, q, sigma, balls), the desk cases above
+# plus unit exponents (a dual exponent of inf) and exponents below 2.
+_BOUND_CASES = [
+    (m, k, n, str(q), str(s), balls) for m, k, n, q, s, balls in PSI_ORDER_CASES
+] + [
+    (2, 2, 1, "1", "3", _PAIR),
+    (2, 2, 2, "3", "1", _PAIR),
+    (2, 3, 2, "1", "1", _TRIPLE),
+    (2, 2, 1, "3/2", "4/3", _PAIR),
+    (1, 4, 2, "4/3", "3", _PAIR),
+]
+
+
+def _bound_setup(m, k, n, q, sigma, balls, seed):
+    """Normalized candidate points, eight random frames and the float exponents."""
+    qf, sf = E(q).value, E(sigma).value
+    rng = np.random.default_rng(seed)
+    X = oracles._candidate_points(_balls(balls), m, k, rng)
+    Xn = X / oracles._norms(X, m, k, qf, sf)[1].max()
+    Q = np.linalg.qr(rng.standard_normal((8, m * k, n)))[0]
+    return Xn, Q, qf, sf
+
+
+def _bound(Q, X, m, k, qf, sf):
+    _, R, inner, f = oracles._project(Q, X, m, k, qf, sf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = oracles._grad(R, inner, f, m, k, qf, sf)
+    return oracles._search_bound(Q, X, G, m, k, qf, sf)
+
+
+class TestSearchPrune:
+    """The search's dual-gradient bound and the climb's monotone descent."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("i", range(len(_BOUND_CASES)))
+    def test_bound_below_brute_descent(self, i):
+        m, k, *_ = case = _BOUND_CASES[i]
+        Xn, Q, qf, sf = _bound_setup(*case, seed=40 + i)
+        lb = _bound(Q, Xn, m, k, qf, sf)
+        for B, bound in zip(Q, lb):
+            d, _ = brute_dist_to_span(B, Xn, m, k, qf, sf, 25)
+            d0, _ = brute_dist_to_span(B, Xn, m, k, qf, sf, 0)
+            assert bound * (1.0 - 1e-9) - 1e-12 <= d.max()
+            assert (d <= d0).all()  # the descent never ends above its start
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("i", range(len(_BOUND_CASES)))
+    def test_rejected_frames_cannot_improve(self, i):
+        m, k, *_ = case = _BOUND_CASES[i]
+        Xn, Q, qf, sf = _bound_setup(*case, seed=60 + i)
+        want = [brute_dist_to_span(B, Xn, m, k, qf, sf, 25)[0].max() for B in Q]
+        for fb in (np.full(len(Q), np.median(want)), np.zeros(len(Q))):
+            got = oracles._search_dists(Q, Xn, fb, m, k, qf, sf, 25)
+            for g, w, b in zip(got, want, fb):
+                assert g == w if g < np.inf else w >= b
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q, sigma", [("3", "3/2"), ("1", "3"), ("1", "1")])
+    def test_degenerate_columns_never_reject(self, q, sigma):
+        m, k = 2, 2
+        qf, sf = E(q).value, E(sigma).value
+        Q = np.eye(4)[None, :, :2]
+        # columns inside span(Q): zero residual and zero gradient, 0/0
+        X = np.array([[0.5, 0.0, 0.0, 0.0], [0.1, -0.3, 0.0, 0.0]]).T
+        assert _bound(Q, X, m, k, qf, sf)[0] == -np.inf
+        got = oracles._search_dists(Q, X, np.zeros(1), m, k, qf, sf, 25)
+        assert got[0] == brute_dist_to_span(Q[0], X, m, k, qf, sf, 25)[0].max() == 0.0
+        # a gradient inside span(Q): H = G - Q Q^T G = 0, so ||H||_* = 0
+        X = np.array([[0.5, 0.2, 0.4, 0.1]]).T
+        G = np.array([[1.0, -2.0, 0.0, 0.0]]).T[None]
+        assert oracles._search_bound(Q, X, G, m, k, qf, sf)[0] == -np.inf
