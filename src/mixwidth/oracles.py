@@ -276,36 +276,40 @@ def _candidate_points(
 
 
 def _linear_maximizer(g: np.ndarray, m: int, k: int, p, theta) -> np.ndarray:
-    """argmax of <z, g> over the unit (p, theta) ball (a dual-norm extreme point)."""
-    G = g.reshape(m, k)
+    """argmax of <z, g> over the unit (p, theta) ball (a dual-norm extreme point).
+
+    g is one flattened gradient (m*k,) or a stack of them (..., m*k); each
+    row's maximizer equals that of the row alone, bit for bit.
+    """
+    G = g.reshape(g.shape[:-1] + (m, k))
     A = np.abs(G)
     # inner maximizers per column and their values c_j (the dual column norms)
     if p.u == 1:  # p = 1: concentrate on the largest row
-        a = np.zeros_like(G)
-        rows = A.argmax(axis=0)
-        cols = np.arange(k)
-        a[rows, cols] = np.sign(G[rows, cols])
-        c = A.max(axis=0)
+        rows = A.argmax(axis=-2)
+        a = np.where(np.arange(m)[:, None] == rows[..., None, :], np.sign(G), 0.0)
+        c = A.max(axis=-2)
     elif p.u == 0:  # p = inf: a sign vector
         a = np.sign(G)
-        c = A.sum(axis=0)
+        c = A.sum(axis=-2)
     else:
         pd = _dual(1.0 / float(p.u))
-        c = _pnorm(A, pd, 0)
-        a = np.zeros_like(G)
-        nz = c > 0
-        a[:, nz] = np.sign(G[:, nz]) * (A[:, nz] / c[nz]) ** (pd - 1.0)
+        c = _pnorm(A, pd, -2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(c[..., None, :] > 0, np.sign(G) * (A / c[..., None, :]) ** (pd - 1.0), 0.0)
     # outer weights s with ||s||_theta = 1 maximizing <s, c>
     if theta.u == 1:
-        s = np.zeros(k)
-        s[c.argmax()] = 1.0
+        s = (np.arange(k) == c.argmax(axis=-1)[..., None]).astype(float)
     elif theta.u == 0:
-        s = np.ones(k)
+        s = np.ones_like(c)
     else:
         td = _dual(1.0 / float(theta.u))
-        cd = _pnorm(c, td, 0)
-        s = (c / cd) ** (td - 1.0) if cd > 0 else np.zeros(k)
-    return (a * s[None, :]).reshape(-1)
+        total = (c**td).sum(axis=-1, keepdims=True)
+        # Each row's root as a Python float, as for a single gradient, whose
+        # sum is a scalar: numpy's vectorised `**` can round differently.
+        cd = np.array([x ** (1.0 / td) for x in total.ravel().tolist()]).reshape(total.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(cd > 0, (c / cd) ** (td - 1.0), 0.0)
+    return (a * s[..., None, :]).reshape(g.shape)
 
 
 def _subspace_starts(
@@ -402,11 +406,9 @@ def _climb(B, x, r, d, stall, t0, balls, m, k, qf, sf, rng, gd_iters):
             g[0] = rng.standard_normal(N)
         xs, L = x[live], live.size
         move = xs + 0.5 * 0.9**t * _l2(xs)[:, None] * g / _l2(g)[:, None]
-        lin = [
-            [b.nu * _linear_maximizer(gi, m, k, b.p, b.theta) for b in balls] for gi in g
-        ]
+        lin = np.stack([b.nu * _linear_maximizer(g, m, k, b.p, b.theta) for b in balls], axis=1)
         V, ok = _to_boundary(
-            np.concatenate([move[:, None], r[live, None], np.array(lin)], axis=1),
+            np.concatenate([move[:, None], r[live, None], lin], axis=1),
             balls, m, k,
         )
         # (1 - gamma) x + gamma z toward each maximizer z that reached the boundary

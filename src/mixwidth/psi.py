@@ -35,16 +35,20 @@ The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
 barycentric coordinates are integer numerators over positive denominators,
 and `phi_ints` decides the profile's regions by cross-multiplication.
-Every float is an int true division, correctly rounded as float(Fraction)
-is, so the results equal those of the `Fraction` solvers in `exponents`
-bit for bit.  A `Certificate`, with its `Fraction` weights and `Exponent`s,
-is built only for the row that wins its component.
+One pass over an instance's balls (`_lines`) gives the offsets from all
+five pair lines.  Every float is an int true division, correctly rounded
+as float(Fraction) is, so the results equal those of the `Fraction`
+solvers in `exponents` bit for bit.  Each component keeps only its winning
+row, and a `Certificate`, with its `Fraction` weights and `Exponent`s, is
+built from it when the estimate's `certificates` mapping first reads that
+component: verify and sweep, which read none, build none.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -164,14 +168,47 @@ class Certificate:
     value: float
 
 
+class _Certificates(Mapping):
+    """Read-only map from component to `Certificate`, over the rows `_exact` found.
+
+    A component's certificate is built from its row the first time it is
+    read, then kept, so a caller that prints none builds none.
+    """
+
+    def __init__(self, rows: dict[int, tuple]):
+        self._rows = rows
+        self._built: dict[int, Certificate] = {}
+
+    def __getitem__(self, j: int) -> Certificate:
+        if j not in self._built:
+            self._built[j] = _certificate(j, self._rows[j])
+        return self._built[j]
+
+    def __contains__(self, j: object) -> bool:
+        return j in self._rows
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class PsiEstimate:
-    """The estimate, all eight components, the tie set and the certificates."""
+    """The estimate, all eight components, the tie set and the certificates.
+
+    `certificates` is any mapping from component to `Certificate`: `psi`
+    gives one that builds each certificate when it is first read.
+    """
 
     value: float
     components: tuple[float, ...]
     argmin: tuple[int, ...]
-    certificates: dict[int, Certificate] = field(default_factory=dict)
+    certificates: Mapping[int, Certificate] = field(default_factory=dict)
 
 
 Scan = tuple[float, Optional[Certificate]]
@@ -193,12 +230,12 @@ def validate_instance(inst: Instance) -> Instance:
     The intersection with the larger of two concentric balls is redundant,
     so duplicates are merged rather than rejected.
     """
-    balls = _coalesce(inst.balls, lambda b: (b.p.u, b.theta.u))
+    balls = _coalesce(inst.balls, lambda b: b._ints)
     return Instance(inst.dims, inst.target, tuple(balls))
 
 
-def _line(inst: Instance, j: int) -> tuple[list[int], list[int], list[float]]:
-    """Offsets of every ball from component j's line (1 <= j <= 5): numerators, signs and floats.
+def _lines(inst: Instance) -> dict[int, tuple[list[int], list[int], list[float]]]:
+    """Offsets of every ball from each pair component's line (j = 1..5): numerators, signs and floats.
 
     Components 1-4 measure the p (j = 1, 3) or theta (j = 2, 4) coordinate
     from the level of the target (j = 1, 2) or of 2 (j = 3, 4); component 5
@@ -207,24 +244,27 @@ def _line(inst: Instance, j: int) -> tuple[list[int], list[int], list[float]]:
     over the denominator D_i of `_ints`, times c = cn / cd > 0 fixed by the
     component.  A pair crosses the line at w = f_a / (f_a - f_b) when its
     offsets have strictly opposite signs; the float form has no cancellation.
+    One pass reads each ball's `_ints` once, for all five lines.
     """
     q, sigma = inst.target.q.u, inst.target.sigma.u
-    ints = [ball._ints for ball in inst.balls]
-    if j == 5 and HALF in (q, sigma):
-        return [0] * len(ints), [0] * len(ints), [0.0] * len(ints)
-    if j == 5:
-        # (u - 1/q)/(1/2 - 1/q) - (v - 1/sigma)/(1/2 - 1/sigma) = 2 F / (D cq cs)
-        aq, bq, av, bv = q.numerator, q.denominator, sigma.numerator, sigma.denominator
-        cq, cs = bq - 2 * aq, bv - 2 * av
-        nums = [(u * bq - aq * d) * cs - (v * bv - av * d) * cq for u, v, d in ints]
-        cn, cd = 2, cq * cs
+    us, vs, ds = zip(*(ball._ints for ball in inst.balls))
+    aq, bq, av, bv = q.numerator, q.denominator, sigma.numerator, sigma.denominator
+    # Component j's level a/b on coordinate x: the offset x/D - a/b is F / (D b).
+    levels = {1: (us, aq, bq), 2: (vs, av, bv), 3: (us, 1, 2), 4: (vs, 1, 2)}
+    nums = {j: [x * b - a * d for x, d in zip(xs, ds)] for j, (xs, a, b) in levels.items()}
+    scale = {j: (1, b) for j, (_, _, b) in levels.items()}
+    # (u - 1/q)/(1/2 - 1/q) - (v - 1/sigma)/(1/2 - 1/sigma) = 2 (F_1 cs - F_2 cq) / (D cq cs),
+    # where cq = 0 or cs = 0 exactly when q = 2 or sigma = 2.
+    cq, cs = bq - 2 * aq, bv - 2 * av
+    if cq and cs:
+        nums[5], scale[5] = [f * cs - g * cq for f, g in zip(nums[1], nums[2])], (2, cq * cs)
     else:
-        level = {1: q, 2: sigma, 3: HALF, 4: HALF}[j]
-        on_p = j in (1, 3)
-        nums = [(u if on_p else v) * level.denominator - level.numerator * d for u, v, d in ints]
-        cn, cd = 1, level.denominator
-    signs = [(f > 0) - (f < 0) for f in nums]
-    return nums, signs, [cn * f / (d * cd) for f, (_, _, d) in zip(nums, ints)]
+        nums[5], scale[5] = [0] * len(ds), (1, 1)
+    lines = {}
+    for j, f in nums.items():
+        cn, cd = scale[j]
+        lines[j] = f, [(x > 0) - (x < 0) for x in f], [cn * x / (d * cd) for x, d in zip(f, ds)]
+    return lines
 
 
 def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tuple]:
@@ -233,7 +273,7 @@ def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tu
     Returns (value, indices, weights, p, theta, profile), the fields of its
     `Certificate` with each weight and reciprocal exponent as an integer
     (numerator, denominator) pair, denominator positive.  `context` is the
-    offset numerators of `_line` (j = 1..5) or the goal, its profile and
+    offset numerators of `_lines` (j = 1..5) or the goal, its profile and
     every ball's offset from the goal (j = 6, 7).
     """
     balls, target, params = inst.balls, inst.target, inst._params
@@ -407,10 +447,10 @@ def _flat(n: int) -> bool:
     return math.comb(n, 3) <= FLAT_TRIPLES
 
 
-def _scan_block(block: list[tuple[Instance, dict]]) -> list[list[Scan]]:
-    """All eight components of every instance of a block, by the three-stage pipeline.
+def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
+    """The estimate of every instance of a block, by the three-stage pipeline.
 
-    `block` pairs each instance with its `_line` of each pair component.
+    `block` pairs each instance with its `_lines`.
     Slot 8 i + j is component j of instance i; balls are numbered across
     the block.  Stage 1 enumerates the singles (a pair (a, a) with weight 0
     on its second ball), the opposite-sign pairs and the triples of the
@@ -422,7 +462,8 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[list[Scan]]:
     slot's window of that least value exactly.  The least (value, indices)
     wins, which is the first strict minimum in index-lexicographic order.
     A row confirmed before its slot's minimum settles costs time but cannot
-    change the result.
+    change the result.  Each winning row is kept as `_exact` returns it, and
+    its `Certificate` is built only when the estimate's mapping is read.
     """
     insts = [inst for inst, _ in block]
     sizes = np.array([len(inst.balls) for inst in insts])
@@ -496,10 +537,12 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[list[Scan]]:
                 best[slot] = found
         # Free this batch before the next one is built.
         del label, rows, weights, lphi, unsure, lnu, logv, risky, pick
-    scans = [[(math.inf, None)] * 8 for _ in insts]
-    for slot, found in best.items():
-        scans[slot // 8][slot % 8] = (found[0], _certificate(slot % 8, found))
-    return scans
+    estimates = []
+    for i in range(len(insts)):
+        rows = {j: best[8 * i + j] for j in range(8) if 8 * i + j in best}
+        values = [rows[j][0] if j in rows else math.inf for j in range(8)]
+        estimates.append(_estimate(values, _Certificates(rows)))
+    return estimates
 
 
 def psi_component(inst: Instance, j: int) -> Scan:
@@ -514,12 +557,11 @@ def psi_component(inst: Instance, j: int) -> Scan:
     return est.components[j], est.certificates.get(j)
 
 
-def _estimate(scans: Sequence[Scan]) -> PsiEstimate:
-    """The estimate from the eight component scans."""
-    values = tuple(value for value, _ in scans)
+def _estimate(values: Sequence[float], certificates: Mapping[int, Certificate]) -> PsiEstimate:
+    """The estimate from the eight component values and the finite components' certificates."""
+    values = tuple(values)
     best = min(values)
     argmin = tuple(j for j, v in enumerate(values) if v <= best * (1.0 + REL_TIE_TOL))
-    certificates = {j: cert for j, (_, cert) in enumerate(scans) if cert is not None}
     return PsiEstimate(best, values, argmin, certificates)
 
 
@@ -540,15 +582,15 @@ def psi_many(instances: Iterable[Instance]) -> Iterator[PsiEstimate]:
     block: list[tuple[Instance, dict]] = []
     size = triples = 0
     for inst in instances:
-        lines = {j: _line(inst, j) for j in range(1, 6)}
+        lines = _lines(inst)
         block.append((inst, lines))
         size += 8 + len(inst.balls) + sum(s.count(1) * s.count(-1) for _, s, _ in lines.values())
         triples += math.comb(len(inst.balls), 3) if _flat(len(inst.balls)) else 0
         if size >= BLOCK or triples >= FLAT_TRIPLES:
-            yield from map(_estimate, _scan_block(block))
+            yield from _scan_block(block)
             block, size, triples = [], 0, 0
     if block:
-        yield from map(_estimate, _scan_block(block))
+        yield from _scan_block(block)
 
 
 def family_reduce(

@@ -68,15 +68,17 @@ def _rand_target(rng) -> TargetSpace:
 
 
 def _rand_balls(rng, count: int) -> list[BallSpec]:
+    """`count` balls at distinct points of the 1/_DEN grid, drawn as `_rand_frac` draws them."""
     balls: list[BallSpec] = []
     seen = set()
     while len(balls) < count:
-        u, v = _rand_frac(rng), _rand_frac(rng)
-        if (u, v) in seen:
+        cell = int(rng.integers(0, _DEN + 1)), int(rng.integers(0, _DEN + 1))
+        if cell in seen:
             continue
-        seen.add((u, v))
+        seen.add(cell)
         nu = float(np.exp(rng.uniform(-1.5, 1.5)))
-        balls.append(BallSpec(Exponent(u), Exponent(v), nu))
+        p, theta = (Exponent(Fraction(x, _DEN)) for x in cell)
+        balls.append(BallSpec(p, theta, nu))
     return balls
 
 

@@ -368,3 +368,63 @@ class TestSearchPrune:
         X = np.array([[0.5, 0.2, 0.4, 0.1]]).T
         G = np.array([[1.0, -2.0, 0.0, 0.0]]).T[None]
         assert oracles._search_bound(Q, X, G, m, k, qf, sf)[0] == -np.inf
+
+
+def _one_maximizer(g, m, k, p, theta):
+    """`_linear_maximizer` of one gradient as it was written for one: the reference."""
+    G = g.reshape(m, k)
+    A = np.abs(G)
+    if p.u == 1:
+        a = np.zeros_like(G)
+        rows = A.argmax(axis=0)
+        cols = np.arange(k)
+        a[rows, cols] = np.sign(G[rows, cols])
+        c = A.max(axis=0)
+    elif p.u == 0:
+        a = np.sign(G)
+        c = A.sum(axis=0)
+    else:
+        pd = oracles._dual(1.0 / float(p.u))
+        c = oracles._pnorm(A, pd, 0)
+        a = np.zeros_like(G)
+        nz = c > 0
+        a[:, nz] = np.sign(G[:, nz]) * (A[:, nz] / c[nz]) ** (pd - 1.0)
+    if theta.u == 1:
+        s = np.zeros(k)
+        s[c.argmax()] = 1.0
+    elif theta.u == 0:
+        s = np.ones(k)
+    else:
+        td = oracles._dual(1.0 / float(theta.u))
+        cd = oracles._pnorm(c, td, 0)
+        s = (c / cd) ** (td - 1.0) if cd > 0 else np.zeros(k)
+    return (a * s[None, :]).reshape(-1)
+
+
+class TestStackedLinearMaximizer:
+    """`_linear_maximizer` on a stack of gradients equals it on each row alone.
+
+    `_climb` calls it once per ball over every live chain; the reference in
+    `tests/oracle_brute.py` calls it on one gradient at a time.  Both must
+    equal `_one_maximizer`, the single-gradient transcription, bit for bit.
+    """
+
+    # k = 1 with m >= 9: each column's norm is one contiguous sum, where
+    # numpy's pairwise summation could order a stack differently.
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 3), (3, 2), (1, 12), (9, 1), (17, 1), (33, 2), (4, 4)])
+    def test_rows_equal_single_calls(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        exps = [Exponent(Fraction(u)) for u in ("0", "1", "1/3", "5/7", "1/2", "99/100")]
+        for p in exps:
+            for theta in exps:
+                g = rng.standard_normal((3, 4, m * k)) * math.exp(rng.uniform(-3, 3))
+                g[0, 0] = 0.0
+                g[0, 1].reshape(m, k)[:, 0] = 0.0  # an all-zero column
+                g[0, 2].reshape(m, k)[0] = 0.0  # an all-zero row
+                g[1, 0] *= 1e-300
+                got = oracles._linear_maximizer(g, m, k, p, theta)
+                for f in (oracles._linear_maximizer, _one_maximizer):
+                    want = np.array([[f(row, m, k, p, theta) for row in rows] for rows in g])
+                    assert got.shape == g.shape
+                    assert np.array_equal(got, want), (f, p, theta)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (f, p, theta)

@@ -40,6 +40,13 @@ class TestValidateInstance:
         assert len(inst.balls) == 2
         assert inst.balls[0].nu == 3.0
 
+    def test_equal_points_written_differently_coalesce(self):
+        # one reciprocal point (1/2, 1/3) written three ways, around another point
+        inst = make_instance(4, 4, 4, "2", "2", [
+            ("2", "3", 5.0), ("3", "2", 4.0), ("4/2", "6/2", 2.0), ("2.0", "3.0", 3.0)])
+        assert [(b.p.u, b.theta.u, b.nu) for b in inst.balls] == [
+            (Fraction(1, 2), Fraction(1, 3), 2.0), (Fraction(1, 3), Fraction(1, 2), 4.0)]
+
     def test_width_index_over_half(self):
         with pytest.raises(ValueError):
             make_instance(2, 2, 4, "2", "2", [("2", "2", 1.0)])

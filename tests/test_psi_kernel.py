@@ -1,6 +1,6 @@
 """Stage 3's integer core against the `Fraction` references.
 
-`psi._line` gives each ball's offset from a pair component's line as an
+`psi._lines` gives each ball's offset from each pair component's line as an
 integer numerator over the ball's denominator, and `psi._exact` turns the
 offsets of an opposite-sign pair into its weights and crossing point, and
 a triple into its barycentric numerators over |det|.  Every one must equal
@@ -26,7 +26,7 @@ from mixwidth import (
     solve_crossing,
 )
 from mixwidth.exponents import HALF, TWO
-from mixwidth.psi import _exact, _goal_context, _line
+from mixwidth.psi import _exact, _goal_context, _lines
 from conftest import build
 from helpers import primes_from
 
@@ -90,7 +90,7 @@ def _same_float(x, y):
 def test_offsets_are_scaled_exact_offsets(seed):
     for inst in _instances(seed):
         for j in range(1, 6):
-            nums, signs, floats = _line(inst, j)
+            nums, signs, floats = _lines(inst)[j]
             scale = set()
             for ball, f, sign, x in zip(inst.balls, nums, signs, floats):
                 ref = _reference_offset(inst, ball, j)
@@ -107,7 +107,7 @@ def test_pair_weights_and_crossings(seed):
     for inst in _instances(seed):
         q, sigma = inst.target.q, inst.target.sigma
         for j in range(1, 6):
-            nums, signs, _ = _line(inst, j)
+            nums, signs, _ = _lines(inst)[j]
             level = {1: q, 2: sigma, 3: TWO, 4: TWO}.get(j)
             for ia, ib in permutations(range(len(inst.balls)), 2):
                 a, b = inst.balls[ia], inst.balls[ib]

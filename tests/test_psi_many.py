@@ -5,8 +5,10 @@ value, tie set and certificate must come out as if each instance were
 estimated on its own.
 """
 
+import copy
 import importlib
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,8 +17,8 @@ from itertools import combinations, count, islice
 import numpy as np
 import pytest
 
-from mixwidth import Dimensions, Instance, psi
-from mixwidth.cli import run_sweep
+from mixwidth import Dimensions, Instance, PsiEstimate, psi, run_suites
+from mixwidth.cli import _estimate_table, estimate_report, run_sweep, witness_report
 from mixwidth.psi import psi_many
 from mixwidth.verify import _rand_instance
 from conftest import build
@@ -208,7 +210,9 @@ def _orient(x, y, z):
 
 
 def _brute_estimate(inst):
-    return psi_module._estimate([brute_component(inst, j) for j in range(8)])
+    scans = [brute_component(inst, j) for j in range(8)]
+    return psi_module._estimate([value for value, _ in scans],
+                                {j: cert for j, (_, cert) in enumerate(scans) if cert is not None})
 
 
 @pytest.mark.parametrize("m, k, count", [(64, 64, 16), (4096, 64, 12)])
@@ -292,3 +296,67 @@ def test_memory_does_not_grow_with_instance_count():
         tracemalloc.stop()
     assert valued == 1000
     assert peak < 2 * 2**20, peak
+
+
+def _certificate_batch(seed):
+    rng = np.random.default_rng(seed)
+    batch = mixed_batch(seed, 16)
+    return batch + [make(rng) for _ in range(6) for make in (_equal_radii, _coprime)]
+
+
+# seeds at 0 mod len(SIZES): the sized family has 3 balls, which keeps the brute scans quick
+@pytest.mark.parametrize("seed", [28, 32])
+def test_certificates_on_read_match_brute(seed):
+    # every certificate `psi_many` hands out is the brute scan's, and the one
+    # `_certificate` builds from the row the pipeline kept for it
+    batch = _certificate_batch(seed)
+    for inst, est in zip(batch, psi_many(batch)):
+        rows = {j: psi_module._certificate(j, row) for j, row in est.certificates._rows.items()}
+        scans = [brute_component(inst, j) for j in range(8)]
+        brute = {j: cert for j, (_, cert) in enumerate(scans) if cert is not None}
+        assert dict(est.certificates) == brute == rows
+        assert list(est.certificates) == sorted(brute)
+        assert est == _brute_estimate(inst) and _brute_estimate(inst) == est
+
+
+def test_certificates_built_only_when_read(monkeypatch):
+    built = []
+
+    def counting(j, found):
+        built.append(j)
+        return certificate(j, found)
+
+    # the family with the most finite components, triples among them
+    inst = max(_certificate_batch(32), key=lambda i: sum(v < math.inf for v in psi(i).components))
+    assert psi(inst).components[6] < math.inf
+    certificate = psi_module._certificate
+    monkeypatch.setattr(psi_module, "_certificate", counting)
+    run_suites(seed=0, trials=8)
+    run_sweep(inst, 0, min(8, inst.dims.m * inst.dims.k // 2))
+    witness_report(inst)
+    assert built == []
+    est = psi(inst)
+    finite = [j for j, v in enumerate(est.components) if v < math.inf]
+    report = estimate_report(inst, est)
+    assert sorted(built) == finite == sorted(map(int, report["certificates"]))
+    # reading the mapping again, in every way, builds nothing more
+    _estimate_table(inst, est)
+    estimate_report(inst, est)
+    assert [est.certificates[j] for j in finite] == [est.certificates.get(j) for j in finite]
+    assert dict(est.certificates.items()) == dict(est.certificates)
+    assert sorted(built) == finite
+    # the table alone builds exactly the certificates it prints
+    built.clear()
+    _estimate_table(inst, psi(inst))
+    assert sorted(built) == finite
+
+
+def test_estimates_pickle_and_deepcopy():
+    batch = _certificate_batch(33)
+    for i, est in enumerate(psi_many(batch)):
+        if i % 2 and est.certificates:
+            next(iter(est.certificates.values()))  # some certificates built, some not
+        for other in (pickle.loads(pickle.dumps(est)), copy.deepcopy(est)):
+            assert other == est
+            assert dict(other.certificates) == dict(est.certificates)
+            assert other == PsiEstimate(est.value, est.components, est.argmin, dict(est.certificates))

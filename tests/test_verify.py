@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mixwidth import SUITE_NAMES, run_suites
+from mixwidth import SUITE_NAMES, run_suites, verify
 from mixwidth.psi import BLOCK
-from mixwidth.verify import _psi_suite, _rand_instance
-from verify_brute import brute_run_suites
+from mixwidth.verify import _psi_suite, _rand_balls, _rand_instance
+from verify_brute import brute_run_suites, reference_rand_balls
 
 
 TRIALS = 60  # smoke-level trial count; the acceptance suite runs the full 500
@@ -70,3 +70,14 @@ def test_psi_suite_draws_trials_lazily():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
         run_suites(seed=-1, trials=1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ball_draws_match_reference(seed, monkeypatch):
+    # the same balls from the same draws, and the generator left in the same
+    # state; on a 1/4 grid most draws repeat a point, and 25 balls take every one
+    for den, count in ((verify._DEN, 1), (verify._DEN, 4), (verify._DEN, 3000), (4, 25)):
+        monkeypatch.setattr(verify, "_DEN", den)
+        rng, ref = np.random.default_rng([seed, den]), np.random.default_rng([seed, den])
+        assert _rand_balls(rng, count) == reference_rand_balls(ref, count)
+        assert rng.bit_generator.state == ref.bit_generator.state

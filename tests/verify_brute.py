@@ -4,11 +4,13 @@ This is verify as it was before its psi suites drew their trials for
 `psi_many`: each trial draws its instances and values them with `psi` at
 once, in the same draw order.  `run_suites` must return equal reports.  The
 other suites are shared with `mixwidth.verify`, which runs them per trial
-as before.
+as before.  `reference_rand_balls` is the ball draw as it was before it
+de-duplicated on the drawn integers: it keys on `Fraction` pairs.
 """
 
 import numpy as np
 
+from mixwidth.exponents import Exponent
 from mixwidth.phi import Dimensions, TargetSpace
 from mixwidth.psi import BallSpec, Instance, psi, validate_instance
 from mixwidth.verify import (
@@ -19,10 +21,23 @@ from mixwidth.verify import (
     _gamma_invariance,
     _inclusion_scale,
     _interpolation,
-    _rand_balls,
+    _rand_frac,
     _rand_instance,
     _rel_gap,
 )
+
+
+def reference_rand_balls(rng, count):
+    balls = []
+    seen = set()
+    while len(balls) < count:
+        u, v = _rand_frac(rng), _rand_frac(rng)
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        nu = float(np.exp(rng.uniform(-1.5, 1.5)))
+        balls.append(BallSpec(Exponent(u), Exponent(v), nu))
+    return balls
 
 
 def _homogeneity(rng, gain):
@@ -60,7 +75,7 @@ def _monotone_radius(rng, gain):
 
 def _ball_added(rng, gain):
     inst = _rand_instance(rng, max_balls=3)
-    extra = _rand_balls(rng, 1)[0]
+    extra = reference_rand_balls(rng, 1)[0]
     bigger = validate_instance(Instance(inst.dims, inst.target, inst.balls + (extra,)))
     v0 = psi(inst).value
     v1 = psi(bigger).value
