@@ -27,9 +27,13 @@ to BLOCK rows: small instances together, a large one a component at a time.
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated with those of the rest of
 its block, all at once (`_flat_triples`); a larger one screens its own
-orientation table per middle index (`_grid_triples`).  Both compute every
-orientation with the same float operations and screen it with the same
-margins (`_screen`), so which path an instance takes changes no result.
+triples per middle index, for both goals in one pass (`_grid_triples`).
+Both compute every orientation with the same float operations and screen
+it with the same margins (`_contains`).  The grid also values each triple
+in the screen, as stage 2 would (`_log_value`), and passes on only the
+unsure ones and those within the window of the least value so far, the
+only ones stage 2 could pick; so which path an instance takes changes no
+result.
 
 The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
@@ -72,16 +76,17 @@ _LOG_SAFE = 700.0
 # Critical crossings this near the box edges, and triangles with |det| <=
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
-# Triples screened at a time, on either path: the triple scan's memory is
-# O(TRIPLE_CHUNK).
+# Triples screened at a time, on either path (the grid counts both goals):
+# the triple scan's memory is O(TRIPLE_CHUNK).
 TRIPLE_CHUNK = 1 << 16
 # The size rule: an instance with at most this many triples (N <= 30) takes
-# the flat path.  Measured on psi_6 and psi_7 of random families on the
-# 1/1024 grid, the flat path takes 0.2x the grid's time from N = 16 to 31,
-# 0.45x at N = 48 and 0.6x at N = 64; the two cross near N = 80.  The flat
-# screen holds about 120 bytes per triple at once (the grid O(N^2)), so the
-# rule sits where that stays below the grid's own peak at N = 128 (0.6 MB).
-# `psi_many` also closes a block once its flat triples reach this many.
+# the flat path.  Measured on `psi` of random families on the 1/1024 grid,
+# the flat path takes 0.4-0.8x the grid's time from N = 8 to 48; the two
+# cross near N = 60, and at N = 80 the flat path takes 1.8x.  The flat
+# screen holds about 120 bytes per triple at once, and the grid
+# O(N + TRIPLE_CHUNK), so the rule sits where the flat peak stays below that
+# of `psi` at N = 128 on the grid (0.5 against 0.8 MB).  `psi_many` also
+# closes a block once its flat triples reach this many.
 FLAT_TRIPLES = 1 << 12
 # Candidates per stage-2 pass.  `psi_many` closes a block of instances once
 # they count this many (eight per instance for its components, plus its
@@ -323,33 +328,56 @@ def _certificate(j: int, found: tuple) -> Certificate:
                        Exponent(Fraction(*p)), Exponent(Fraction(*theta)), profile, value)
 
 
-def _screen(o_ab, o_bc, o_ca) -> tuple:
-    """Triples (a, b, c) that may contain the goal, from their orientations about it.
+def _contains(o_ab, o_bc, o_ca) -> tuple:
+    """Triangles (a, b, c) that may contain the goal, from their orientations about it.
 
     The goal's barycentric coordinates are o(b, c), o(c, a), o(a, b) over
-    their sum.  The three arrays broadcast to the triples' shape, and `o_ca`
-    is overwritten.  Returns the kept triples' indices in that shape, their
-    float coordinates (zeroed where unsure) and which of them are unsure.
+    their sum.  The three arrays broadcast to the triangles' shape, and
+    `o_ca` is overwritten.  A triangle is unsure if |det| <= _DET_MARGIN or
+    a coordinate is within _BARY_MARGIN of 0, and kept if unsure or if every
+    coordinate is above the margin.  Returns the kept triangles' flat
+    indices in that shape, their float coordinates as rows (zeroed where
+    unsure, as stage 2 reads them) and which of them are unsure.
     """
     det = o_ab + o_bc
     det += o_ca
     # In place where a temporary can be reused: this is the triple scan's peak.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta, tb, tc = o_bc / det, np.divide(o_ca, det, out=o_ca), o_ab / det
-    tmin = np.minimum(tb, tc)
-    np.minimum(ta, tmin, out=tmin)  # NaN (det = 0) is unsure
-    unsure = ~((np.abs(det) > _DET_MARGIN) & (np.abs(tmin) > _BARY_MARGIN))
-    hit = np.nonzero(unsure | (tmin > _BARY_MARGIN))
-    weights = np.column_stack((ta[hit], tb[hit], tc[hit]))
-    unsure = unsure[hit]
-    weights[unsure] = 0.0
-    return hit, weights, unsure
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = o_bc / det, np.divide(o_ca, det, out=o_ca), o_ab / det
+    thin = np.abs(det, out=det) <= _DET_MARGIN
+    tmin = np.minimum(weights[1], weights[2], out=det)
+    np.minimum(weights[0], tmin, out=tmin)  # NaN only where det = 0
+    hit = tmin >= -_BARY_MARGIN
+    hit |= thin
+    hit = hit.ravel().nonzero()[0]
+    unsure = thin.ravel().take(hit)
+    unsure |= tmin.take(hit) <= _BARY_MARGIN
+    kept = np.empty((3, len(hit)))
+    for t, row in zip(weights, kept):
+        t.take(hit, out=row)
+    kept = kept.T
+    kept[unsure] = 0.0
+    return hit, kept, unsure
 
 
-def _orient(du: np.ndarray, dv: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """o(x, y) = du_x dv_y - dv_x du_y per pair of ball indices."""
-    o = du[x] * dv[y]
-    o -= dv[x] * du[y]
+def _log_value(terms: Iterable[tuple], lphi):
+    """Float log-values: the sum of weight times log radius over `terms`, in order, plus log Phi.
+
+    Stage 2 and the grid's screen both value candidates here, so a value
+    the screen compares is the one stage 2 would compute, bit for bit.
+    """
+    (w, lnu), *rest = terms
+    logv = w * lnu
+    for w, lnu in rest:
+        logv += w * lnu
+    logv += lphi
+    return logv
+
+
+def _orient(ux, vx, uy, vy) -> np.ndarray:
+    """o(x, y) = du_x dv_y - dv_x du_y, from the offsets (du, dv) of x and of y, which broadcast."""
+    o = ux * vy
+    o -= vx * uy
     return o
 
 
@@ -360,15 +388,16 @@ def _pairs(balls: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return pa, pa + 1 + np.arange(len(pa)) - np.repeat(np.cumsum(rest) - rest, rest)
 
 
-def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, goals: dict) -> Iterator[tuple]:
+def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, du: np.ndarray,
+                  dv: np.ndarray) -> Iterator[tuple]:
     """Components 6-7 of the small instances, of balls `balls`: every triple a < b < c at once.
 
     The triples extend the `_pairs` of `balls` by each c < ends[b], in
     index order, and are screened TRIPLE_CHUNK at a time across instances.
-    `slot` is each ball's slot of component 0, and `goals` maps j to every
-    ball's float offsets (du, dv) from its instance's goal; o(x, y) =
-    du_x dv_y - dv_x du_y is `_grid_triples`' table entry, operation for
-    operation.  Yields one stage-2 batch per chunk, without profile logs.
+    `slot` is each ball's slot of component 0, and (du[g], dv[g]) are every
+    ball's float offsets from its instance's goal of component 6 + g; each
+    orientation is `_orient`'s, as on the grid.  Yields one stage-2 batch
+    per chunk, without profile logs.
     """
     pa, pb = _pairs(balls, ends)
     rest = ends[pb] - 1 - pb
@@ -382,31 +411,71 @@ def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, goals: 
         a, b = pa[p], pb[p]
         c += b + 1 - start[p]
         batch = []
-        for j, (du, dv) in goals.items():
-            (hit,), weights, unsure = _screen(*(_orient(du, dv, x, y) for x, y in ((a, b), (b, c), (c, a))))
+        for j, u, v in zip((6, 7), du, dv):
+            hit, weights, unsure = _contains(*(_orient(u[x], v[x], u[y], v[y])
+                                               for x, y in ((a, b), (b, c), (c, a))))
             batch.append((slot[a[hit]] + j, np.column_stack((a[hit], b[hit], c[hit])), weights, unsure))
         yield _joined(batch)
 
 
-def _grid_triples(du: np.ndarray, dv: np.ndarray, first: int, slot: int) -> Iterator[tuple]:
-    """Component 6 or 7 of one larger instance: triples a < b < c, per middle index b.
+def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
+                  window: float, first: int, slot: int) -> Iterator[tuple]:
+    """Components 6 and 7 of one larger instance: triples a < b < c, per middle index b.
 
-    (du, dv) are its balls' float offsets from the goal.  Per b the triples
-    are an a-by-c grid of views of one N x N orientation table, screened in
-    chunks of at most TRIPLE_CHUNK triples.  Yields stage-2 batches without
-    their profile logs, with balls numbered from `first`.
+    (du[g], dv[g]) are its balls' float offsets from the goal of component
+    slot + g, for g = 0, 1, and `la` their log radii.  Per b the triples are
+    an a-by-c grid for both goals at once, screened in slabs of at most
+    TRIPLE_CHUNK triples, with each orientation computed from slices of
+    (du, dv) as `_orient` computes it.  The screen also values each sure
+    triple as stage 2 does (`_log_value`, with lgoal[g] the log of goal g's
+    profile), keeps a running least value per goal, and drops a sure triple
+    above it by more than the instance's `window`.  Every triple that sets
+    the least value is kept, so when stage 2 meets a later triple its own
+    least value is no higher, and it would not pick a dropped triple either.
+    For a goal where a sure triple could be risky, every triple that may
+    contain it is kept.  Memory is O(N + TRIPLE_CHUNK).  Yields stage-2
+    batches without their profile logs, with balls numbered from `first`.
     """
-    orient = np.multiply.outer(du, dv)
-    orient -= np.multiply.outer(dv, du)
-    for b in range(1, len(du) - 1):
-        step = max(1, TRIPLE_CHUNK // (len(du) - b - 1))
+    n = du.shape[1]
+    vmin = np.full(2, math.inf)
+    # A sure triple's weights are positive and sum to 1 within a few ulps,
+    # so below this bound stage 2 finds none of them risky.
+    safe = np.abs(lgoal) + np.abs(la).max() * (1.0 + 1e-9) <= _LOG_SAFE
+    window = np.where(safe, window, math.inf)
+
+    def slab(b: int, a0: int, a1: int) -> Optional[tuple]:
+        """The stage-2 batch of triples a0 <= a < a1 <= b < c for both goals, or None."""
+        ub, vb, uc, vc = du[:, b, None, None], dv[:, b, None, None], du[:, None, b + 1:], dv[:, None, b + 1:]
+        ua, va = du[:, a0:a1, None], dv[:, a0:a1, None]
+        hit, weights, unsure = _contains(_orient(ua, va, ub, vb), _orient(ub, vb, uc, vc), _orient(uc, vc, ua, va))
+        # Slab row q is ball a0 + q % na about goal q // na; column c - b - 1 is ball c.
+        na, nc = a1 - a0, n - b - 1
+        q = hit // nc
+        c = hit - q * nc
+        c += b + 1
+        lnu = np.concatenate((la[a0:a1],) * 2).take(q), la[b], la.take(c)
+        logv = _log_value(zip(weights.T, lnu), lgoal.repeat(na).take(q))
+        logv[unsure] = math.inf
+        split = q.searchsorted(na)
+        np.minimum(vmin, (logv[:split].min(initial=math.inf), logv[split:].min(initial=math.inf)), out=vmin)
+        keep = logv <= (vmin + window).repeat(na).take(q)
+        keep |= unsure
+        keep = keep.nonzero()[0]
+        if not keep.size:
+            return None
+        g, a = np.divmod(q.take(keep), na)
+        rows = np.column_stack((a + a0, np.full(keep.size, b), c.take(keep)))
+        rows += first
+        return slot + g, rows, weights[keep], unsure[keep]
+
+    for b in range(1, n - 1):
+        step = max(1, TRIPLE_CHUNK // (2 * (n - b - 1)))
         for a0 in range(0, b, step):
-            a = np.arange(a0, min(b, a0 + step))
-            (x, y), weights, unsure = _screen(orient[a, b][:, None], orient[b, b + 1:], orient[b + 1:, a].T)
-            if x.size:
-                rows = np.column_stack((a[x], np.full_like(x, b), b + 1 + y))
-                rows += first
-                yield np.full(x.size, slot), rows, weights, unsure
+            batch = slab(b, a0, min(b, a0 + step))
+            if batch is not None:
+                yield batch
+            # Free the batch once taken, before the next slab is built.
+            del batch
 
 
 def _goal_context(inst: Instance, gu: Fraction, gv: Fraction) -> tuple:
@@ -455,12 +524,13 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     the block.  Stage 1 enumerates the singles (a pair (a, a) with weight 0
     on its second ball), the opposite-sign pairs and the triples of the
     small instances (`_flat`) of all slots, a batch per pair component or
-    triple chunk, and screens a larger instance's triples on its own grid;
-    stage 2 values joined batches (`_merged`) with `log_phi_array`, or the
-    goal's profile for a triple, and keeps the least non-risky log-value
-    per slot; stage 3 re-runs every risky row and every row within its
-    slot's window of that least value exactly.  The least (value, indices)
-    wins, which is the first strict minimum in index-lexicographic order.
+    triple chunk, and screens and values a larger instance's triples on its
+    own grid, with its goal contexts built first; stage 2 values joined
+    batches (`_merged`) with `log_phi_array`, or the goal's profile for a
+    triple, and keeps the least non-risky log-value per slot; stage 3
+    re-runs every risky row and every row within its slot's window of that
+    least value exactly.  The least (value, indices) wins, which is the
+    first strict minimum in index-lexicographic order.
     A row confirmed before its slot's minimum settles costs time but cannot
     change the result.  Each winning row is kept as `_exact` returns it, and
     its `Certificate` is built only when the estimate's mapping is read.
@@ -500,22 +570,31 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         return label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure
 
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
-    goals = {6: (uf - params[owner, 0], vf - params[owner, 1]), 7: (uf - 0.5, vf - 0.5)}
+    du, dv = np.stack((uf - params[owner, 0], uf - 0.5)), np.stack((vf - params[owner, 1], vf - 0.5))
     lgoal = np.full(8 * len(insts), math.nan)
 
+    def goal(slot: int) -> None:
+        """Build a triple slot's stage-3 context and the log of its goal's profile."""
+        inst = insts[slot // 8]
+        point = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
+        contexts[slot] = _goal_context(inst, *point)
+        lgoal[slot] = math.log(contexts[slot][2].value)
+
     def profiled(label, rows, weights, unsure) -> tuple:
-        """A triple batch with the log of its goal's profile; a slot's context is built at its first row."""
+        """A triple batch with the log of its goal's profile; a flat slot's context is built at its first row."""
         for slot in set(label[np.isnan(lgoal[label])].tolist()):
-            inst = insts[slot // 8]
-            goal = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
-            contexts[slot] = _goal_context(inst, *goal)
-            lgoal[slot] = math.log(contexts[slot][2].value)
+            goal(slot)
         return label, rows, weights, lgoal[label], unsure
 
-    triples = chain(_flat_triples(np.flatnonzero(flat[owner]), ends, owner * 8, goals), *(
-        _grid_triples(du[f:f + n], dv[f:f + n], f, 8 * i + j)
-        for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]
-        for j, (du, dv) in goals.items()))
+    def grid(i: int, f: int, n: int) -> Iterator[tuple]:
+        """Components 6 and 7 of a larger instance i, of balls f..f + n - 1, with contexts built first."""
+        goal(8 * i + 6)
+        goal(8 * i + 7)
+        yield from _grid_triples(du[:, f:f + n], dv[:, f:f + n], la[f:f + n], lgoal[8 * i + 6:8 * i + 8],
+                                 insts[i]._window, f, 8 * i + 6)
+
+    triples = chain(_flat_triples(np.flatnonzero(flat[owner]), ends, owner * 8, du, dv), *(
+        grid(i, f, n) for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]))
     window = np.repeat([inst._window for inst in insts], 8)
     vmin = np.full(8 * len(insts), math.inf)
     best: dict[int, tuple] = {}
@@ -524,7 +603,7 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
         lnu = la[rows]
-        logv = lphi + (weights * lnu).sum(axis=1)
+        logv = _log_value(zip(weights.T, lnu.T), lphi)
         risky = np.abs(lphi) + (weights * np.abs(lnu, out=lnu)).sum(axis=1) > _LOG_SAFE
         risky |= unsure
         np.minimum.at(vmin, label[~risky], logv[~risky])
