@@ -34,7 +34,7 @@ from .oracles import (
     numeric_width_estimate,
     sup_norm_over_M,
 )
-from .phi import ConsistencyError, Dimensions, PhiValue, TargetSpace, omega, phi
+from .phi import ConsistencyError, Dimensions, PhiValue, TargetSpace, phi
 from .psi import (
     BallSpec,
     Certificate,
@@ -85,7 +85,6 @@ __all__ = [
     "membership",
     "mixed_norm",
     "numeric_width_estimate",
-    "omega",
     "parse_exponent",
     "phi",
     "psi",

@@ -65,9 +65,6 @@ class Exponent:
         return self.render()
 
 
-TWO = Exponent(HALF)
-
-
 def parse_exponent(text: str) -> Exponent:
     """Parse 'inf', an integer, a fraction 'a/b' or a decimal into an Exponent.
 

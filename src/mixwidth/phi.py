@@ -76,15 +76,6 @@ class PhiValue:
     branches: tuple[int, ...]
 
 
-def omega(p: Exponent, q: Exponent) -> Fraction:
-    """Interpolation ratio for p <= q: min{(1/p - 1/q)/(1/2 - 1/q), 1}, or 1 at q = 2."""
-    if p.u < q.u:
-        raise ValueError(f"requires p <= q, got p={p}, q={q}")
-    if q.u == HALF:
-        return Fraction(1)
-    return min((p.u - q.u) / (HALF - q.u), Fraction(1))
-
-
 def profile_params(target: TargetSpace, dims: Dimensions) -> tuple[float, ...]:
     """(1/q, 1/sigma, m, k, G, R, C) in floats: what `_branches` reads of an instance.
 

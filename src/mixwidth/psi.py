@@ -14,7 +14,8 @@ Every component runs one candidate pipeline.  (1) Admission is exact on
 per-ball quantities (the side of a level or of the critical line), or a
 float screen with margins far above its error, whose uncertain candidates
 are kept as risky.  (2) Float log-values of the admitted candidates come in
-batches, with `log_phi_array` for the profile.  (3) The exact scalar code
+batches, with `log_phi_array` for the profile at a pair's crossing or a
+triple's goal.  (3) The exact scalar code
 re-values every risky candidate (uncertain, or with a float product that
 might over- or underflow) and every candidate within one log-space window
 of the least non-risky log-value, and the tie-break order picks among them.
@@ -214,9 +215,6 @@ class PsiEstimate:
     components: tuple[float, ...]
     argmin: tuple[int, ...]
     certificates: Mapping[int, Certificate] = field(default_factory=dict)
-
-
-Scan = tuple[float, Optional[Certificate]]
 
 
 def _coalesce(balls: Sequence[BallSpec], key: Callable) -> list[BallSpec]:
@@ -478,13 +476,20 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
             del batch
 
 
-def _goal_context(inst: Instance, gu: Fraction, gv: Fraction) -> tuple:
-    """Stage 3's context of a triple scan about the goal (gu, gv): see `_exact`."""
+def _goal_context(inst: Instance, j: int) -> tuple:
+    """Stage 3's context of triple component j, about (1/q, 1/sigma) (j = 6) or (1/2, 1/2): see `_exact`."""
+    gu, gv = (inst.target.q.u, inst.target.sigma.u) if j == 6 else (HALF, HALF)
     (gun, gud), (gvn, gvd) = pe, te = (gu.numerator, gu.denominator), (gv.numerator, gv.denominator)
     profile = phi_ints(gun, gud, gvn, gvd, inst.target, inst._params)
     ints = (ball._ints for ball in inst.balls)
     offsets = [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints]
     return pe, te, profile, offsets
+
+
+def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
+    """Whether the reciprocal points of the three balls of `row` are collinear, in integers."""
+    (ua, va, da), (ub, vb, db), (uc, vc, dc) = (inst.balls[i]._ints for i in row)
+    return ua * (vb * dc - vc * db) + ub * (vc * da - va * dc) + uc * (va * db - vb * da) == 0
 
 
 def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
@@ -525,12 +530,13 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     on its second ball), the opposite-sign pairs and the triples of the
     small instances (`_flat`) of all slots, a batch per pair component or
     triple chunk, and screens and values a larger instance's triples on its
-    own grid, with its goal contexts built first; stage 2 values joined
-    batches (`_merged`) with `log_phi_array`, or the goal's profile for a
-    triple, and keeps the least non-risky log-value per slot; stage 3
-    re-runs every risky row and every row within its slot's window of that
-    least value exactly.  The least (value, indices) wins, which is the
-    first strict minimum in index-lexicographic order.
+    own grid; stage 2 values joined batches (`_merged`) with
+    `log_phi_array`, at the crossing for a pair and at the goal (one call
+    per block) for a triple, and keeps the least non-risky log-value per
+    slot; stage 3 re-runs every risky row and every row within its slot's
+    window of that least value exactly, building a triple slot's goal
+    context at its first such row.  The least (value, indices) wins, which
+    is the first strict minimum in index-lexicographic order.
     A row confirmed before its slot's minimum settles costs time but cannot
     change the result.  Each winning row is kept as `_exact` returns it, and
     its `Certificate` is built only when the estimate's mapping is read.
@@ -571,35 +577,20 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
 
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
     du, dv = np.stack((uf - params[owner, 0], uf - 0.5)), np.stack((vf - params[owner, 1], vf - 0.5))
-    lgoal = np.full(8 * len(insts), math.nan)
-
-    def goal(slot: int) -> None:
-        """Build a triple slot's stage-3 context and the log of its goal's profile."""
-        inst = insts[slot // 8]
-        point = (inst.target.q.u, inst.target.sigma.u) if slot % 8 == 6 else (HALF, HALF)
-        contexts[slot] = _goal_context(inst, *point)
-        lgoal[slot] = math.log(contexts[slot][2].value)
-
-    def profiled(label, rows, weights, unsure) -> tuple:
-        """A triple batch with the log of its goal's profile; a flat slot's context is built at its first row."""
-        for slot in set(label[np.isnan(lgoal[label])].tolist()):
-            goal(slot)
-        return label, rows, weights, lgoal[label], unsure
-
-    def grid(i: int, f: int, n: int) -> Iterator[tuple]:
-        """Components 6 and 7 of a larger instance i, of balls f..f + n - 1, with contexts built first."""
-        goal(8 * i + 6)
-        goal(8 * i + 7)
-        yield from _grid_triples(du[:, f:f + n], dv[:, f:f + n], la[f:f + n], lgoal[8 * i + 6:8 * i + 8],
-                                 insts[i]._window, f, 8 * i + 6)
-
+    # log Phi at each instance's goals: (1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7.
+    goals = np.concatenate((params[:, :2], np.full((len(insts), 2), 0.5)))
+    lgoal = np.zeros((8, len(insts)))
+    lgoal[6:] = log_phi_array(*goals.T, np.tile(params.T, 2)).reshape(2, -1)
+    lgoal = lgoal.T.ravel()
     triples = chain(_flat_triples(np.flatnonzero(flat[owner]), ends, owner * 8, du, dv), *(
-        grid(i, f, n) for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]))
+        _grid_triples(du[:, f:f + n], dv[:, f:f + n], la[f:f + n], lgoal[8 * i + 6:8 * i + 8], insts[i]._window,
+                      f, 8 * i + 6) for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]))
     window = np.repeat([inst._window for inst in insts], 8)
     vmin = np.full(8 * len(insts), math.inf)
     best: dict[int, tuple] = {}
-    for label, rows, weights, lphi, unsure in chain(starmap(valued, _merged(pairs())),
-                                                    starmap(profiled, _merged(triples))):
+    for label, rows, weights, lphi, unsure in chain(
+            starmap(valued, _merged(pairs())),
+            ((label, rows, weights, lgoal[label], unsure) for label, rows, weights, unsure in _merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
         lnu = la[rows]
@@ -611,7 +602,12 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         pick |= risky
         for slot, row in zip(label[pick].tolist(), rows[pick].tolist()):
             i, j = divmod(slot, 8)
-            found = _exact(insts[i], j, tuple(r - firsts[i] for r in row), contexts.get(slot))
+            row = tuple(r - firsts[i] for r in row)
+            if j > 5 and slot not in contexts:
+                if _collinear(insts[i], row):  # contains no goal: no context needed yet
+                    continue
+                contexts[slot] = _goal_context(insts[i], j)
+            found = _exact(insts[i], j, row, contexts.get(slot))
             if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
                 best[slot] = found
         # Free this batch before the next one is built.
@@ -624,7 +620,7 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     return estimates
 
 
-def psi_component(inst: Instance, j: int) -> Scan:
+def psi_component(inst: Instance, j: int) -> tuple[float, Optional[Certificate]]:
     """Component j of `psi(inst)`: its value and minimizing certificate (None when empty).
 
     Ties resolve to the first minimizer in index-lexicographic order, as in

@@ -84,9 +84,12 @@ def v_inclusion_scale(balls: Sequence, r: int, l: int) -> float:
         raise ValueError("need a nonempty ball family")
     if r < 1 or l < 1:
         raise ValueError(f"block sizes must be positive, got ({r}, {l})")
-    return min(
-        b.nu * r ** -float(b.p.u) * l ** -float(b.theta.u) for b in balls
-    )
+    return min(_scale(b.nu, float(b.p.u), float(b.theta.u), r, l) for b in balls)
+
+
+def _scale(nu, u, v, r, l):
+    """nu r^(-u) l^(-v): one ball's inclusion scale, for floats or arrays that broadcast."""
+    return nu * r ** -u * l ** -v
 
 
 def v_width_lower_bound(
@@ -103,18 +106,19 @@ def v_width_lower_bound(
         raise ValueError(f"need 1 <= r <= m and 1 <= l <= k, got r={r}, l={l}")
     if n < 0 or 2 * n > m * k:
         raise ValueError(f"need 0 <= n <= m*k/2, got n={n}")
-    uq, vs = float(q.u), float(sigma.u)
-    crossover = m ** (2 * uq) * k ** (2 * vs) * r ** (1 - 2 * uq) * l ** (1 - 2 * vs)
-    low = r**uq * l**vs
-    high = (
-        math.inf
-        if n == 0
-        else n**-0.5 * m**uq * k**vs * math.sqrt(r) * math.sqrt(l)
-    )
+    crossover, low, high = _width(m, k, r, l, n, float(q.u), float(sigma.u), math.sqrt)
     if abs(n - crossover) <= 1e-9 * max(1.0, crossover):
         if abs(low - high) > _REL_BRANCH_TOL * max(low, high):
             raise ConsistencyError(f"branch mismatch at the crossover: {low} vs {high}")
     return low if n <= crossover else high
+
+
+def _width(m, k, r, l, n, uq, vs, sqrt) -> tuple:
+    """(crossover, low, high) of `v_width_lower_bound`, for int r, l or float arrays that broadcast."""
+    crossover = m ** (2 * uq) * k ** (2 * vs) * r ** (1 - 2 * uq) * l ** (1 - 2 * vs)
+    low = r**uq * l**vs
+    high = math.inf if n == 0 else n**-0.5 * m**uq * k**vs * sqrt(r) * sqrt(l)
+    return crossover, low, high
 
 
 def _axis_grid(limit: int) -> list[int]:
@@ -128,12 +132,12 @@ def _axis_grid(limit: int) -> list[int]:
     return sorted(vals)
 
 
-# Re-score every cell whose float log-value is within _WINDOW of the best.
-# Without over- or underflow a log-value errs by < 1e-12 and a scalar product
-# by a few ulps, so every cell that could attain the scalar maximum is kept.
+# Re-score every cell whose float value is within relative _WINDOW of the
+# best sure one.  A sure cell's float value errs by a few ulps against the
+# scalar one, so every cell that could attain the scalar maximum is kept.
 _WINDOW = 1e-9
-# Re-score every cell with |log n - log crossover| <= _CROSS_MARGIN, so that
-# the scalar code picks its branch and checks the branches agree.  The
+# Re-score every cell with |n - crossover| <= _CROSS_MARGIN * crossover, so
+# that the scalar code picks its branch and checks the branches agree.  The
 # crossover is at least 1, so the scalar rule |n - c| <= 1e-9 * max(1, c)
 # lies well inside.
 _CROSS_MARGIN = 1e-6
@@ -144,41 +148,35 @@ def best_witness_lower_bound(inst: Instance) -> tuple[float, int, int]:
 
     LB(r, l) = v_inclusion_scale(balls, r, l) * v_width_lower_bound(...);
     ties resolve to the smallest r, then the smallest l.  numpy scores the
-    whole grid in log space.  The scalar code then re-scores, in (r, l)
-    order, every cell within a log window of the best, every cell where n
-    may sit at the crossover, and every cell whose product may leave the
-    normal float range, so the result is that of a full scalar scan.
+    whole grid with the scalar code's formulas (`_scale`, `_width`) on
+    float axes.  The scalar code then re-scores, in (r, l) order, every cell
+    within a relative window of the best, every cell where n may sit at the
+    crossover, and every cell whose product may leave the normal float
+    range, so the result is that of a full scalar scan.
     """
     m, k, n = inst.dims.m, inst.dims.k, inst.dims.n
     q, sigma = inst.target.q, inst.target.sigma
     uq, vs = float(q.u), float(sigma.u)
     rs, ls = _axis_grid(m), _axis_grid(k)
     # Float axes: beyond 2**63 a list of Python ints would make object arrays.
-    lr, ll = np.log(np.array(rs, float))[:, None], np.log(np.array(ls, float))[None, :]
-    lm, lk = math.log(m), math.log(k)
-    # A running minimum over the balls keeps memory O(grid), not O(N * grid).
-    log_scale = np.full((len(rs), len(ls)), np.inf)
-    for u, v, log_nu in zip(*inst._ball_arrays):
-        np.minimum(log_scale, (log_nu - u * lr) - v * ll, out=log_scale)
-    log_lb = log_scale + uq * lr + vs * ll
-    unsure = np.zeros(log_lb.shape, dtype=bool)
-    if n > 0:
-        ln = math.log(n)
-        log_cross = 2 * uq * lm + 2 * vs * lk + (1 - 2 * uq) * lr + (1 - 2 * vs) * ll
-        high = log_scale + (uq * lm + vs * lk - 0.5 * ln) + 0.5 * (lr + ll)
-        log_lb = np.where(ln <= log_cross, log_lb, high)
-        unsure = np.abs(ln - log_cross) <= _CROSS_MARGIN
-    # psi's _LOG_SAFE policy: the width's factors and partial products lie
-    # within e^(+-bound), and the scale's between its radius and the scale.
-    bound = 0.5 * math.log(max(n, 1)) + (1 + uq) * lm + (1 + vs) * lk
-    unsure |= np.abs(log_scale) + bound > _LOG_SAFE
-    top = log_lb[~unsure].max(initial=-math.inf)
+    rf, lf = np.array(rs, float)[:, None], np.array(ls, float)[None, :]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        # A running minimum over the balls keeps memory O(grid), not O(N * grid).
+        scale = np.full((len(rs), len(ls)), np.inf)
+        for ball, u, v in zip(inst.balls, *inst._ball_arrays[:2]):
+            np.minimum(scale, _scale(ball.nu, u, v, rf, lf), out=scale)
+        crossover, low, high = _width(m, k, rf, lf, n, uq, vs, np.sqrt)
+        score = scale * np.where(n <= crossover, low, high)
+        unsure = np.abs(n - crossover) <= _CROSS_MARGIN * crossover
+        # psi's _LOG_SAFE policy: the width's factors and partial products lie within
+        # e^(+-bound), the scale's between its radius and the scale.
+        bound = 0.5 * math.log(max(n, 1)) + (1 + uq) * math.log(m) + (1 + vs) * math.log(k)
+        unsure |= np.abs(np.log(scale)) + bound > _LOG_SAFE
+    top = score[~unsure].max(initial=-math.inf)
     best, best_r, best_l = -math.inf, 1, 1
-    for i, j in zip(*np.nonzero(unsure | (log_lb >= top - _WINDOW))):
+    for i, j in zip(*np.nonzero(unsure | (score >= top * (1 - _WINDOW)))):
         r, l = rs[i], ls[j]
-        lb = v_inclusion_scale(inst.balls, r, l) * v_width_lower_bound(
-            m, k, r, l, n, q, sigma
-        )
+        lb = v_inclusion_scale(inst.balls, r, l) * v_width_lower_bound(m, k, r, l, n, q, sigma)
         if lb > best:
             best, best_r, best_l = lb, r, l
     return best, best_r, best_l

@@ -7,6 +7,7 @@ and branch set, bit for bit, and raise the same exception type.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,9 +17,17 @@ from mixwidth.phi import (
     ConsistencyError,
     PhiValue,
     _branches,
-    omega,
     profile_params,
 )
+
+
+def omega(p, q):
+    """Interpolation ratio for p <= q: min{(1/p - 1/q)/(1/2 - 1/q), 1}, or 1 at q = 2."""
+    if p.u < q.u:
+        raise ValueError(f"requires p <= q, got p={p}, q={q}")
+    if q.u == HALF:
+        return Fraction(1)
+    return min((p.u - q.u) / (HALF - q.u), Fraction(1))
 
 
 def _pow(base, e):

@@ -12,7 +12,6 @@ from itertools import combinations
 
 from mixwidth.exponents import (
     HALF,
-    TWO,
     Exponent,
     ReciprocalPoint,
     barycentric,
@@ -22,6 +21,8 @@ from mixwidth.exponents import (
 )
 from mixwidth.phi import phi
 from mixwidth.psi import Certificate
+
+TWO = Exponent(HALF)
 
 
 def _singles(inst):

@@ -11,14 +11,13 @@ from mixwidth import (
     Dimensions,
     Exponent,
     TargetSpace,
-    omega,
     parse_exponent,
     phi,
 )
 from mixwidth.phi import log_phi_array, profile_params
 from mixwidth.verify import _rand_instance, _reference_branches
 from helpers import primes_from, single_ball_width_estimate
-from phi_brute import brute_log_phi_array, brute_phi
+from phi_brute import brute_log_phi_array, brute_phi, omega
 
 E = parse_exponent
 

@@ -25,10 +25,11 @@ from mixwidth import (
     solve_critical_crossing,
     solve_crossing,
 )
-from mixwidth.exponents import HALF, TWO
+from mixwidth.exponents import HALF
 from mixwidth.psi import _exact, _goal_context, _lines
 from conftest import build
 from helpers import primes_from
+from psi_brute import TWO
 
 PRIMES = primes_from(10**6, 40)
 
@@ -142,7 +143,7 @@ def test_barycentric_numerators(seed):
     for inst in _instances(seed):
         points = [b.point for b in inst.balls]
         for j, goal in ((6, (inst.target.q.u, inst.target.sigma.u)), (7, (HALF, HALF))):
-            context = _goal_context(inst, *goal)
+            context = _goal_context(inst, j)
             assert context[2] == phi(Exponent(goal[0]), Exponent(goal[1]), inst.target, inst.dims)
             for row in combinations(range(len(points)), 3):
                 ref = barycentric(*(points[i] for i in row), ReciprocalPoint(*goal))

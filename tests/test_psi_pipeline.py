@@ -25,10 +25,11 @@ from mixwidth import (
     psi_component,
     psi_many,
 )
-from mixwidth.phi import log_phi_array, profile_params
+from mixwidth.phi import _REL_BRANCH_TOL, log_phi_array, profile_params
 from mixwidth.verify import _rand_instance
 from conftest import build
 from psi_brute import brute_component
+from test_psi_grid import _outside, psi_module
 
 
 def assert_matches_brute(inst):
@@ -164,6 +165,28 @@ class TestLogPhiArray:
             ]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    def test_matches_phi_at_the_goals(self):
+        # psi values every triple's goal, (1/q, 1/sigma) and (1/2, 1/2), with
+        # one array call per block; it must agree with the exact profile
+        rng = np.random.default_rng(12)
+        half = Fraction(1, 2)
+        for trial in range(400):
+            uq, vs = (Fraction(int(rng.integers(1, 33)), 64) for _ in range(2))
+            if trial % 4 == 1:
+                uq = half
+            elif trial % 4 == 2:
+                vs = half
+            big = 10 ** int(rng.integers(0, 31))
+            m, k = (int(rng.integers(1, 5000)) * big for _ in range(2))
+            n = (0, m * k // 2, int(rng.integers(0, 2**62)) % (m * k // 2 + 1))[trial % 3]
+            target, dims = TargetSpace(Exponent(uq), Exponent(vs)), Dimensions(m, k, n)
+            goals = ((uq, vs), (half, half))
+            got = log_phi_array(np.array([float(uq), 0.5]), np.array([float(vs), 0.5]),
+                                profile_params(target, dims))
+            for lphi, (u, v) in zip(got, goals):
+                want = math.log(phi(Exponent(u), Exponent(v), target, dims).value)
+                assert abs(lphi - want) <= _REL_BRANCH_TOL, (target, dims, u, v)
+
     def test_critical_line_keeps_a_branch(self):
         # on the critical line omega_p = omega_t exactly; the float ratios may
         # differ in the last bit, and branches 4 and 5 must not both drop out
@@ -191,6 +214,47 @@ class TestLogPhiArray:
             for u in (Fraction(1, 10), Fraction(2, 5))
         ]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _counting_contexts(monkeypatch):
+    calls = []
+    build_context = psi_module._goal_context
+    monkeypatch.setattr(psi_module, "_goal_context",
+                        lambda inst, j: calls.append(j) or build_context(inst, j))
+    return calls
+
+
+@pytest.mark.parametrize("size", [31, 48])
+def test_no_goal_context_when_no_triangle_contains_a_goal(monkeypatch, size):
+    # stage 3 builds a triple component's exact goal context at its first
+    # non-collinear row; beyond both goals no such row reaches it, on either
+    # path, though collinear ones do
+    calls = _counting_contexts(monkeypatch)
+    inst = _outside(np.random.default_rng(size), size)
+    assert psi(inst).components[6:] == (math.inf, math.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(psi_module, "FLAT_TRIPLES", math.comb(size, 3))
+        assert psi(inst).components[6:] == (math.inf, math.inf)
+    assert calls == []
+
+
+def test_goal_context_at_most_once_per_finite_component(monkeypatch):
+    calls = _counting_contexts(monkeypatch)
+    rng = np.random.default_rng(13)
+    instances = [_rand_instance(rng, max_balls=int(rng.integers(1, 9))) for _ in range(300)]
+    built = finite = 0
+    for inst in instances:
+        calls.clear()
+        est = psi(inst)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= sum(c < math.inf for c in est.components[6:])
+        built += len(calls)
+        finite += sum(c < math.inf for c in est.components[6:])
+    assert built > 0 and finite > 0
+    # so does one block of many instances
+    calls.clear()
+    list(psi_many(instances))
+    assert len(calls) <= finite
 
 
 # Thin triangles around the goal and radii near 1e+-300 stress the float

@@ -7,6 +7,7 @@ import pytest
 import mixwidth.witness
 from mixwidth import (
     BallSpec,
+    ConsistencyError,
     Exponent,
     GroupElement,
     best_witness_lower_bound,
@@ -22,7 +23,7 @@ from mixwidth import (
 from mixwidth.verify import _rand_instance
 from conftest import build, make_instance
 from helpers import compose, identity, is_general_position, solve_rl_loglinear
-from witness_brute import brute_witness
+from witness_brute import brute_witness, inclusion_scale, width_lower_bound
 
 E = parse_exponent
 
@@ -165,6 +166,61 @@ class TestWidthLowerBound:
             v_width_lower_bound(4, 4, 5, 1, 1, E("2"), E("2"))
         with pytest.raises(ValueError):
             v_width_lower_bound(4, 4, 1, 1, 9, E("2"), E("2"))
+
+
+def _reciprocal(rng, low=0, high=64):
+    return Exponent(Fraction(int(rng.integers(low, high + 1)), 64))
+
+
+class TestScalarReference:
+    """The src formulas against their pre-refactor copies in `witness_brute`, with `==`."""
+
+    @staticmethod
+    def shapes(rng):
+        for _ in range(300):
+            m, k = int(rng.integers(1, 5000)), int(rng.integers(1, 5000))
+            yield m, k, int(rng.integers(0, m * k // 2 + 1))
+            yield m, k, 0
+            yield m, k, m * k // 2
+        big = 10**30
+        for n in (0, 1, int(rng.integers(1, 2**62)) * big, big * big // 2):
+            yield big, big, n
+
+    def test_width_lower_bound(self):
+        rng = np.random.default_rng(18)
+        for m, k, n in self.shapes(rng):
+            r, l = int(rng.integers(1, 2**62)) % m + 1, int(rng.integers(1, 2**62)) % k + 1
+            for r, l in ((r, l), (1, 1), (m, k)):
+                q, sigma = _reciprocal(rng, 1, 32), _reciprocal(rng, 1, 32)
+                got = v_width_lower_bound(m, k, r, l, n, q, sigma)
+                assert got == width_lower_bound(m, k, r, l, n, q, sigma), (m, k, r, l, n, q, sigma)
+
+    def test_inclusion_scale(self):
+        rng = np.random.default_rng(19)
+        for m, k, _ in self.shapes(rng):
+            balls = [BallSpec(_reciprocal(rng), _reciprocal(rng), float(np.exp(rng.uniform(-5, 5))))
+                     for _ in range(int(rng.integers(1, 5)))]
+            r, l = int(rng.integers(1, 2**62)) % m + 1, int(rng.integers(1, 2**62)) % k + 1
+            for r, l in ((r, l), (1, 1), (m, k)):
+                assert v_inclusion_scale(balls, r, l) == inclusion_scale(balls, r, l), (m, k, r, l)
+
+    def test_same_errors(self, monkeypatch):
+        # crossover = 16 sqrt(r) = n at r = 4; a negative tolerance makes the
+        # branch check there fail in both
+        args = (16, 4, 4, 1, 32, E("4"), E("2"))
+        assert v_width_lower_bound(*args) == width_lower_bound(*args)
+        monkeypatch.setattr(mixwidth.witness, "_REL_BRANCH_TOL", -1.0)
+        for fn in (v_width_lower_bound, width_lower_bound):
+            with pytest.raises(ConsistencyError):
+                fn(*args)
+        for bad in ((4, 4, 5, 1, 1), (4, 4, 1, 1, 9), (4, 4, 1, 1, -1)):
+            for fn in (v_width_lower_bound, width_lower_bound):
+                with pytest.raises(ValueError):
+                    fn(*bad, E("2"), E("2"))
+        for balls, r, l in (([], 1, 1), ([BallSpec(E("2"), E("2"), 1.0)], 0, 1)):
+            for fn in (v_inclusion_scale, inclusion_scale):
+                with pytest.raises(ValueError):
+                    fn(balls, r, l)
 
 
 class TestBestWitness:
