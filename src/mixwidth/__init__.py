@@ -46,6 +46,7 @@ from .psi import (
     psi_many,
     validate_instance,
 )
+from .sweep import psi_sweep
 from .verify import SUITE_NAMES, SuiteResult, run_suites
 from .witness import (
     GroupElement,
@@ -90,6 +91,7 @@ __all__ = [
     "psi",
     "psi_component",
     "psi_many",
+    "psi_sweep",
     "run_suites",
     "sample_boundary",
     "solve_critical_crossing",

@@ -32,11 +32,11 @@ from .psi import (
     Instance,
     PsiEstimate,
     psi,
-    psi_many,
     validate_instance,
 )
+from .sweep import psi_sweep
 from .verify import SUITE_NAMES, run_suites
-from .witness import best_witness_lower_bound
+from .witness import WitnessGrid, best_witness_lower_bound
 
 SCHEMA = "mixwidth-report/1"
 
@@ -45,6 +45,10 @@ CSV_COLUMNS = (
     + [f"psi_{j}" for j in range(8)]
     + ["witness_lb"]
 )
+
+# The most rows one sweep may have: a sweep holds all its rows before it
+# prints them, and the default range 0..m*k/2 can be far longer.
+SWEEP_ROW_LIMIT = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +186,11 @@ def estimate_report(inst: Instance, est: PsiEstimate) -> dict:
     }
 
 
-def _shifted(inst: Instance, n: int) -> Instance:
-    return Instance(Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls)
-
-
-def _sweep_row(inst: Instance, est: PsiEstimate) -> dict:
+def _sweep_row(n: int, est: PsiEstimate, witness: WitnessGrid) -> dict:
     est = _finite(est)
-    lb, _, _ = best_witness_lower_bound(inst)
+    lb, _, _ = witness.best(n)
     return {
-        "n": inst.dims.n,
+        "n": n,
         "psi": est.value,
         "argmin_set": "|".join(str(j) for j in est.argmin),
         **{f"psi_{j}": _finite_or_inf(est.components[j]) for j in range(8)},
@@ -199,12 +199,20 @@ def _sweep_row(inst: Instance, est: PsiEstimate) -> dict:
 
 
 def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
-    """One row per n; the psi column is checked to be nonincreasing."""
+    """One row per n; the psi column is checked to be nonincreasing.
+
+    `psi_sweep` and one `WitnessGrid` find once what no row changes.  A
+    range of more than SWEEP_ROW_LIMIT rows is refused.
+    """
     half = inst.dims.m * inst.dims.k // 2
     if not (0 <= n_from <= n_to <= half):
         raise ValueError(f"sweep range must satisfy 0 <= from <= to <= {half}")
-    shifted = [_shifted(inst, n) for n in range(n_from, n_to + 1)]
-    rows = [_sweep_row(row, est) for row, est in zip(shifted, psi_many(shifted))]
+    if n_to - n_from + 1 > SWEEP_ROW_LIMIT:
+        raise ValueError(f"sweep of {n_to - n_from + 1} rows exceeds the limit of {SWEEP_ROW_LIMIT}; "
+                         "narrow it with --n-from and --n-to")
+    ns = range(n_from, n_to + 1)
+    witness = WitnessGrid(inst)
+    rows = [_sweep_row(n, est, witness) for n, est in zip(ns, psi_sweep(inst, ns))]
     for prev, cur in zip(rows, rows[1:]):
         if cur["psi"] > prev["psi"] * (1.0 + REL_TIE_TOL):
             raise ConsistencyError(
@@ -322,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-from", type=int, default=None, help="sweep start (default 0)")
     parser.add_argument(
-        "--n-to", type=int, default=None, help="sweep end (default m*k/2)"
+        "--n-to", type=int, default=None,
+        help=f"sweep end (default m*k/2); a sweep has at most {SWEEP_ROW_LIMIT} rows",
     )
     parser.add_argument(
         "--trials", type=int, default=500, help="trials per verification suite (at least 1)"
@@ -383,7 +392,7 @@ def _dispatch(args) -> int:
         if args.format == "json":
             print(json.dumps(estimate_report(inst, _finite_psi(inst)), indent=2))
         elif args.format == "csv":
-            print(_rows_to_csv([_sweep_row(inst, _finite_psi(inst))]), end="")
+            print(_rows_to_csv([_sweep_row(inst.dims.n, _finite_psi(inst), WitnessGrid(inst))]), end="")
         else:
             print(_estimate_table(inst, _finite_psi(inst)))
         return 0

@@ -143,6 +143,12 @@ def phi_ints(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) ->
     cross-multiplication.  Each float exponent is an int true division,
     which is correctly rounded as float(Fraction) is.
     """
+    return _profile(_regions(un, ud, vn, vd, target, params), params)
+
+
+def _regions(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) -> tuple:
+    """The part of `phi_ints` that does not read n: (a, b, wp, wt, holds), the first
+    arguments of `_branches`.  Of `params` it reads only m and k."""
     uq, vs = target.q.u, target.sigma.u
     aq, bq, av, bv = uq.numerator, uq.denominator, vs.numerator, vs.denominator
     # u - 1/q = du / (ud bq) and v - 1/sigma = dv / (vd bv)
@@ -157,18 +163,24 @@ def phi_ints(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) ->
     if r4 or r5:
         p_first, t_first = wp[0] * wt[1] <= wt[0] * wp[1], wt[0] * wp[1] <= wp[0] * wt[1]
         r4, r5 = r4 and p_first, r5 and t_first
-    _, _, fm, fk, big, row, col = params
+    _, _, fm, fk = params[:4]
     a = fm ** (-du / (ud * bq)) if lo_u or r4 else math.nan
     b = fk ** (-dv / (vd * bv)) if lo_v or r5 else math.nan
     holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, 2 * un >= ud and 2 * vn >= vd)
-    values = _branches(a, b, wp[0] / wp[1], wt[0] / wt[1], big, row, col, min, holds)
-    if not values:
+    if not any(holds):
         u, v = Fraction(un, ud), Fraction(vn, vd)
         raise ConsistencyError(f"no branch covers (1/p, 1/theta) = ({u}, {v})")
+    return a, b, wp[0] / wp[1], wt[0] / wt[1], holds
+
+
+def _profile(regions: tuple, params) -> PhiValue:
+    """The profile from `_regions` and the G, R and C of `params`: the part of `phi_ints` that reads n."""
+    a, b, wp, wt, holds = regions
+    values = _branches(a, b, wp, wt, *params[4:], min, holds)
     lo, hi = min(values.values()), max(values.values())
     if hi - lo > _REL_BRANCH_TOL * hi:
         raise ConsistencyError(f"applicable branches disagree beyond tolerance: {values}")
-    return PhiValue(lo, tuple(sorted(values)))
+    return PhiValue(lo, tuple(values))  # the holding branches, in increasing order
 
 
 def log_phi_array(u: np.ndarray, v: np.ndarray, params) -> np.ndarray:

@@ -47,6 +47,12 @@ solvers in `exponents` bit for bit.  Each component keeps only its winning
 row, and a `Certificate`, with its `Fraction` weights and `Exponent`s, is
 built from it when the estimate's `certificates` mapping first reads that
 component: verify and sweep, which read none, build none.
+
+`mixwidth.sweep` runs this pipeline over many n at once: it shares stage
+1, the triple screen and the n-independent parts of stage 3
+(`_pair_geometry`, `_triple_geometry`, `_goal`) across a sweep's rows, and
+picks and keeps rows by the same stage-2 policy (`_picked`) and winner
+rule (`_keep`) as `_scan_block`.
 """
 
 from __future__ import annotations
@@ -150,10 +156,14 @@ class Instance:
     @cached_property
     def _window(self) -> float:
         """Stage 3's log-space window about the least non-risky log-value."""
-        t, d = self.target, self.dims
-        amp = max((1 / (0.5 - float(e.u)) for e in (t.q, t.sigma) if e.u < HALF), default=1.0)
-        tol = _LOG_WINDOW * (1.0 + float(np.abs(self._ball_arrays[2]).max()))
-        return tol + _PHI_WINDOW * amp * (1.0 + math.log(d.m * d.k * max(d.n, 1)))
+        return _log_window(self.target, self.dims, float(np.abs(self._ball_arrays[2]).max()))
+
+
+def _log_window(target: TargetSpace, dims: Dimensions, lmax: float) -> float:
+    """`Instance._window` of a family whose largest |log nu| is lmax; it grows with n."""
+    amp = max((1 / (0.5 - float(e.u)) for e in (target.q, target.sigma) if e.u < HALF), default=1.0)
+    tol = _LOG_WINDOW * (1.0 + lmax)
+    return tol + _PHI_WINDOW * amp * (1.0 + math.log(dims.m * dims.k * max(dims.n, 1)))
 
 
 @dataclass(frozen=True)
@@ -277,32 +287,62 @@ def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tu
     `Certificate` with each weight and reciprocal exponent as an integer
     (numerator, denominator) pair, denominator positive.  `context` is the
     offset numerators of `_lines` (j = 1..5) or the goal, its profile and
-    every ball's offset from the goal (j = 6, 7).
+    every ball's offset from the goal (j = 6, 7).  Only the profile reads n:
+    `_pair_geometry` and `_triple_geometry` do the rest.
     """
-    balls, target, params = inst.balls, inst.target, inst._params
+    if j < 6:
+        geometry = _pair_geometry(inst, j, row, context)
+        if geometry is None:
+            return None
+        factor, indices, weights, p, theta = geometry
+        profile = phi_ints(*p, *theta, inst.target, inst._params)
+        return factor * profile.value, indices, weights, p, theta, profile
+    pe, te, profile, offsets = context
+    geometry = _triple_geometry(inst, row, offsets)
+    if geometry is None:
+        return None
+    powers, weights = geometry
+    value = profile.value
+    for power in powers:
+        value *= power
+    return value, row, weights, pe, te, profile
+
+
+def _pair_geometry(inst: Instance, j: int, row: tuple[int, ...], offsets) -> Optional[tuple]:
+    """What `_exact` finds of single or pair candidate `row` without the profile, or None.
+
+    Returns (factor, indices, weights, p, theta): the candidate's value is
+    factor times the profile at (p, theta), and factor is the radius of a
+    single or the product of a pair's two radius powers.
+    """
+    balls, target = inst.balls, inst.target
     if j == 0:
         u, v, d = balls[row[0]]._ints
-        profile = phi_ints(u, d, v, d, target, params)
-        return balls[row[0]].nu * profile.value, row[:1], ((1, 1),), (u, d), (v, d), profile
-    if j < 6:
-        (ua, va, da), (ub, vb, db) = balls[row[0]]._ints, balls[row[1]]._ints
-        fa, fb = context[row[0]], context[row[1]]
-        if fa < 0:
-            fa, fb = -fa, -fb
-        # fa > 0 > fb: w = fa db / den on b lies in (0, 1), and the crossing
-        # point (1 - w) a + w b is (fa b - fb a) / den in the _ints numerators.
-        den = fa * db - fb * da
-        un, vn = fa * ub - fb * ua, fa * vb - fb * va
-        if j == 5:
-            q, sigma = target.q.u, target.sigma.u
-            if not (q.numerator * den < un * q.denominator and 2 * un < den
-                    and sigma.numerator * den < vn * sigma.denominator and 2 * vn < den):
-                return None
-        profile = phi_ints(un, den, vn, den, target, params)
-        wa, wb = -fb * da, fa * db
-        value = balls[row[0]].nu ** (wa / den) * balls[row[1]].nu ** (wb / den) * profile.value
-        return value, row, ((wa, den), (wb, den)), (un, den), (vn, den), profile
-    pe, te, profile, offsets = context
+        return balls[row[0]].nu, row[:1], ((1, 1),), (u, d), (v, d)
+    (ua, va, da), (ub, vb, db) = balls[row[0]]._ints, balls[row[1]]._ints
+    fa, fb = offsets[row[0]], offsets[row[1]]
+    if fa < 0:
+        fa, fb = -fa, -fb
+    # fa > 0 > fb: w = fa db / den on b lies in (0, 1), and the crossing
+    # point (1 - w) a + w b is (fa b - fb a) / den in the _ints numerators.
+    den = fa * db - fb * da
+    un, vn = fa * ub - fb * ua, fa * vb - fb * va
+    if j == 5:
+        q, sigma = target.q.u, target.sigma.u
+        if not (q.numerator * den < un * q.denominator and 2 * un < den
+                and sigma.numerator * den < vn * sigma.denominator and 2 * vn < den):
+            return None
+    wa, wb = -fb * da, fa * db
+    factor = balls[row[0]].nu ** (wa / den) * balls[row[1]].nu ** (wb / den)
+    return factor, row, ((wa, den), (wb, den)), (un, den), (vn, den)
+
+
+def _triple_geometry(inst: Instance, row: tuple[int, ...], offsets) -> Optional[tuple]:
+    """(powers, weights) of triple `row` if its triangle strictly contains the goal, else None.
+
+    `offsets` are the balls' offsets from the goal (`_goal`); the weights are
+    the goal's barycentric coordinates and powers[i] is nu_i to weight i.
+    """
     # With x_i - goal = (P_i / (D_i s), Q_i / (D_i t)), the orientation o(x, y) is
     # (P_x Q_y - Q_x P_y) / (D_x D_y s t), so o(b, c), o(c, a), o(a, b) times
     # D_a D_b D_c s t are the barycentric numerators, over their sum.
@@ -313,10 +353,8 @@ def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tu
         ta, tb, tc, det = -ta, -tb, -tc, -det
     if not (ta > 0 and tb > 0 and tc > 0):  # also when det = 0
         return None
-    value = profile.value
-    for i, t in zip(row, (ta, tb, tc)):
-        value *= balls[i].nu ** (t / det)
-    return value, row, ((ta, det), (tb, det), (tc, det)), pe, te, profile
+    powers = tuple(inst.balls[i].nu ** (t / det) for i, t in zip(row, (ta, tb, tc)))
+    return powers, ((ta, det), (tb, det), (tc, det))
 
 
 def _certificate(j: int, found: tuple) -> Certificate:
@@ -478,12 +516,16 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
 
 def _goal_context(inst: Instance, j: int) -> tuple:
     """Stage 3's context of triple component j, about (1/q, 1/sigma) (j = 6) or (1/2, 1/2): see `_exact`."""
+    pe, te, offsets = _goal(inst, j)
+    return pe, te, phi_ints(*pe, *te, inst.target, inst._params), offsets
+
+
+def _goal(inst: Instance, j: int) -> tuple:
+    """Goal j's reciprocal exponents and every ball's offset from it, the part of `_goal_context` that does not read n."""
     gu, gv = (inst.target.q.u, inst.target.sigma.u) if j == 6 else (HALF, HALF)
     (gun, gud), (gvn, gvd) = pe, te = (gu.numerator, gu.denominator), (gv.numerator, gv.denominator)
-    profile = phi_ints(gun, gud, gvn, gvd, inst.target, inst._params)
     ints = (ball._ints for ball in inst.balls)
-    offsets = [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints]
-    return pe, te, profile, offsets
+    return pe, te, [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints]
 
 
 def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
@@ -492,20 +534,20 @@ def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
     return ua * (vb * dc - vc * db) + ub * (vc * da - va * dc) + uc * (va * db - vb * da) == 0
 
 
-def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
-    """Consecutive batches joined while they hold at most BLOCK rows; a larger one stays alone.
+def _merged(batches: Iterable[tuple], size: int = BLOCK) -> Iterator[tuple]:
+    """Consecutive batches joined while they hold at most `size` rows; a larger one stays alone.
 
     A full join is yielded before the next batch is built.
     """
     pending: list[tuple] = []
     rows = 0
     for batch in batches:
-        if pending and rows + len(batch[0]) > BLOCK:
+        if pending and rows + len(batch[0]) > size:
             yield _joined(pending)
             pending, rows = [], 0
         pending.append(batch)
         rows += len(batch[0])
-        if rows >= BLOCK:
+        if rows >= size:
             yield _joined(pending)
             pending, rows = [], 0
     if pending:
@@ -519,6 +561,60 @@ def _joined(batches: list[tuple]) -> tuple:
 def _flat(n: int) -> bool:
     """Whether an instance of n balls takes the block path for its triples."""
     return math.comb(n, 3) <= FLAT_TRIPLES
+
+
+def _pair_batches(lines: list[dict], owner: np.ndarray, ends: np.ndarray, uf: np.ndarray,
+                  vf: np.ndarray, uq: np.ndarray) -> Iterator[tuple]:
+    """Stage 1 of components 0-5 for a block: a batch per component, without profile logs.
+
+    `lines` holds each instance's `_lines` and `uq` its float 1/q; `owner`
+    and `ends` give each ball's instance and where that instance's balls
+    end.  A batch is (label, a, b, w, cu, cv, unsure): each candidate's slot
+    8 i + j, its balls (a single is the pair (a, a) with weight 0 on b), the
+    weight w on b, its float crossing point, and whether admission is
+    unsure.
+    """
+    every = np.arange(len(uf))
+    yield owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)
+    pa, pb = _pairs(every, ends)
+    for j in range(1, 6):
+        signs = np.array([s for line in lines for s in line[j][1]], dtype=np.int8)
+        offsets = np.array([f for line in lines for f in line[j][2]])
+        keep = signs[pa] * signs[pb] < 0
+        a, b = pa[keep], pb[keep]
+        w = offsets[a] / (offsets[a] - offsets[b])
+        cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
+        unsure = np.zeros(len(a), bool)
+        if j == 5:
+            # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
+            gap = np.minimum(cu - uq[owner[a]], 0.5 - cu)
+            keep = gap >= -_CRITICAL_MARGIN
+            a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
+        yield owner[a] * 8 + j, a, b, w, cu, cv, unsure
+
+
+def _triple_batches(sizes: list[int], owner: np.ndarray, ends: np.ndarray, uf: np.ndarray, vf: np.ndarray,
+                    la: np.ndarray, goals: np.ndarray, lgoal: np.ndarray, windows: Sequence[float]) -> Iterator[tuple]:
+    """Stage 1 of components 6-7 for a block: `_flat_triples` of its small instances, then each larger one's grid.
+
+    Instance i has `sizes[i]` balls, float goal (1/q, 1/sigma) `goals[i]`,
+    and its grid screens with the logs `lgoal[i]` of the profile at its two
+    goals and the window `windows[i]`.
+    """
+    firsts = (np.cumsum(sizes) - sizes).tolist()
+    flat = [_flat(n) for n in sizes]
+    du, dv = np.stack((uf - goals[owner, 0], uf - 0.5)), np.stack((vf - goals[owner, 1], vf - 0.5))
+    return chain(_flat_triples(np.flatnonzero(np.array(flat)[owner]), ends, owner * 8, du, dv), *(
+        _grid_triples(du[:, f:f + n], dv[:, f:f + n], la[f:f + n], lgoal[i], windows[i], f, 8 * i + 6)
+        for i, (f, n) in enumerate(zip(firsts, sizes)) if not flat[i]))
+
+
+def _block_layout(insts: Sequence[Instance]) -> tuple:
+    """(sizes, firsts, owner, ends) of a block whose balls are numbered across its instances."""
+    sizes = [len(inst.balls) for inst in insts]
+    firsts = (np.cumsum(sizes) - sizes).tolist()
+    owner = np.repeat(np.arange(len(insts)), sizes)
+    return sizes, firsts, owner, np.repeat(np.add(firsts, sizes), sizes)
 
 
 def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
@@ -542,33 +638,9 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     its `Certificate` is built only when the estimate's mapping is read.
     """
     insts = [inst for inst, _ in block]
-    sizes = np.array([len(inst.balls) for inst in insts])
-    firsts = (np.cumsum(sizes) - sizes).tolist()
-    owner = np.repeat(np.arange(len(insts)), sizes)
-    ends = np.repeat(np.add(firsts, sizes), sizes)
+    sizes, firsts, owner, ends = _block_layout(insts)
     uf, vf, la = map(np.concatenate, zip(*(inst._ball_arrays for inst in insts)))
     params = np.array([inst._params for inst in insts])
-    every = np.arange(len(uf))
-    flat = np.array([_flat(len(inst.balls)) for inst in insts])
-
-    def pairs() -> Iterator[tuple]:
-        """Stage-1 batches of components 0-5, one per component, without profile logs."""
-        yield owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)
-        pa, pb = _pairs(every, ends)
-        for j in range(1, 6):
-            signs = np.array([s for _, lines in block for s in lines[j][1]], dtype=np.int8)
-            offsets = np.array([f for _, lines in block for f in lines[j][2]])
-            keep = signs[pa] * signs[pb] < 0
-            a, b = pa[keep], pb[keep]
-            w = offsets[a] / (offsets[a] - offsets[b])
-            cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
-            unsure = np.zeros(len(a), bool)
-            if j == 5:
-                # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
-                gap = np.minimum(cu - params[owner[a], 0], 0.5 - cu)
-                keep = gap >= -_CRITICAL_MARGIN
-                a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
-            yield owner[a] * 8 + j, a, b, w, cu, cv, unsure
 
     def valued(label, a, b, w, cu, cv, unsure) -> tuple:
         """A pair batch with the log of the profile at each crossing."""
@@ -576,30 +648,25 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         return label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure
 
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
-    du, dv = np.stack((uf - params[owner, 0], uf - 0.5)), np.stack((vf - params[owner, 1], vf - 0.5))
     # log Phi at each instance's goals: (1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7.
     goals = np.concatenate((params[:, :2], np.full((len(insts), 2), 0.5)))
-    lgoal = np.zeros((8, len(insts)))
-    lgoal[6:] = log_phi_array(*goals.T, np.tile(params.T, 2)).reshape(2, -1)
-    lgoal = lgoal.T.ravel()
-    triples = chain(_flat_triples(np.flatnonzero(flat[owner]), ends, owner * 8, du, dv), *(
-        _grid_triples(du[:, f:f + n], dv[:, f:f + n], la[f:f + n], lgoal[8 * i + 6:8 * i + 8], insts[i]._window,
-                      f, 8 * i + 6) for i, (f, n) in enumerate(zip(firsts, sizes.tolist())) if not flat[i]))
-    window = np.repeat([inst._window for inst in insts], 8)
+    lgoal = np.zeros((len(insts), 8))
+    lgoal[:, 6:] = log_phi_array(*goals.T, np.tile(params.T, 2)).reshape(2, -1).T
+    windows = [inst._window for inst in insts]
+    pairs = _pair_batches([lines for _, lines in block], owner, ends, uf, vf, params[:, 0])
+    triples = _triple_batches(sizes, owner, ends, uf, vf, la, params[:, :2], lgoal[:, 6:], windows)
+    lgoal = lgoal.ravel()
+    window = np.repeat(windows, 8)
     vmin = np.full(8 * len(insts), math.inf)
     best: dict[int, tuple] = {}
     for label, rows, weights, lphi, unsure in chain(
-            starmap(valued, _merged(pairs())),
+            starmap(valued, _merged(pairs)),
             ((label, rows, weights, lgoal[label], unsure) for label, rows, weights, unsure in _merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
         lnu = la[rows]
         logv = _log_value(zip(weights.T, lnu.T), lphi)
-        risky = np.abs(lphi) + (weights * np.abs(lnu, out=lnu)).sum(axis=1) > _LOG_SAFE
-        risky |= unsure
-        np.minimum.at(vmin, label[~risky], logv[~risky])
-        pick = logv <= (vmin + window)[label]
-        pick |= risky
+        pick = _picked(label, logv, lphi, (weights * np.abs(lnu, out=lnu)).sum(axis=1), unsure, window[label], vmin)
         for slot, row in zip(label[pick].tolist(), rows[pick].tolist()):
             i, j = divmod(slot, 8)
             row = tuple(r - firsts[i] for r in row)
@@ -607,17 +674,54 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
                 if _collinear(insts[i], row):  # contains no goal: no context needed yet
                     continue
                 contexts[slot] = _goal_context(insts[i], j)
-            found = _exact(insts[i], j, row, contexts.get(slot))
-            if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
-                best[slot] = found
+            _keep(best, slot, _exact(insts[i], j, row, contexts.get(slot)))
         # Free this batch before the next one is built.
-        del label, rows, weights, lphi, unsure, lnu, logv, risky, pick
-    estimates = []
-    for i in range(len(insts)):
-        rows = {j: best[8 * i + j] for j in range(8) if 8 * i + j in best}
-        values = [rows[j][0] if j in rows else math.inf for j in range(8)]
-        estimates.append(_estimate(values, _Certificates(rows)))
-    return estimates
+        del label, rows, weights, lphi, unsure, lnu, logv, pick
+    return [_found_estimate({j: best[8 * i + j] for j in range(8) if 8 * i + j in best})
+            for i in range(len(insts))]
+
+
+def _picked(slot: np.ndarray, logv: np.ndarray, lphi: np.ndarray, wabs: np.ndarray, unsure: np.ndarray,
+            window: np.ndarray, vmin: np.ndarray) -> np.ndarray:
+    """Stage 2: which candidates stage 3 re-values exactly.
+
+    Candidate i of slot `slot[i]` has float log-value `logv[i]`, log profile
+    `lphi[i]`, sum of weight times |log radius| `wabs[i]` and the window
+    `window[i]`.  It is risky if its admission is unsure or its float
+    product might leave the normal range (|log Phi| + wabs > _LOG_SAFE).
+    `vmin` takes each slot's least non-risky log-value, in place; the risky
+    candidates and those within the window of their slot's least are picked.
+    """
+    risky = np.abs(lphi) + wabs > _LOG_SAFE
+    risky |= unsure
+    np.minimum.at(vmin, slot[~risky], logv[~risky])
+    pick = logv <= vmin[slot] + window
+    pick |= risky
+    return pick
+
+
+def _keep(best: dict[int, tuple], slot: int, found: Optional[tuple]) -> None:
+    """Hold row `found` of `_exact` (or None) as `slot`'s if it beats the row held.
+
+    The least value wins, then the least indices, which is the first
+    minimizer in index-lexicographic order; a row valued inf or NaN never wins.
+    """
+    if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
+        best[slot] = found
+
+
+def _rank(rows: np.ndarray, size: int) -> np.ndarray:
+    """`_keep`'s order of the index tuples `rows` of one length, as one integer each (indices < size < 2**21)."""
+    rank = rows[:, 0].copy()
+    for column in rows[:, 1:].T:
+        rank *= size
+        rank += column
+    return rank
+
+
+def _found_estimate(rows: dict[int, tuple]) -> PsiEstimate:
+    """The estimate whose component j is the row `_exact` found for it, if any."""
+    return _estimate([rows[j][0] if j in rows else math.inf for j in range(8)], _Certificates(rows))
 
 
 def psi_component(inst: Instance, j: int) -> tuple[float, Optional[Certificate]]:

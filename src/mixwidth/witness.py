@@ -7,6 +7,11 @@ with t*V_{r,l} inside M is found by testing the single extreme point: an
 exact reduction, not a sampling approximation.  Combining that scale with
 the two-branch width bound for V_{r,l} and maximizing over an (r, l) grid
 yields a constructive lower-bound witness for the width of M.
+
+Only the high branch of the width bound reads n, so `WitnessGrid` builds
+the scale grid, each cell's crossover and low branch, and the scalar scale
+of every cell it re-scores once, and serves a whole sweep's rows;
+`best_witness_lower_bound` is one grid's best cell at the instance's n.
 """
 
 from __future__ import annotations
@@ -114,11 +119,18 @@ def v_width_lower_bound(
 
 
 def _width(m, k, r, l, n, uq, vs, sqrt) -> tuple:
-    """(crossover, low, high) of `v_width_lower_bound`, for int r, l or float arrays that broadcast."""
+    """(crossover, low, high) of `v_width_lower_bound`, for int r, l or float arrays that broadcast.
+
+    Only high reads n: `_high`.
+    """
     crossover = m ** (2 * uq) * k ** (2 * vs) * r ** (1 - 2 * uq) * l ** (1 - 2 * vs)
     low = r**uq * l**vs
-    high = math.inf if n == 0 else n**-0.5 * m**uq * k**vs * sqrt(r) * sqrt(l)
-    return crossover, low, high
+    return crossover, low, _high(m, k, r, l, n, uq, vs, sqrt)
+
+
+def _high(m, k, r, l, n, uq, vs, sqrt):
+    """The width bound's branch beyond the crossover (+inf at n = 0)."""
+    return math.inf if n == 0 else n**-0.5 * m**uq * k**vs * sqrt(r) * sqrt(l)
 
 
 def _axis_grid(limit: int) -> list[int]:
@@ -154,29 +166,58 @@ def best_witness_lower_bound(inst: Instance) -> tuple[float, int, int]:
     crossover, and every cell whose product may leave the normal float
     range, so the result is that of a full scalar scan.
     """
-    m, k, n = inst.dims.m, inst.dims.k, inst.dims.n
-    q, sigma = inst.target.q, inst.target.sigma
-    uq, vs = float(q.u), float(sigma.u)
-    rs, ls = _axis_grid(m), _axis_grid(k)
-    # Float axes: beyond 2**63 a list of Python ints would make object arrays.
-    rf, lf = np.array(rs, float)[:, None], np.array(ls, float)[None, :]
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        # A running minimum over the balls keeps memory O(grid), not O(N * grid).
-        scale = np.full((len(rs), len(ls)), np.inf)
-        for ball, u, v in zip(inst.balls, *inst._ball_arrays[:2]):
-            np.minimum(scale, _scale(ball.nu, u, v, rf, lf), out=scale)
-        crossover, low, high = _width(m, k, rf, lf, n, uq, vs, np.sqrt)
-        score = scale * np.where(n <= crossover, low, high)
-        unsure = np.abs(n - crossover) <= _CROSS_MARGIN * crossover
-        # psi's _LOG_SAFE policy: the width's factors and partial products lie within
-        # e^(+-bound), the scale's between its radius and the scale.
-        bound = 0.5 * math.log(max(n, 1)) + (1 + uq) * math.log(m) + (1 + vs) * math.log(k)
-        unsure |= np.abs(np.log(scale)) + bound > _LOG_SAFE
-    top = score[~unsure].max(initial=-math.inf)
-    best, best_r, best_l = -math.inf, 1, 1
-    for i, j in zip(*np.nonzero(unsure | (score >= top * (1 - _WINDOW)))):
-        r, l = rs[i], ls[j]
-        lb = v_inclusion_scale(inst.balls, r, l) * v_width_lower_bound(m, k, r, l, n, q, sigma)
-        if lb > best:
-            best, best_r, best_l = lb, r, l
-    return best, best_r, best_l
+    return WitnessGrid(inst).best(inst.dims.n)
+
+
+class WitnessGrid:
+    """`best_witness_lower_bound` of one family at any n, with what does not read n found once.
+
+    Built once: the inclusion scale of every grid cell (a running minimum
+    over the balls), the log-size of each scale that the float range test
+    reads, and each cell's crossover and low width branch.  The scalar
+    `v_inclusion_scale` of a cell is computed the first time `best`
+    re-scores it, and kept.  `best(n)` evaluates the high width branch
+    (`_high`), scores the grid and re-scores its window.
+    """
+
+    def __init__(self, inst: Instance):
+        m, k = inst.dims.m, inst.dims.k
+        self.inst = inst
+        self.uq, self.vs = float(inst.target.q.u), float(inst.target.sigma.u)
+        self.rs, self.ls = _axis_grid(m), _axis_grid(k)
+        # Float axes: beyond 2**63 a list of Python ints would make object arrays.
+        self.rf, self.lf = np.array(self.rs, float)[:, None], np.array(self.ls, float)[None, :]
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            # A running minimum over the balls keeps memory O(grid), not O(N * grid).
+            self.scale = np.full((len(self.rs), len(self.ls)), np.inf)
+            for ball, u, v in zip(inst.balls, *inst._ball_arrays[:2]):
+                np.minimum(self.scale, _scale(ball.nu, u, v, self.rf, self.lf), out=self.scale)
+            self.crossover, self.low, _ = _width(m, k, self.rf, self.lf, 0, self.uq, self.vs, np.sqrt)
+            self.log_scale = np.abs(np.log(self.scale))
+        self.largest = self.log_scale.max()
+        self.scalar: dict[tuple[int, int], float] = {}
+
+    def best(self, n: int) -> tuple[float, int, int]:
+        """`best_witness_lower_bound` of the family at width index n."""
+        inst = self.inst
+        m, k = inst.dims.m, inst.dims.k
+        uq, vs, crossover = self.uq, self.vs, self.crossover
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            high = _high(m, k, self.rf, self.lf, n, uq, vs, np.sqrt)
+            score = self.scale * np.where(n <= crossover, self.low, high)
+            unsure = np.abs(n - crossover) <= _CROSS_MARGIN * crossover
+            # psi's _LOG_SAFE policy: the width's factors and partial products lie within
+            # e^(+-bound), the scale's between its radius and the scale.
+            bound = 0.5 * math.log(max(n, 1)) + (1 + uq) * math.log(m) + (1 + vs) * math.log(k)
+            if not self.largest + bound <= _LOG_SAFE:
+                unsure |= self.log_scale + bound > _LOG_SAFE
+        top = score[~unsure].max(initial=-math.inf)
+        best, best_r, best_l = -math.inf, 1, 1
+        for i, j in zip(*np.nonzero(unsure | (score >= top * (1 - _WINDOW)))):
+            r, l = self.rs[i], self.ls[j]
+            if (r, l) not in self.scalar:
+                self.scalar[r, l] = v_inclusion_scale(inst.balls, r, l)
+            lb = self.scalar[r, l] * v_width_lower_bound(m, k, r, l, n, inst.target.q, inst.target.sigma)
+            if lb > best:
+                best, best_r, best_l = lb, r, l
+        return best, best_r, best_l

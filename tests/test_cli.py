@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from mixwidth import ConsistencyError, PsiEstimate
+from mixwidth import ConsistencyError, Dimensions, Instance, PsiEstimate
+from mixwidth import cli
 from mixwidth.cli import CSV_COLUMNS, load_instance, main, run_sweep, witness_report
 
 WORKED = {
@@ -166,6 +167,24 @@ class TestSweep:
         code, _, err = run_cli(capsys, worked_file, "--mode", "sweep", "--n-to", "9")
         assert code != 0 and "sweep range" in err
 
+    def test_row_limit(self, tmp_path, capsys, monkeypatch):
+        # m = k = 10**30: the default range 0..m*k/2 is refused before any row is built
+        path = write_instance(tmp_path, {**WORKED, "m": 10**30, "k": 10**30, "n": 10**30})
+        code, out, err = run_cli(capsys, path, "--mode", "sweep")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"mixwidth: error: sweep of {10**60 // 2 + 1} rows exceeds the limit of "
+            f"{cli.SWEEP_ROW_LIMIT}; narrow it with --n-from and --n-to\n"
+        )
+        assert run_cli(capsys, path, "--mode", "sweep", "--n-from", "5", "--n-to", "10")[0] == 0
+        # a range of exactly the limit runs, one row more is refused
+        monkeypatch.setattr(cli, "SWEEP_ROW_LIMIT", 8)
+        assert run_cli(capsys, path, "--mode", "sweep", "--n-from", "3", "--n-to", "10")[0] == 0
+        assert run_cli(capsys, path, "--mode", "sweep", "--n-from", "3", "--n-to", "11")[0] == 1
+
+    def test_row_limit_in_help(self):
+        assert f"at most {cli.SWEEP_ROW_LIMIT} rows" in " ".join(cli.build_parser().format_help().split())
+
     def test_argmin_set_format(self, worked_file, capsys):
         code, out, _ = run_cli(
             capsys, worked_file, "--mode", "sweep", "--n-from", "4", "--n-to", "4",
@@ -287,8 +306,12 @@ class TestInternalFailures:
             value = float(inst.dims.n + 1)
             return PsiEstimate(value, (value,) + (math.inf,) * 7, (0,))
 
-        # sweep rows take their estimates from psi_many
-        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi_many", lambda insts: map(rising, insts))
+        # sweep rows take their estimates from psi_sweep, one per n of the range
+        def sweep(inst, ns):
+            return (rising(Instance(Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls))
+                    for n in ns)
+
+        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi_sweep", sweep)
         code, out, err = run_cli(
             capsys, worked_file, "--mode", "sweep", "--format", "csv",
             "--n-from", "0", "--n-to", "2",
