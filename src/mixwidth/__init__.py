@@ -7,7 +7,12 @@ crossing one of the distinguished reciprocal levels, and the best triple
 whose reciprocal triangle captures a distinguished point.  The package also
 ships the constructive lower-bound witness search, exact and heuristic width
 oracles, and randomized verification suites.
+
+`norms`, `oracles`, `sweep` and `verify` load when one of their names is
+first read (PEP 562), so a run imports only the modules its mode uses.
 """
+
+import importlib
 
 from .exponents import (
     Exponent,
@@ -19,20 +24,6 @@ from .exponents import (
     parse_exponent,
     solve_critical_crossing,
     solve_crossing,
-)
-from .norms import (
-    corollary_check,
-    interpolation_check,
-    membership,
-    mixed_norm,
-    sample_boundary,
-)
-from .oracles import (
-    WidthSample,
-    exact_width_euclidean_ball,
-    exact_width_linf,
-    numeric_width_estimate,
-    sup_norm_over_M,
 )
 from .phi import ConsistencyError, Dimensions, PhiValue, TargetSpace, phi
 from .psi import (
@@ -46,8 +37,6 @@ from .psi import (
     psi_many,
     validate_instance,
 )
-from .sweep import psi_sweep
-from .verify import SUITE_NAMES, SuiteResult, run_suites
 from .witness import (
     GroupElement,
     best_witness_lower_bound,
@@ -104,3 +93,27 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The names of the modules loaded on first use, by module.
+_LAZY = {
+    name: module
+    for module, names in {
+        "norms": ("corollary_check", "interpolation_check", "membership", "mixed_norm", "sample_boundary"),
+        "oracles": ("WidthSample", "exact_width_euclidean_ball", "exact_width_linf", "numeric_width_estimate",
+                    "sup_norm_over_M"),
+        "sweep": ("psi_sweep",),
+        "verify": ("SUITE_NAMES", "SuiteResult", "run_suites"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

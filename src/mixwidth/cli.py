@@ -34,8 +34,6 @@ from .psi import (
     psi,
     validate_instance,
 )
-from .sweep import psi_sweep
-from .verify import SUITE_NAMES, run_suites
 from .witness import WitnessGrid, best_witness_lower_bound
 
 SCHEMA = "mixwidth-report/1"
@@ -210,6 +208,8 @@ def run_sweep(inst: Instance, n_from: int, n_to: int) -> list[dict]:
     if n_to - n_from + 1 > SWEEP_ROW_LIMIT:
         raise ValueError(f"sweep of {n_to - n_from + 1} rows exceeds the limit of {SWEEP_ROW_LIMIT}; "
                          "narrow it with --n-from and --n-to")
+    from .sweep import psi_sweep
+
     ns = range(n_from, n_to + 1)
     witness = WitnessGrid(inst)
     rows = [_sweep_row(n, est, witness) for n, est in zip(ns, psi_sweep(inst, ns))]
@@ -310,6 +310,15 @@ def _verify_table(results) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _SuiteNames:
+    """`verify.SUITE_NAMES` as argparse choices: verify loads only when an option or the help reads them."""
+
+    def __iter__(self):
+        from .verify import SUITE_NAMES
+
+        return iter(SUITE_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixwidth",
@@ -336,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trials", type=int, default=500, help="trials per verification suite (at least 1)"
     )
+    # Set after add_argument, whose metavar check would read the names.
     parser.add_argument(
         "--self-test-corrupt",
-        choices=SUITE_NAMES,
         default=None,
         help="deliberately skew one verify suite (harness self-test)",
-    )
+    ).choices = _SuiteNames()
     return parser
 
 
@@ -354,6 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.mode in ("verify", "witness"):
+        parser.error(f"argument --format: csv is not a format of --mode {args.mode} (choose table or json)")
     try:
         return _dispatch(args)
     except ValueError as exc:
@@ -369,6 +380,8 @@ def _fail(message: str, code: int) -> int:
 
 def _dispatch(args) -> int:
     if args.mode == "verify":
+        from .verify import run_suites
+
         results = run_suites(
             seed=args.seed, trials=args.trials, corrupt=args.self_test_corrupt
         )

@@ -27,14 +27,10 @@ to BLOCK rows: small instances together, a large one a component at a time.
 
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated with those of the rest of
-its block, all at once (`_flat_triples`); a larger one screens its own
-triples per middle index, for both goals in one pass (`_grid_triples`).
-Both compute every orientation with the same float operations and screen
-it with the same margins (`_contains`).  The grid also values each triple
-in the screen, as stage 2 would (`_log_value`), and passes on only the
-unsure ones and those within the window of the least value so far, the
-only ones stage 2 could pick; so which path an instance takes changes no
-result.
+its block (`_flat_triples`); a larger one screens its own, anchor ball by
+anchor ball, and values them in the screen so that only the triples stage
+2 could pick leave it (`_grid_triples`).  Both paths screen with the same
+float operations and margins, so the path taken changes no result.
 
 The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
@@ -83,8 +79,8 @@ _LOG_SAFE = 700.0
 # Critical crossings this near the box edges, and triangles with |det| <=
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
-# Triples screened at a time, on either path (the grid counts both goals):
-# the triple scan's memory is O(TRIPLE_CHUNK).
+# Triples screened at a time, on either path (the grid counts both goals, and
+# screens half as many per anchor): the triple scan's memory is O(TRIPLE_CHUNK).
 TRIPLE_CHUNK = 1 << 16
 # The size rule: an instance with at most this many triples (N <= 30) takes
 # the flat path.  Measured on `psi` of random families on the 1/1024 grid,
@@ -456,21 +452,39 @@ def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, du: np.
 
 def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
                   window: float, first: int, slot: int) -> Iterator[tuple]:
-    """Components 6 and 7 of one larger instance: triples a < b < c, per middle index b.
+    """Components 6 and 7 of one larger instance: the triples of each anchor ball, least log radius first.
 
     (du[g], dv[g]) are its balls' float offsets from the goal of component
-    slot + g, for g = 0, 1, and `la` their log radii.  Per b the triples are
-    an a-by-c grid for both goals at once, screened in slabs of at most
-    TRIPLE_CHUNK triples, with each orientation computed from slices of
-    (du, dv) as `_orient` computes it.  The screen also values each sure
-    triple as stage 2 does (`_log_value`, with lgoal[g] the log of goal g's
-    profile), keeps a running least value per goal, and drops a sure triple
-    above it by more than the instance's `window`.  Every triple that sets
-    the least value is kept, so when stage 2 meets a later triple its own
-    least value is no higher, and it would not pick a dropped triple either.
-    For a goal where a sure triple could be risky, every triple that may
-    contain it is kept.  Memory is O(N + TRIPLE_CHUNK).  Yields stage-2
-    batches without their profile logs, with balls numbered from `first`.
+    slot + g, g = 0, 1, and `la` their log radii.  The anchors are the balls
+    in ascending (la, index) order; anchor x meets x with each pair of later
+    anchors, so each triple once, at its least-ranked vertex.  A triple is
+    screened for both goals at once, with the orientations of its index
+    order a < b < c (`_anchor_orients`), so with the flat path's bits, an
+    anchor's pairs TRIPLE_CHUNK / 2 at a time (their gathered offsets and
+    indices add to the arrays).  The screen values each sure triple as stage
+    2 does (lgoal[g] is the log of goal g's profile), keeps a running least
+    value per goal and drops a sure triple above it by more than `window`,
+    as stage 2 would.  Yields stage-2 batches without profile logs, balls
+    numbered from `first`; memory is O(N + TRIPLE_CHUNK).
+
+    The bound: a sure triple's weights are positive and sum to 1, so its
+    exact value is at least its anchor's la + lgoal, and its float value
+    falls short of that by a few ulps of |lgoal| + max |la| at most (the
+    weights' sum, three products, three sums), some 1e-15 of it; `slack`
+    is 1e-9 of it, plus 1e-9.  A
+    goal stops at the first anchor whose la + lgoal - slack is above its
+    least value plus the window: no later sure triple would be kept, and no
+    later unsure one, its exact value as high, could win stage 3, as the
+    window covers the least value's float error.  A goal with no sure
+    triple yet runs on.  Where no anchor can stop a goal (an infinite
+    window, where a sure triple could be risky and every triple that may
+    contain the goal is kept, or radii spread less than the window), its
+    triples are screened per middle index b, in a-by-c grids of at most
+    TRIPLE_CHUNK, which gather nothing.  A goal is skipped, being in no
+    triangle, where the widest angular gap of the offsets about it is over
+    pi and every offset lies more than _DET_MARGIN, far above their float
+    error, into the half plane opposite the gap; a goal on the balls' hull
+    (a ball at it, or on the half plane's edge) is screened.
     """
     n = du.shape[1]
     vmin = np.full(2, math.inf)
@@ -478,40 +492,84 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     # so below this bound stage 2 finds none of them risky.
     safe = np.abs(lgoal) + np.abs(la).max() * (1.0 + 1e-9) <= _LOG_SAFE
     window = np.where(safe, window, math.inf)
+    slack = 1e-9 * (1.0 + np.abs(lgoal) + np.abs(la).max())
+    angle = np.sort(np.arctan2(dv, du), axis=1)
+    gap = np.diff(angle, axis=1, append=angle[:, :1] + 2 * math.pi)
+    mid = np.take_along_axis(angle + gap / 2, gap.argmax(axis=1)[:, None], axis=1) + math.pi
+    live = (du * np.cos(mid) + dv * np.sin(mid)).min(axis=1) <= _DET_MARGIN
+    full = live & (np.ptp(la) <= window)
 
-    def slab(b: int, a0: int, a1: int) -> Optional[tuple]:
-        """The stage-2 batch of triples a0 <= a < a1 <= b < c for both goals, or None."""
-        ub, vb, uc, vc = du[:, b, None, None], dv[:, b, None, None], du[:, None, b + 1:], dv[:, None, b + 1:]
-        ua, va = du[:, a0:a1, None], dv[:, a0:a1, None]
-        hit, weights, unsure = _contains(_orient(ua, va, ub, vb), _orient(ub, vb, uc, vc), _orient(uc, vc, ua, va))
-        # Slab row q is ball a0 + q % na about goal q // na; column c - b - 1 is ball c.
-        na, nc = a1 - a0, n - b - 1
-        q = hit // nc
-        c = hit - q * nc
-        c += b + 1
-        lnu = np.concatenate((la[a0:a1],) * 2).take(q), la[b], la.take(c)
-        logv = _log_value(zip(weights.T, lnu), lgoal.repeat(na).take(q))
+    def screened(goals: np.ndarray, orients: tuple, rows_of: Callable) -> Iterator[tuple]:
+        """The stage-2 batch of triples with orientations `orients` about `goals`, if any is kept.
+
+        rows_of(k) gives the balls a < b < c of the triples of flat index k about one goal.
+        """
+        size = orients[2].size // len(goals)
+        hit, weights, unsure = _contains(*orients)
+        del orients
+        g, k = np.divmod(hit, size)
+        rows = rows_of(k)
+        g = goals.take(g)
+        logv = _log_value(zip(weights.T, (la.take(r) for r in rows)), lgoal.take(g))
         logv[unsure] = math.inf
-        split = q.searchsorted(na)
-        np.minimum(vmin, (logv[:split].min(initial=math.inf), logv[split:].min(initial=math.inf)), out=vmin)
-        keep = logv <= (vmin + window).repeat(na).take(q)
+        np.minimum.at(vmin, g, logv)
+        keep = logv <= (vmin + window).take(g)
         keep |= unsure
         keep = keep.nonzero()[0]
-        if not keep.size:
-            return None
-        g, a = np.divmod(q.take(keep), na)
-        rows = np.column_stack((a + a0, np.full(keep.size, b), c.take(keep)))
-        rows += first
-        return slot + g, rows, weights[keep], unsure[keep]
+        if keep.size:
+            rows = np.column_stack([r.take(keep) for r in rows])
+            rows += first
+            yield slot + g.take(keep), rows, weights[keep], unsure[keep]
 
-    for b in range(1, n - 1):
-        step = max(1, TRIPLE_CHUNK // (2 * (n - b - 1)))
+    goals = full.nonzero()[0]
+    u, v = du[goals], dv[goals]
+    for b in range(1, n - 1) if goals.size else ():
+        nc = n - b - 1
+        step = max(1, TRIPLE_CHUNK // (len(goals) * nc))
         for a0 in range(0, b, step):
-            batch = slab(b, a0, min(b, a0 + step))
-            if batch is not None:
-                yield batch
-            # Free the batch once taken, before the next slab is built.
-            del batch
+            a1 = min(b, a0 + step)
+            ua, va, ub, vb, uc, vc = (u[:, a0:a1, None], v[:, a0:a1, None], u[:, b, None, None],
+                                      v[:, b, None, None], u[:, None, b + 1:], v[:, None, b + 1:])
+            yield from screened(goals, (_orient(ua, va, ub, vb), _orient(ub, vb, uc, vc), _orient(uc, vc, ua, va)),
+                                lambda k: (a0 + k // nc, np.full(len(k), b), b + 1 + k % nc))
+    live &= ~full
+    later = np.ones(n, bool)
+    for x in np.argsort(la, kind="stable").tolist():
+        later[x] = False
+        live &= ~(la[x] + lgoal - slack > vmin + window)  # a NaN bound stops no goal
+        rest, goals = later.nonzero()[0], live.nonzero()[0]
+        if not goals.size or len(rest) < 2:
+            return
+        u, v = du[goals], dv[goals]
+        # Rows i0 <= i < i1 of the pairs i < j of `rest`, none longer than row i0.
+        i0, m = 0, len(rest)
+        while i0 < m - 1:
+            i1 = min(m - 1, i0 + max(1, TRIPLE_CHUNK // (2 * len(goals) * (m - 1 - i0))))
+            y, z = rest[np.stack(_pairs(np.arange(i0, i1), np.full(m, m)))]
+            i0 = i1
+            yield from screened(goals, _anchor_orients(u, v, x, y, z), lambda k: (
+                np.minimum(y.take(k), x), np.clip(x, y.take(k), z.take(k)), np.maximum(z.take(k), x)))
+
+
+def _anchor_orients(u: np.ndarray, v: np.ndarray, x: int, y: np.ndarray, z: np.ndarray) -> tuple:
+    """`_contains`' orientations (o_ab, o_bc, o_ca) of the triangles {x, y_i, z_i}, y_i < z_i, in index order.
+
+    (u, v) are the balls' offsets from the goals.  With A = o(x, y), B =
+    o(y, z) and C = o(z, x), as `_orient` computes them, the order a < b < c
+    gives (A, B, C) where x < y and (B, C, A) where z < x.  Where y < x < z
+    it gives (-A, -C, -B), and (A, C, B) screens alike: `_contains` reads
+    ratios and |det| only, and float negation is exact.
+    """
+    ux, vx = u[:, x, None], v[:, x, None]
+    b = _orient(u.take(y, axis=1), v.take(y, axis=1), u.take(z, axis=1), v.take(z, axis=1))
+    a, c = _orient(ux, vx, u, v).take(y, axis=1), _orient(u, v, ux, vx).take(z, axis=1)
+    low, high = x < y, z < x
+    ca = b.copy()
+    np.copyto(ca, c, where=low)
+    np.copyto(ca, a, where=high)
+    np.copyto(c, b, where=low)
+    np.copyto(a, b, where=high)
+    return a, c, ca
 
 
 def _goal_context(inst: Instance, j: int) -> tuple:

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import math
+import subprocess
 import sys
 
 import pytest
@@ -234,8 +236,28 @@ class TestVerifyMode:
         assert out == ""
         assert err == f"mixwidth: error: trials must be at least 1, got {trials}\n"
 
+    def test_csv_rejected(self, capsys):
+        # verify prints tables or JSON only; csv is a bad argument, rejected before any suite runs
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--mode", "verify", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "mixwidth: error: argument --format: csv is not a format of --mode verify (choose table or json)\n")
+
 
 class TestWitnessMode:
+    def test_csv_rejected(self, worked_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([worked_file, "--mode", "witness", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mixwidth ")
+        assert captured.err.endswith(
+            "mixwidth: error: argument --format: csv is not a format of --mode witness (choose table or json)\n")
+
     def test_report(self, worked_file, capsys):
         code, out, _ = run_cli(capsys, worked_file, "--mode", "witness", "--format", "json")
         assert code == 0
@@ -311,7 +333,7 @@ class TestInternalFailures:
             return (rising(Instance(Dimensions(inst.dims.m, inst.dims.k, n), inst.target, inst.balls))
                     for n in ns)
 
-        monkeypatch.setattr(sys.modules["mixwidth.cli"], "psi_sweep", sweep)
+        monkeypatch.setattr(importlib.import_module("mixwidth.sweep"), "psi_sweep", sweep)
         code, out, err = run_cli(
             capsys, worked_file, "--mode", "sweep", "--format", "csv",
             "--n-from", "0", "--n-to", "2",
@@ -480,3 +502,19 @@ class TestReportForms:
             f"witness lower bound = {report['witness_lb']!r} at r={report['r']}, l={report['l']}",
             f"ratio = {report['ratio']!r}",
         ]
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["--mode", "estimate"], set()),
+    (["--mode", "witness"], set()),
+    (["--mode", "sweep", "--n-to", "2"], {"sweep"}),
+    (["--mode", "verify", "--trials", "1"], {"norms", "verify"}),
+], ids=["estimate", "witness", "sweep", "verify"])
+def test_a_mode_imports_only_what_it_runs(worked_file, args, loaded):
+    # norms, oracles, sweep and verify load on first use, from the package and the CLI alike
+    code = ("import sys, mixwidth.cli; mixwidth.cli.main(sys.argv[1:]); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('mixwidth.'))), file=sys.stderr)")
+    argv = args if "verify" in args else [worked_file, *args]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    modules = {m.split(".")[1] for m in result.stderr.split()}
+    assert modules & {"norms", "oracles", "sweep", "verify"} == loaded

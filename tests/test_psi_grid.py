@@ -1,11 +1,13 @@
-"""The grid path of psi_6 and psi_7 against the flat path and the brute-force scan.
+"""The anchor screen of psi_6 and psi_7 against the flat path, the per-middle-index grid and brute force.
 
-Families of more than 30 balls screen their triples on a grid per middle
-index, for both goals at once, and value each triple in the screen so that
-only the triples within the window of the least value reach stage 2.  The
-same family on the flat path (FLAT_TRIPLES raised) screens every triple and
-values them all in stage 2, so the two must agree with `==` on every
-component and certificate.
+Families of more than 30 balls screen their triples anchor ball by anchor
+ball, least log radius first, for both goals at once, value each triple in
+the screen so that only the triples within the window of the least value
+reach stage 2, and stop a goal once no later anchor can reach that window.
+The same family on the flat path (FLAT_TRIPLES raised) screens every triple
+and values them all in stage 2, and `tests/grid_brute.py` screens every
+triple per middle index, so all three must agree with `==` on every
+component and certificate, and with `tests/psi_brute.py` where it reaches.
 """
 
 import importlib
@@ -18,7 +20,9 @@ import numpy as np
 import pytest
 
 from mixwidth import psi
+from mixwidth.phi import log_phi_array
 from conftest import build
+from grid_brute import grid_triples
 from psi_brute import brute_component
 
 psi_module = importlib.import_module("mixwidth.psi")
@@ -93,6 +97,34 @@ def _outside(rng, size):
     return _family(rng, _cells(rng, size, 128, 65), lambda: float(np.exp(rng.uniform(-1, 1))))
 
 
+def _margin_levels(rng, size):
+    # Log radii 0, 1, and the window's edge above 0 perturbed by up to 1.5
+    # times the anchor bound's margin: triples on that middle level are in
+    # the window of those on level 0, or just out of it, so a bound that
+    # stopped an anchor a margin too early would drop some.
+    inst = _family(rng, _cells(rng, size), lambda: 1.0)
+    edge = psi_module._log_window(inst.target, inst.dims, 1.0)
+    slack = 1e-9 * (2.0 + np.abs(_screen(inst)[3]).max())
+    levels = [float(rng.choice([0.0, 1.0, edge + slack * rng.uniform(-1.5, 1.5)])) for _ in inst.balls]
+    return build(inst.dims.m, inst.dims.k, inst.dims.n, inst.target.q.u, inst.target.sigma.u,
+                 [(b.p.u, b.theta.u, math.exp(level)) for b, level in zip(inst.balls, levels)])
+
+
+def _screen(inst):
+    """`_grid_triples`' arguments for one instance, as `psi` passes them."""
+    uf, vf, la = inst._ball_arrays
+    params = np.array(inst._params)
+    lgoal = log_phi_array(np.array([params[0], 0.5]), np.array([params[1], 0.5]), np.tile(params[:, None], 2))
+    du, dv = np.stack((uf - params[0], uf - 0.5)), np.stack((vf - params[1], vf - 0.5))
+    return du, dv, la, lgoal, inst._window, 0, 6
+
+
+def on_grid_brute(monkeypatch, inst):
+    with monkeypatch.context() as patch:
+        patch.setattr(psi_module, "_grid_triples", grid_triples)
+        return psi(inst)
+
+
 def on_flat_path(monkeypatch, inst):
     with monkeypatch.context() as patch:
         patch.setattr(psi_module, "FLAT_TRIPLES", math.comb(len(inst.balls), 3))
@@ -101,11 +133,13 @@ def on_flat_path(monkeypatch, inst):
 
 
 def assert_grid_matches_flat(monkeypatch, inst):
+    """The anchor screen's estimate equals the flat path's and that of the per-middle-index grid."""
     assert not psi_module._flat(len(inst.balls))
-    grid, flat = psi(inst), on_flat_path(monkeypatch, inst)
-    assert grid.components == flat.components
-    assert dict(grid.certificates) == dict(flat.certificates)
-    assert grid == flat
+    grid = psi(inst)
+    for other in on_flat_path(monkeypatch, inst), on_grid_brute(monkeypatch, inst):
+        assert grid.components == other.components
+        assert dict(grid.certificates) == dict(other.certificates)
+        assert grid == other
     return grid
 
 
@@ -113,12 +147,13 @@ def assert_grid_matches_flat(monkeypatch, inst):
 # exactly, on both paths, so they stop at 48 balls; q or sigma = 2 and the
 # families beyond both goals stop at 80.  That keeps the test quick.
 CASES = ([(kind, size) for kind in (_random, _levels, _extreme, _goal_on_edge) for size in (31, 48, 80, 128)]
-         + [(kind, size) for kind in (_target_two, _outside) for size in (31, 48, 80)]
+         + [(kind, size) for kind in (_target_two, _outside, _margin_levels) for size in (31, 48, 80)]
          + [(kind, size) for kind in (_equal, _overflowing) for size in (31, 48)])
 
 
 @pytest.mark.parametrize("kind, size", CASES, ids=[f"{k.__name__[1:]}-{n}" for k, n in CASES])
 def test_grid_matches_flat(monkeypatch, kind, size):
+    # and the per-middle-index grid, and brute force at 31 balls
     rng = np.random.default_rng(size)
     inst = kind(rng, size)
     est = assert_grid_matches_flat(monkeypatch, inst)
@@ -126,6 +161,9 @@ def test_grid_matches_flat(monkeypatch, kind, size):
         assert est.components[6:] == (math.inf, math.inf)
     elif kind is not _target_two:
         assert est.components[6] < math.inf and est.components[7] < math.inf
+    if size == 31:
+        for j in (6, 7):
+            assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
 def test_goal_on_edge_has_balls_at_both_goals():
@@ -135,9 +173,15 @@ def test_goal_on_edge_has_balls_at_both_goals():
 
 
 def test_small_chunks(monkeypatch):
-    # five triples per slab: every middle index is cut into one slab per a
+    # five triples per chunk: every anchor's pairs are cut into one chunk per row
     monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
     assert_grid_matches_flat(monkeypatch, _levels(np.random.default_rng(5), 31))
+
+
+def test_small_chunks_on_equal_radii(monkeypatch):
+    # equal radii are screened per middle index: one slab per a
+    monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
+    assert_grid_matches_flat(monkeypatch, _equal(np.random.default_rng(5), 31))
 
 
 @pytest.mark.parametrize("kind, size", [(_levels, 31), (_random, 33)])
@@ -186,27 +230,40 @@ def test_prune_only_where_no_triple_is_risky(monkeypatch):
     assert counts["kept"] == counts["contained"] > 0, counts
 
 
-def test_grid_memory_has_no_table():
-    # The old N x N orientation table alone took 32 MB at 2,048 balls.  Run
-    # the grid past the middle index 16, from which its slabs are full
-    # (TRIPLE_CHUNK triples over both goals); equal radii keep every
-    # contained triple.
-    rng = np.random.default_rng(2048)
-    n = 2048
-    u, v = rng.integers(0, 1025, size=(2, n)) / 1024
-    du, dv = np.stack((u - 0.3, u - 0.5)), np.stack((v - 0.4, v - 0.5))
-    la = np.zeros(n)
-    batches = psi_module._grid_triples(du, dv, la, np.zeros(2), 1e-5, 0, 6)
+def _peak(batches, done):
+    """The tracemalloc peak of `batches` until a batch's rows make `done` true."""
     tracemalloc.start()
     try:
         for _, rows, _, _ in batches:
-            if rows[0, 1] >= 24:
+            if done(rows):
                 break
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows[0, 1] >= 24
-    assert peak < 4 * 2**20, peak
+    assert done(rows)
+    return peak
+
+
+def _memory_family(la):
+    rng = np.random.default_rng(2048)
+    u, v = rng.integers(0, 1025, size=(2, len(la))) / 1024
+    du, dv = np.stack((u - 0.3, u - 0.5)), np.stack((v - 0.4, v - 0.5))
+    return psi_module._grid_triples(du, dv, la, np.zeros(2), 1e-5, 0, 6)
+
+
+def test_grid_memory_has_no_table():
+    # The old N x N orientation table alone took 32 MB at 2,048 balls.  With
+    # equal radii no anchor can stop a goal, so the triples are screened per
+    # middle index: run past the middle index 16, from which its slabs are
+    # full (TRIPLE_CHUNK triples over both goals).
+    assert _peak(_memory_family(np.zeros(2048)), lambda rows: rows[0, 1] >= 24) < 4 * 2**20
+
+
+def test_anchor_memory_is_bounded():
+    # Log radii 1e-8 apart spread more than the window, so the anchors screen
+    # them, least first, with every triple in the window: run through the
+    # first anchor's 2 million pairs, in chunks, into the second anchor.
+    assert _peak(_memory_family(np.arange(2048) * 1e-8), lambda rows: rows[0, 0] >= 1) < 4 * 2**20
 
 
 def test_degenerate_triangles_raise_no_warning(monkeypatch):
@@ -224,3 +281,112 @@ def test_degenerate_triangles_raise_no_warning(monkeypatch):
         warnings.simplefilter("error")
         est = assert_grid_matches_flat(monkeypatch, inst)
     assert est.components[6] < math.inf
+
+
+def _rows(batches):
+    """{(label, row): (weights, unsure)} of the rows of stage-2 batches."""
+    return {(int(label), tuple(row)): (tuple(w), bool(u))
+            for labels, rows, weights, unsure in batches
+            for label, row, w, u in zip(labels.tolist(), rows.tolist(), weights.tolist(), unsure.tolist())}
+
+
+@pytest.mark.parametrize("kind, size", [(_random, 40), (_random, 64), (_levels, 31), (_levels, 48),
+                                        (_margin_levels, 40), (_margin_levels, 64), (_goal_on_edge, 48),
+                                        (_equal, 40)])
+def test_anchor_screen_keeps_what_can_win(kind, size):
+    # Every triple the per-middle-index grid passes on that stage 3 could
+    # confirm as a winner is among the anchor screen's rows, with the same
+    # float weights: a sure triple within the window of the least value, and
+    # an unsure one whose exact value can reach that window.  Equal radii,
+    # which no anchor can stop, pass on the same rows as the grid.
+    inst = kind(np.random.default_rng(size), size)
+    args = _screen(inst)
+    la, lgoal, window = args[2:5]
+    ref, new = _rows(grid_triples(*args)), _rows(psi_module._grid_triples(*args))
+    assert sum(len(batch[0]) for batch in psi_module._grid_triples(*args)) == len(new)
+    assert all(row[0] < row[1] < row[2] for _, row in new)
+    if kind is _equal:
+        assert new == ref
+    sure = {}
+    for (label, row), (weights, unsure) in ref.items():
+        if not unsure:
+            logv = sum(w * la[i] for w, i in zip(weights, row)) + lgoal[label - 6]
+            sure[label] = min(sure.get(label, math.inf), logv)
+    reached = 0
+    for (label, row), (weights, unsure) in ref.items():
+        bound = sure.get(label, math.inf) + window
+        if unsure:
+            exact = psi_module._triple_geometry(inst, row, psi_module._goal(inst, label)[2])
+            if exact is None:
+                continue
+            logv = sum(t / det * la[i] for (t, det), i in zip(exact[1], row)) + lgoal[label - 6]
+        else:
+            logv = sum(w * la[i] for w, i in zip(weights, row)) + lgoal[label - 6]
+        if logv <= bound:
+            reached += 1
+            assert new.get((label, row)) == (weights, unsure), (label, row)
+    assert reached > 0
+    for key, value in new.items():
+        assert ref.get(key, value) == value
+
+
+def _contains_spy(monkeypatch):
+    """Patch `_contains` to count the triples screened, over the goals."""
+    count = {"triples": 0}
+    contains = psi_module._contains
+
+    def counted(o_ab, o_bc, o_ca):
+        count["triples"] += o_ca.size
+        return contains(o_ab, o_bc, o_ca)
+
+    monkeypatch.setattr(psi_module, "_contains", counted)
+    return count
+
+
+@pytest.mark.parametrize("size, low, high", [(80, 0.05, 0.10), (128, 0.10, 0.15)])
+def test_anchor_screen_fraction(monkeypatch, size, low, high):
+    # the share of the 2 C(N, 3) (triple, goal) pairs the anchor screen meets
+    count = _contains_spy(monkeypatch)
+    inst = _random(np.random.default_rng(size), size)
+    est = psi(inst)
+    assert low < count["triples"] / (2 * math.comb(size, 3)) < high, count
+    assert est == on_grid_brute(monkeypatch, inst)
+
+
+def test_goal_outside_the_hull_is_not_screened(monkeypatch):
+    count = _contains_spy(monkeypatch)
+    inst = _outside(np.random.default_rng(3), 48)
+    assert not list(psi_module._grid_triples(*_screen(inst)))
+    assert count["triples"] == 0
+    assert psi(inst).components[6:] == (math.inf, math.inf)
+
+
+def _hull_family(rng, extra):
+    # goal (1/4, 3/8): balls on the line v = 3/8 on both sides of it and
+    # random balls above, so the goal is on an edge of the hull; `extra`
+    # adds balls, at the goal or below the line
+    uq, vs = Fraction(1, 4), Fraction(3, 8)
+    points = {(uq + Fraction(d, 64), vs) for d in (-5, -2, 3, 7)} | set(extra)
+    while len(points) < 40:
+        points.add((Fraction(int(rng.integers(0, 65)), 64), vs + Fraction(int(rng.integers(1, 40)), 64)))
+    return build(64, 4096, 300, uq, vs, [(u, v, float(np.exp(rng.uniform(-1, 1)))) for u, v in sorted(points)])
+
+
+@pytest.mark.parametrize("where", ["edge", "vertex", "inside"])
+def test_goal_on_the_hull_is_screened(monkeypatch, where):
+    # On an edge or at a vertex (a ball at the goal, the rest on one side)
+    # the goal is in no triangle, but the hull test cannot be sure of it:
+    # the goal is screened, its triangles are all unsure, and psi_6 is inf.
+    # One grid step inside the hull it is in some triangle.
+    uq, vs = Fraction(1, 4), Fraction(3, 8)
+    extra = {"edge": [], "vertex": [(uq, vs)],
+             "inside": [(uq, vs - Fraction(1, 64)), (uq - Fraction(1, 64), vs + Fraction(1, 64))]}[where]
+    inst = _hull_family(np.random.default_rng(9), extra)
+    batches = list(psi_module._grid_triples(*_screen(inst)[:4], math.inf, 0, 6))
+    labels = np.concatenate([batch[0] for batch in batches])
+    unsure = np.concatenate([batch[3] for batch in batches])
+    assert (labels == 6).any()
+    est = assert_grid_matches_flat(monkeypatch, inst)
+    assert unsure[labels == 6].all() == (where != "inside")
+    assert (est.components[6] < math.inf) == (where == "inside")
+    assert (est.components[6], est.certificates.get(6)) == brute_component(inst, 6)
