@@ -12,8 +12,6 @@ oracles, and randomized verification suites.
 first read (PEP 562), so a run imports only the modules its mode uses.
 """
 
-import importlib
-
 from .exponents import (
     Exponent,
     ReciprocalPoint,
@@ -104,16 +102,21 @@ _LAZY = {
         "sweep": ("psi_sweep",),
         "verify": ("SUITE_NAMES", "SuiteResult", "run_suites"),
     }.items()
-    for name in names
+    for name in (module, *names)
 }
 
 
 def __getattr__(name: str):
+    """A name of a module loaded on first use, or the module itself, which the import binds here."""
+    import importlib
+
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    return value
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    if name != _LAZY[name]:
+        globals()[name] = getattr(module, name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted((set(globals()) | set(_LAZY)) - {"_LAZY", "__getattr__", "__dir__"})

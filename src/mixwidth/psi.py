@@ -79,8 +79,10 @@ _LOG_SAFE = 700.0
 # Critical crossings this near the box edges, and triangles with |det| <=
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
-# Triples screened at a time, on either path (the grid counts both goals, and
-# screens half as many per anchor): the triple scan's memory is O(TRIPLE_CHUNK).
+# Triples screened at a time, on either path: the triple scan's memory is
+# O(TRIPLE_CHUNK).  The anchor screen counts both goals and gathers each pair's
+# offsets and indices, so it screens an eighth as many; at N = 128 its peak
+# then stays below that of the pair stage.
 TRIPLE_CHUNK = 1 << 16
 # The size rule: an instance with at most this many triples (N <= 30) takes
 # the flat path.  Measured on `psi` of random families on the 1/1024 grid,
@@ -452,39 +454,32 @@ def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, du: np.
 
 def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
                   window: float, first: int, slot: int) -> Iterator[tuple]:
-    """Components 6 and 7 of one larger instance: the triples of each anchor ball, least log radius first.
+    """Components 6 and 7 of one larger instance, screened anchor ball by anchor ball.
 
     (du[g], dv[g]) are its balls' float offsets from the goal of component
-    slot + g, g = 0, 1, and `la` their log radii.  The anchors are the balls
-    in ascending (la, index) order; anchor x meets x with each pair of later
-    anchors, so each triple once, at its least-ranked vertex.  A triple is
-    screened for both goals at once, with the orientations of its index
-    order a < b < c (`_anchor_orients`), so with the flat path's bits, an
-    anchor's pairs TRIPLE_CHUNK / 2 at a time (their gathered offsets and
-    indices add to the arrays).  The screen values each sure triple as stage
-    2 does (lgoal[g] is the log of goal g's profile), keeps a running least
-    value per goal and drops a sure triple above it by more than `window`,
-    as stage 2 would.  Yields stage-2 batches without profile logs, balls
-    numbered from `first`; memory is O(N + TRIPLE_CHUNK).
+    slot + g, g = 0, 1, and `la` their log radii.  Anchor x, in ascending
+    (la, index) order, meets each pair of later anchors, so each triple is
+    screened once, for both goals, TRIPLE_CHUNK / 8 at a time, with
+    the flat path's orientations (`_anchor_orients`).  Each sure triple is
+    valued as stage 2 values it (lgoal[g] is the log of goal g's profile)
+    and dropped if more than `window` above its goal's running least value.
+    Yields stage-2 batches without profile logs, balls numbered from
+    `first`; memory is O(N + TRIPLE_CHUNK).
 
-    The bound: a sure triple's weights are positive and sum to 1, so its
-    exact value is at least its anchor's la + lgoal, and its float value
-    falls short of that by a few ulps of |lgoal| + max |la| at most (the
-    weights' sum, three products, three sums), some 1e-15 of it; `slack`
-    is 1e-9 of it, plus 1e-9.  A
-    goal stops at the first anchor whose la + lgoal - slack is above its
-    least value plus the window: no later sure triple would be kept, and no
-    later unsure one, its exact value as high, could win stage 3, as the
-    window covers the least value's float error.  A goal with no sure
-    triple yet runs on.  Where no anchor can stop a goal (an infinite
-    window, where a sure triple could be risky and every triple that may
-    contain the goal is kept, or radii spread less than the window), its
-    triples are screened per middle index b, in a-by-c grids of at most
-    TRIPLE_CHUNK, which gather nothing.  A goal is skipped, being in no
+    A sure triple's weights are positive and sum to 1, so its exact value
+    is at least its anchor's la + lgoal; its float value falls short of
+    that by a few ulps of |lgoal| + max |la| (the weights' sum, three
+    products, three sums), and `slack` is 1e-9 of that, plus 1e-9.  A goal
+    stops at the first anchor whose la + lgoal - slack is above its least
+    value plus the window: no later triple could be kept, or win stage 3,
+    as the window covers the least value's float error.  With no sure
+    triple yet, an infinite window (where a sure triple could be risky) or
+    radii spread less than the window, a goal runs to the last anchor and
+    every triple is screened once.  A goal is skipped, being in no
     triangle, where the widest angular gap of the offsets about it is over
     pi and every offset lies more than _DET_MARGIN, far above their float
     error, into the half plane opposite the gap; a goal on the balls' hull
-    (a ball at it, or on the half plane's edge) is screened.
+    is screened.
     """
     n = du.shape[1]
     vmin = np.full(2, math.inf)
@@ -497,42 +492,6 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     gap = np.diff(angle, axis=1, append=angle[:, :1] + 2 * math.pi)
     mid = np.take_along_axis(angle + gap / 2, gap.argmax(axis=1)[:, None], axis=1) + math.pi
     live = (du * np.cos(mid) + dv * np.sin(mid)).min(axis=1) <= _DET_MARGIN
-    full = live & (np.ptp(la) <= window)
-
-    def screened(goals: np.ndarray, orients: tuple, rows_of: Callable) -> Iterator[tuple]:
-        """The stage-2 batch of triples with orientations `orients` about `goals`, if any is kept.
-
-        rows_of(k) gives the balls a < b < c of the triples of flat index k about one goal.
-        """
-        size = orients[2].size // len(goals)
-        hit, weights, unsure = _contains(*orients)
-        del orients
-        g, k = np.divmod(hit, size)
-        rows = rows_of(k)
-        g = goals.take(g)
-        logv = _log_value(zip(weights.T, (la.take(r) for r in rows)), lgoal.take(g))
-        logv[unsure] = math.inf
-        np.minimum.at(vmin, g, logv)
-        keep = logv <= (vmin + window).take(g)
-        keep |= unsure
-        keep = keep.nonzero()[0]
-        if keep.size:
-            rows = np.column_stack([r.take(keep) for r in rows])
-            rows += first
-            yield slot + g.take(keep), rows, weights[keep], unsure[keep]
-
-    goals = full.nonzero()[0]
-    u, v = du[goals], dv[goals]
-    for b in range(1, n - 1) if goals.size else ():
-        nc = n - b - 1
-        step = max(1, TRIPLE_CHUNK // (len(goals) * nc))
-        for a0 in range(0, b, step):
-            a1 = min(b, a0 + step)
-            ua, va, ub, vb, uc, vc = (u[:, a0:a1, None], v[:, a0:a1, None], u[:, b, None, None],
-                                      v[:, b, None, None], u[:, None, b + 1:], v[:, None, b + 1:])
-            yield from screened(goals, (_orient(ua, va, ub, vb), _orient(ub, vb, uc, vc), _orient(uc, vc, ua, va)),
-                                lambda k: (a0 + k // nc, np.full(len(k), b), b + 1 + k % nc))
-    live &= ~full
     later = np.ones(n, bool)
     for x in np.argsort(la, kind="stable").tolist():
         later[x] = False
@@ -544,11 +503,24 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
         # Rows i0 <= i < i1 of the pairs i < j of `rest`, none longer than row i0.
         i0, m = 0, len(rest)
         while i0 < m - 1:
-            i1 = min(m - 1, i0 + max(1, TRIPLE_CHUNK // (2 * len(goals) * (m - 1 - i0))))
+            i1 = min(m - 1, i0 + max(1, TRIPLE_CHUNK // (8 * len(goals) * (m - 1 - i0))))
             y, z = rest[np.stack(_pairs(np.arange(i0, i1), np.full(m, m)))]
             i0 = i1
-            yield from screened(goals, _anchor_orients(u, v, x, y, z), lambda k: (
-                np.minimum(y.take(k), x), np.clip(x, y.take(k), z.take(k)), np.maximum(z.take(k), x)))
+            hit, weights, unsure = _contains(*_anchor_orients(u, v, x, y, z))
+            g, k = np.divmod(hit, len(y))
+            y, z = y.take(k), z.take(k)
+            rows = np.minimum(y, x), np.clip(x, y, z), np.maximum(z, x)
+            g = goals.take(g)
+            logv = _log_value(zip(weights.T, (la.take(r) for r in rows)), lgoal.take(g))
+            logv[unsure] = math.inf
+            np.minimum.at(vmin, g, logv)
+            keep = logv <= (vmin + window).take(g)
+            keep |= unsure
+            keep = keep.nonzero()[0]
+            if keep.size:
+                rows = np.column_stack([r.take(keep) for r in rows])
+                rows += first
+                yield slot + g.take(keep), rows, weights[keep], unsure[keep]
 
 
 def _anchor_orients(u: np.ndarray, v: np.ndarray, x: int, y: np.ndarray, z: np.ndarray) -> tuple:

@@ -518,3 +518,15 @@ def test_a_mode_imports_only_what_it_runs(worked_file, args, loaded):
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
     modules = {m.split(".")[1] for m in result.stderr.split()}
     assert modules & {"norms", "oracles", "sweep", "verify"} == loaded
+
+
+def test_lazy_modules_read_as_attributes():
+    # a module loaded on first use is an attribute of the package, as when
+    # it was imported eagerly, and dir() lists it and its names, not the loader
+    code = ("import mixwidth; names = dir(mixwidth); "
+            "print(all(getattr(mixwidth, m).__name__ == 'mixwidth.' + m for m in ('norms', 'oracles', 'sweep', 'verify')), "
+            "{'norms', 'oracles', 'sweep', 'verify', 'psi_sweep', 'run_suites'} <= set(names), "
+            "{'importlib', '_LAZY', '__getattr__', '__dir__'} & set(names), names == dir(mixwidth), "
+            "set(mixwidth.__all__) <= set(names))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["True", "True", "set()", "True", "True"]

@@ -179,7 +179,7 @@ def test_small_chunks(monkeypatch):
 
 
 def test_small_chunks_on_equal_radii(monkeypatch):
-    # equal radii are screened per middle index: one slab per a
+    # no goal stops on equal radii: every anchor's pairs, a chunk per row
     monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
     assert_grid_matches_flat(monkeypatch, _equal(np.random.default_rng(5), 31))
 
@@ -253,9 +253,9 @@ def _memory_family(la):
 
 def test_grid_memory_has_no_table():
     # The old N x N orientation table alone took 32 MB at 2,048 balls.  With
-    # equal radii no anchor can stop a goal, so the triples are screened per
-    # middle index: run past the middle index 16, from which its slabs are
-    # full (TRIPLE_CHUNK triples over both goals).
+    # equal radii every ball is an anchor and no goal stops: run through the
+    # first anchor's full chunks (TRIPLE_CHUNK / 8 triples over both goals)
+    # until its pairs reach ball 24.
     assert _peak(_memory_family(np.zeros(2048)), lambda rows: rows[0, 1] >= 24) < 4 * 2**20
 
 
@@ -297,8 +297,9 @@ def test_anchor_screen_keeps_what_can_win(kind, size):
     # Every triple the per-middle-index grid passes on that stage 3 could
     # confirm as a winner is among the anchor screen's rows, with the same
     # float weights: a sure triple within the window of the least value, and
-    # an unsure one whose exact value can reach that window.  Equal radii,
-    # which no anchor can stop, pass on the same rows as the grid.
+    # an unsure one whose exact value can reach that window.  On equal radii
+    # no goal stops and every contained triple is in the window, so the
+    # anchor screen passes on the same rows as the grid.
     inst = kind(np.random.default_rng(size), size)
     args = _screen(inst)
     la, lgoal, window = args[2:5]
@@ -328,6 +329,20 @@ def test_anchor_screen_keeps_what_can_win(kind, size):
     assert reached > 0
     for key, value in new.items():
         assert ref.get(key, value) == value
+
+
+def test_last_anchor_with_a_pair_is_screened():
+    # Equal radii take the anchors in index order, and the last three balls
+    # surround (1/2, 1/2): the last anchor with a pair left must pass on
+    # their triple, as the grid does.
+    base = _equal(np.random.default_rng(3), 31)
+    corners = [(Fraction(1, 128), Fraction(1, 128)), (Fraction(127, 128), Fraction(33, 128)),
+               (Fraction(33, 128), Fraction(127, 128))]
+    inst = build(base.dims.m, base.dims.k, base.dims.n, base.target.q.u, base.target.sigma.u,
+                 [(b.p.u, b.theta.u, 1.0) for b in base.balls] + [(u, v, 1.0) for u, v in corners])
+    rows = _rows(psi_module._grid_triples(*_screen(inst)))
+    assert rows[7, (31, 32, 33)][1] is False
+    assert rows == _rows(grid_triples(*_screen(inst)))
 
 
 def _contains_spy(monkeypatch):
