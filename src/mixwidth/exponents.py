@@ -58,8 +58,12 @@ class Exponent:
         return math.inf if self.u == 0 else 1.0 / float(self.u)
 
     def render(self) -> str:
-        """Canonical text form: 'inf' or the exponent as a lowest-terms fraction."""
-        return "inf" if self.u == 0 else str(1 / self.u)
+        """Canonical text form: 'inf' or the exponent as a lowest-terms fraction.
+
+        u is in lowest terms, so 1/u is d/n for u = n/d: this is str(1 / u).
+        """
+        n, d = self.u.numerator, self.u.denominator
+        return "inf" if n == 0 else str(d) if n == 1 else f"{d}/{n}"
 
     def __str__(self) -> str:
         return self.render()
@@ -73,6 +77,20 @@ def parse_exponent(text: str) -> Exponent:
     """
     if not isinstance(text, str):
         raise ValueError(f"exponent text must be a string, got {type(text).__name__}")
+    a, slash, b = text.partition("/")
+    if a.isascii() and a.isdigit() and (not slash or b.isascii() and b.isdigit()):
+        # ASCII digits, or digits/digits: the exponent a/b from ints, with the
+        # messages of the general path (an int past Python's digit limit, or
+        # b = 0, is malformed).
+        try:
+            a, b = int(a), int(b) if slash else 1
+        except ValueError:
+            raise ValueError(f"malformed exponent {text!r}") from None
+        if b == 0:
+            raise ValueError(f"malformed exponent {text!r}")
+        if a < b:
+            raise ValueError(f"exponent must be >= 1, got {text!r}")
+        return Exponent(Fraction(b, a))
     t = text.strip().lower()
     if t in ("inf", "infinity"):
         return Exponent(Fraction(0))

@@ -27,9 +27,14 @@ to BLOCK rows: small instances together, a large one a component at a time.
 
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated with those of the rest of
-its block (`_flat_triples`); a larger one screens its own, anchor ball by
-anchor ball, and values them in the screen so that only the triples stage
-2 could pick leave it (`_grid_triples`).  Both paths screen with the same
+its block (`_flat_triples`); a larger one screens its own, and values them
+in the screen so that only the triples stage 2 could pick leave it
+(`_grid_triples`).  That screen bounds every triangle about a goal by the
+goal's LP supporting plane (`_plane`, a simplex walk on three rows): it
+takes anchor balls in ascending height above the plane's tilt, stops a
+goal at the first anchor that cannot reach the window (level 1), and cuts
+each anchor's pairs to those with a ball low enough to reach it (level 2),
+so a generic family screens O(N) triples.  Both paths screen with the same
 float operations and margins, so the path taken changes no result.
 
 The exact work is on Python integers: each ball's reciprocal point is
@@ -80,16 +85,16 @@ _LOG_SAFE = 700.0
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
 # Triples screened at a time, on either path: the triple scan's memory is
-# O(TRIPLE_CHUNK).  The anchor screen counts both goals and gathers each pair's
-# offsets and indices, so it screens an eighth as many; at N = 128 its peak
-# then stays below that of the pair stage.
+# O(TRIPLE_CHUNK).  The anchor screen gathers each triple's offsets and
+# indices, so it screens an eighth as many (triple, goal) pairs; at N = 128
+# its peak then stays below that of the pair stage.
 TRIPLE_CHUNK = 1 << 16
 # The size rule: an instance with at most this many triples (N <= 30) takes
 # the flat path.  Measured on `psi` of random families on the 1/1024 grid,
-# the flat path takes 0.4-0.8x the grid's time from N = 8 to 48; the two
-# cross near N = 60, and at N = 80 the flat path takes 1.8x.  The flat
-# screen holds about 120 bytes per triple at once, and the grid
-# O(N + TRIPLE_CHUNK), so the rule sits where the flat peak stays below that
+# the flat path takes 0.7-0.9x the grid's time from N = 8 to 24; the two
+# cross near N = 31, and at N = 48 and 80 the flat path takes 1.8x and
+# 4.8x.  The flat screen holds about 120 bytes per triple at once, and the
+# grid O(N + TRIPLE_CHUNK), so the rule also keeps the flat peak below that
 # of `psi` at N = 128 on the grid (0.5 against 0.8 MB).  `psi_many` also
 # closes a block once its flat triples reach this many.
 FLAT_TRIPLES = 1 << 12
@@ -100,6 +105,11 @@ FLAT_TRIPLES = 1 << 12
 # component's own; at 1024 and more, joined triples raised the grid's peak
 # at N = 128.
 BLOCK = 512
+# The psi_6/psi_7 screen's LP walk (`_plane`): its artificial vertices, at radius
+# 4 about the goal, and its pivot cap (a random family at N = 128 takes
+# 3-11 pivots).
+_ARTIFICIAL = ([0.0, -2 * math.sqrt(3), 2 * math.sqrt(3)], [4.0, -2.0, -2.0])
+_WALK_PIVOTS = 64
 
 
 @dataclass(frozen=True)
@@ -454,87 +464,234 @@ def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, du: np.
 
 def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
                   window: float, first: int, slot: int) -> Iterator[tuple]:
-    """Components 6 and 7 of one larger instance, screened anchor ball by anchor ball.
+    """Components 6 and 7 of one larger instance, screened anchor by anchor under each goal's LP plane.
 
     (du[g], dv[g]) are its balls' float offsets from the goal of component
-    slot + g, g = 0, 1, and `la` their log radii.  Anchor x, in ascending
-    (la, index) order, meets each pair of later anchors, so each triple is
-    screened once, for both goals, TRIPLE_CHUNK / 8 at a time, with
-    the flat path's orientations (`_anchor_orients`).  Each sure triple is
-    valued as stage 2 values it (lgoal[g] is the log of goal g's profile)
-    and dropped if more than `window` above its goal's running least value.
-    Yields stage-2 batches without profile logs, balls numbered from
-    `first`; memory is O(N + TRIPLE_CHUNK).
+    slot + g, g = 0, 1, `la` their log radii and lgoal[g] the log of goal
+    g's profile.  `_plane` finds the tilt (beta, gamma) of the LP plane
+    under the lifted points (du, dv, la) of each goal, and t = la - beta du
+    - gamma dv is each ball's height above the plane's tilt.  A triangle
+    that contains the goal has weights tau with sum(tau (du, dv)) = 0, so
+    its value sum(tau la) + lgoal is sum(tau t) + lgoal: at least that of
+    its least-t vertex x, t_x + lgoal.  Each goal takes its balls as
+    anchors in ascending (t, index) order, and anchor x meets each pair of
+    later anchors, so each triple is met once per goal.  Rows of
+    consecutive anchors, of both goals, share a chunk of up to
+    TRIPLE_CHUNK / 8 triples, screened with the flat path's orientations
+    (`_anchor_orients`).  Each triple is valued as stage 2 values it, and
+    dropped if sure and more than `window` above its goal's least sure value
+    vmin so far.  Yields stage-2 batches without profile logs, balls
+    numbered from `first`; memory is O(N + TRIPLE_CHUNK).
 
-    A sure triple's weights are positive and sum to 1, so its exact value
-    is at least its anchor's la + lgoal; its float value falls short of
-    that by a few ulps of |lgoal| + max |la| (the weights' sum, three
-    products, three sums), and `slack` is 1e-9 of that, plus 1e-9.  A goal
-    stops at the first anchor whose la + lgoal - slack is above its least
-    value plus the window: no later triple could be kept, or win stage 3,
-    as the window covers the least value's float error.  With no sure
-    triple yet, an infinite window (where a sure triple could be risky) or
-    radii spread less than the window, a goal runs to the last anchor and
-    every triple is screened once.  A goal is skipped, being in no
-    triangle, where the widest angular gap of the offsets about it is over
-    pi and every offset lies more than _DET_MARGIN, far above their float
-    error, into the half plane opposite the gap; a goal on the balls' hull
-    is screened.
+    Floats.  A sure triangle (|det| > _DET_MARGIN, every weight above
+    _BARY_MARGIN) has float weights w within err = 16 eps R^2 / _DET_MARGIN
+    of the exact barycentric coordinates of the float offsets, eps being
+    the float epsilon and R the largest |offset|.  So |sum(w (du, dv))| is
+    under R err, and the triangle's float value is at least sum(w t) +
+    lgoal less `margin`: (|beta| + |gamma|) R err, plus 1e-9 of 1 + |lgoal|
+    + max |la| + (|beta| + |gamma|) R for a few ulps of the sums, products
+    and heights.  An unsure triangle's exact weights meet the same bound.
+    The plane is flat (t = la) where the walk fails, where that budget's
+    first term is above the window, and where every t lies within the
+    window and margin of the least (equal radii, or log radii affine in
+    (du, dv)): there the tilt could neither stop a goal nor cut a pair,
+    while the flat plane's level 1 stops a goal at the first anchor above
+    its value.
+
+    The rules.  With D = vmin + window - lgoal + margin, (level 1) a goal
+    stops at the first anchor with t_x > D: no later triple could be kept,
+    or win stage 3, as the window covers the least value's float error.
+    (Level 2) A triple (x, y, z) has 1 - tau_x >= delta, delta the goal's
+    distance from x over the diagonal of the offsets' bounding box, so
+    sum(tau t) is at most D only if min(t_y, t_z) <= t_x + (D - t_x) / delta.
+    Where delta is above 2 err, so that the float 1 - w_x is at least
+    delta / 2, anchor x keeps only the pairs with a t of at most t_x +
+    2 (D - t_x) / delta, by a margin, and all of them otherwise.  Before
+    the first anchor, each walk's basis triangle is valued as its anchor
+    will value it, which sets vmin at once; a chunk tests its anchors with
+    vmin from before it, which only falls.  With an infinite window (where
+    a sure triple could be risky), no sure triple, or equal radii, neither
+    rule cuts, and every triple is screened once.
+
+    A goal with no plane (an infinite window, or a failed walk) is skipped
+    if `_outside` the balls' hull; a goal on the hull is screened.
     """
     n = du.shape[1]
-    vmin = np.full(2, math.inf)
+    lmax = float(np.abs(la).max())
     # A sure triple's weights are positive and sum to 1 within a few ulps,
     # so below this bound stage 2 finds none of them risky.
-    safe = np.abs(lgoal) + np.abs(la).max() * (1.0 + 1e-9) <= _LOG_SAFE
-    window = np.where(safe, window, math.inf)
-    slack = 1e-9 * (1.0 + np.abs(lgoal) + np.abs(la).max())
-    angle = np.sort(np.arctan2(dv, du), axis=1)
-    gap = np.diff(angle, axis=1, append=angle[:, :1] + 2 * math.pi)
-    mid = np.take_along_axis(angle + gap / 2, gap.argmax(axis=1)[:, None], axis=1) + math.pi
-    live = (du * np.cos(mid) + dv * np.sin(mid)).min(axis=1) <= _DET_MARGIN
-    later = np.ones(n, bool)
-    for x in np.argsort(la, kind="stable").tolist():
-        later[x] = False
-        live &= ~(la[x] + lgoal - slack > vmin + window)  # a NaN bound stops no goal
-        rest, goals = later.nonzero()[0], live.nonzero()[0]
-        if not goals.size or len(rest) < 2:
+    window = np.where(np.abs(lgoal) + lmax * (1.0 + 1e-9) <= _LOG_SAFE, window, math.inf)
+    reach = np.maximum(np.abs(du).max(axis=1), np.abs(dv).max(axis=1))
+    err = 16 * sys.float_info.epsilon * reach * reach / _DET_MARGIN
+    goals, heights, margins, bases = [], [], [], []
+    for g in range(len(du)):
+        plane = _plane(du[g], dv[g], la) if window[g] < math.inf else None
+        if plane is None and _outside(du[g], dv[g]):
+            continue
+        beta, gamma = plane[:2] if plane is not None else (0.0, 0.0)
+        budget = (abs(beta) + abs(gamma)) * reach[g]
+        t = la - beta * du[g]
+        t -= gamma * dv[g]
+        margin = budget * err[g] + 1e-9 * (1.0 + abs(lgoal[g]) + lmax + budget)
+        if not (budget * err[g] <= window[g] and np.ptp(t) > window[g] + margin):
+            t, margin = la, 1e-9 * (1.0 + abs(lgoal[g]) + lmax)
+        if plane is not None:
+            bases.append([len(goals) * n + i for i in sorted(plane[2])])
+        goals.append(g)
+        heights.append(t)
+        margins.append(margin)
+    if not goals:
+        return
+    goals, t, margin = np.array(goals), np.array(heights), np.array(margins)
+    du, dv, lgoal, window, err = du[goals], dv[goals], lgoal[goals], window[goals], err[goals]
+    order = np.argsort(t, axis=1, kind="stable")
+    ts = np.take_along_axis(t, order, axis=1)
+    delta = np.hypot(du, dv) / np.hypot(np.ptp(du, axis=1), np.ptp(dv, axis=1))[:, None]
+    # Flat numbering: ball i of goal g is g n + i, and so is its anchor position i.
+    order += n * np.arange(len(goals))[:, None]
+    order, u, v, lnu, delta = order.ravel(), du.ravel(), dv.ravel(), np.tile(la, len(goals)), delta.ravel()
+    ends = np.repeat(n * np.arange(1, len(goals) + 1), n)
+    vmin = np.full(len(goals), math.inf)
+
+    def screened(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+        """(goal, rows, weights, unsure, logv) of the flat triangles {x, y, z}, y < z, that may contain the goal.
+
+        Lowers vmin to their least sure log-value; logv is inf where unsure.
+        """
+        hit, weights, unsure = _contains(*_anchor_orients(u, v, x, y, z))
+        x, y, z = x.take(hit), y.take(hit), z.take(hit)
+        g = x // n
+        rows = np.minimum(y, x), np.clip(x, y, z), np.maximum(z, x)
+        logv = _log_value(zip(weights.T, (lnu.take(r) for r in rows)), lgoal.take(g))
+        logv[unsure] = math.inf
+        np.minimum.at(vmin, g, logv)
+        return g, rows, weights, unsure, logv
+
+    if bases:
+        screened(*np.array(bases).T)
+    cap = max(1, TRIPLE_CHUNK // 8)
+    pos, row, rows = [0] * len(goals), [0] * len(goals), [0] * len(goals)  # per goal: anchor, its next row, its rows
+    while True:
+        starts, anchors, counts, size = [], [], [], 0
+        for g, bound in enumerate((vmin + window - lgoal + margin).tolist()):
+            while size < cap and pos[g] < n - 2:
+                p, r, x = pos[g], row[g], order[g * n + pos[g]]
+                if r == 0:
+                    tx = float(ts[g, p])
+                    if tx > bound:  # level 1; a NaN bound stops nothing
+                        pos[g] = n
+                        break
+                    rows[g] = n - 2 - p
+                    if math.isfinite(bound) and delta[x] > 2 * err[g]:  # level 2
+                        cut = tx + 2 * (bound - tx) / delta[x] * (1.0 + 1e-9) + margin[g]
+                        rows[g] = min(rows[g], int(ts[g].searchsorted(cut, side="right")) - p - 1)
+                # Row r of the anchor at p pairs position p + 1 + r with each later one.
+                end = min(rows[g], r + max(1, (cap - size) // (n - 2 - p - r))) if r < rows[g] else r
+                starts.append(np.arange(g * n + p + 1 + r, g * n + p + 1 + end))
+                anchors.append(x)
+                counts.append(end - r)
+                size += (end - r) * (2 * (n - 2 - p) - end - r + 1) // 2
+                row[g] = end
+                if end >= rows[g]:
+                    pos[g], row[g] = p + 1, 0
+        if not size:
             return
-        u, v = du[goals], dv[goals]
-        # Rows i0 <= i < i1 of the pairs i < j of `rest`, none longer than row i0.
-        i0, m = 0, len(rest)
-        while i0 < m - 1:
-            i1 = min(m - 1, i0 + max(1, TRIPLE_CHUNK // (8 * len(goals) * (m - 1 - i0))))
-            y, z = rest[np.stack(_pairs(np.arange(i0, i1), np.full(m, m)))]
-            i0 = i1
-            hit, weights, unsure = _contains(*_anchor_orients(u, v, x, y, z))
-            g, k = np.divmod(hit, len(y))
-            y, z = y.take(k), z.take(k)
-            rows = np.minimum(y, x), np.clip(x, y, z), np.maximum(z, x)
-            g = goals.take(g)
-            logv = _log_value(zip(weights.T, (la.take(r) for r in rows)), lgoal.take(g))
-            logv[unsure] = math.inf
-            np.minimum.at(vmin, g, logv)
-            keep = logv <= (vmin + window).take(g)
-            keep |= unsure
-            keep = keep.nonzero()[0]
-            if keep.size:
-                rows = np.column_stack([r.take(keep) for r in rows])
-                rows += first
-                yield slot + g.take(keep), rows, weights[keep], unsure[keep]
+        i = np.concatenate(starts)
+        pa, pb = _pairs(i, ends)
+        y, z = order.take(pa), order.take(pb)
+        g, found, weights, unsure, logv = screened(np.repeat(np.repeat(anchors, counts), ends[i] - 1 - i),
+                                                   np.minimum(y, z), np.maximum(y, z))
+        keep = logv <= (vmin + window).take(g)
+        keep |= unsure
+        keep = keep.nonzero()[0]
+        if keep.size:
+            g = g.take(keep)
+            found = np.column_stack([r.take(keep) for r in found])
+            found += (first - n * g)[:, None]
+            yield slot + goals.take(g), found, weights[keep], unsure[keep]
 
 
-def _anchor_orients(u: np.ndarray, v: np.ndarray, x: int, y: np.ndarray, z: np.ndarray) -> tuple:
-    """`_contains`' orientations (o_ab, o_bc, o_ca) of the triangles {x, y_i, z_i}, y_i < z_i, in index order.
+def _outside(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the goal, at offset (0, 0) from the points (u, v), lies outside their hull, and so in no triangle.
 
-    (u, v) are the balls' offsets from the goals.  With A = o(x, y), B =
+    It does where the widest angular gap of the offsets about it is over pi
+    and every offset lies more than _DET_MARGIN, far above their float
+    error, into the half plane opposite the gap's middle.
+    """
+    angle = np.sort(np.arctan2(v, u))
+    gap = np.diff(angle, append=angle[0] + 2 * math.pi)
+    k = int(gap.argmax())
+    mid = float(angle[k] + gap[k] / 2) + math.pi
+    return bool((u * math.cos(mid) + v * math.sin(mid)).min() > _DET_MARGIN)
+
+
+def _plane(u: np.ndarray, v: np.ndarray, la: np.ndarray) -> Optional[tuple]:
+    """(beta, gamma, basis): the tilt of the plane under the lifted points (u_i, v_i, la_i) highest at (0, 0),
+    and the three balls it rests on; None if the walk fails.
+
+    The plane is the dual of the LP min sum(tau la) over tau >= 0 with
+    sum(tau) = 1 and sum(tau (u, v)) = 0.  A simplex walk starts from three
+    artificial vertices at radius 4 about the origin (every offset is at
+    most sqrt 2 from it) and a big-M height, and enters the ball of most
+    negative slack below the plane through the basis, the first such on
+    ties (Bland), while one lies below it by more than 1e-12 of 1 + max
+    |la| + |alpha| + |beta| + |gamma|, above a slack's float error.  The
+    leaving vertex keeps the origin in the basis triangle, the first by
+    index on ties.  The walk fails after _WALK_PIVOTS pivots, on a flat
+    basis triangle, or if it ends with an artificial vertex in the basis:
+    the origin is then outside the balls' hull, on it, or near it.  The
+    plane need not be optimal: `_grid_triples` rests its tilt on the lowest
+    point, so a poor plane costs time only.
+    """
+    n = len(la)
+    lifted = np.stack((np.ones(n), u, v))
+    us, vs, hs = u.tolist(), v.tolist(), la.tolist()
+    lmax = float(np.abs(la).max())
+    us += _ARTIFICIAL[0]
+    vs += _ARTIFICIAL[1]
+    hs += [max(hs) + 1e6 * (1.0 + float(np.ptp(la)))] * 3
+    basis = [n, n + 1, n + 2]
+    for _ in range(_WALK_PIVOTS):
+        (u0, v0, h0), (u1, v1, h1), (u2, v2, h2) = ((us[k], vs[k], hs[k]) for k in basis)
+        # The plane h = alpha + beta u + gamma v through the basis, and the
+        # origin's barycentric coordinates in its triangle.
+        det = (u1 - u0) * (v2 - v0) - (v1 - v0) * (u2 - u0)
+        if not abs(det) > 0:
+            return None
+        cu = (v1 - v0) * (h2 - h0) - (h1 - h0) * (v2 - v0)
+        cv = (h1 - h0) * (u2 - u0) - (u1 - u0) * (h2 - h0)
+        beta, gamma = -cu / det, -cv / det
+        alpha = h0 - beta * u0 - gamma * v0
+        slack = la - np.dot((alpha, beta, gamma), lifted)
+        e = int(slack.argmin())
+        if not slack[e] < -1e-12 * (1.0 + lmax + abs(alpha) + abs(beta) + abs(gamma)):
+            break
+        ue, ve = us[e], vs[e]
+        tau = (u1 * v2 - v1 * u2, u2 * v0 - v2 * u0, u0 * v1 - v0 * u1)
+        d = ((u1 - ue) * (v2 - ve) - (v1 - ve) * (u2 - ue), (u2 - ue) * (v0 - ve) - (v2 - ve) * (u0 - ue),
+             (u0 - ue) * (v1 - ve) - (v0 - ve) * (u1 - ue))
+        ratios = [(tau[k] / d[k], basis[k], k) for k in range(3) if d[k] / det > 1e-12]
+        if not ratios:
+            return None
+        basis[min(ratios)[2]] = e
+    else:
+        return None
+    if max(basis) >= n or not math.isfinite(beta) or not math.isfinite(gamma):
+        return None
+    return beta, gamma, basis
+
+
+def _anchor_orients(u: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+    """`_contains`' orientations (o_ab, o_bc, o_ca) of the triangles {x_i, y_i, z_i}, y_i < z_i, in index order.
+
+    (u, v) are the balls' offsets from the goal.  With A = o(x, y), B =
     o(y, z) and C = o(z, x), as `_orient` computes them, the order a < b < c
     gives (A, B, C) where x < y and (B, C, A) where z < x.  Where y < x < z
     it gives (-A, -C, -B), and (A, C, B) screens alike: `_contains` reads
     ratios and |det| only, and float negation is exact.
     """
-    ux, vx = u[:, x, None], v[:, x, None]
-    b = _orient(u.take(y, axis=1), v.take(y, axis=1), u.take(z, axis=1), v.take(z, axis=1))
-    a, c = _orient(ux, vx, u, v).take(y, axis=1), _orient(u, v, ux, vx).take(z, axis=1)
+    ux, vx, uy, vy, uz, vz = u.take(x), v.take(x), u.take(y), v.take(y), u.take(z), v.take(z)
+    a, b, c = _orient(ux, vx, uy, vy), _orient(uy, vy, uz, vz), _orient(uz, vz, ux, vx)
     low, high = x < y, z < x
     ca = b.copy()
     np.copyto(ca, c, where=low)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,52 @@ class TestParseRender:
     def test_value(self):
         assert parse_exponent("inf").value == math.inf
         assert parse_exponent("4").value == 4.0
+
+
+def _parse_reference(text: str) -> Exponent:
+    """The general body of `parse_exponent`, which reads every text through `Fraction`."""
+    t = text.strip().lower()
+    if t in ("inf", "infinity"):
+        return Exponent(Fraction(0))
+    try:
+        value = Fraction(t)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed exponent {text!r}") from None
+    if value < 1:
+        raise ValueError(f"exponent must be >= 1, got {text!r}")
+    return Exponent(1 / value)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+TEXTS = ["1", "01", "2/4", "4/2", "1/0", "0/0", "0/5", "0", "3/", "/3", " 3/2", "3/2 ", "+3", "-3", "3.5",
+         "1e3", "1_000", "\u0661\u0662", "\u00b2", "inf", "Infinity", "1024/7", "7/1024", "1/1/1",
+         "9" * 5000, "1/" + "9" * 5000, "9" * 5000 + "/1"]
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=[t if len(t) < 20 else f"{len(t)} chars" for t in TEXTS])
+def test_parse_matches_the_fraction_path(text):
+    # the digits and digits/digits fast path gives the value, or the message,
+    # of the general path
+    assert _outcome(parse_exponent, text) == _outcome(_parse_reference, text)
+
+
+@given(u=st.fractions(min_value=0, max_value=1).filter(lambda u: u > 0) | st.just(Fraction(0)))
+def test_render_is_the_reciprocal_as_text(u):
+    assert Exponent(u).render() == ("inf" if u == 0 else str(1 / u))
+
+
+def test_render_on_random_reciprocals():
+    rng = random.Random(17)
+    for _ in range(2000):
+        d = rng.randint(1, 10**rng.randint(1, 30))
+        u = Fraction(rng.randint(0, d), d)
+        assert Exponent(u).render() == ("inf" if u == 0 else str(1 / u))
 
 
 class TestConvexCombine:

@@ -1,9 +1,11 @@
 """The anchor screen of psi_6 and psi_7 against the flat path, the per-middle-index grid and brute force.
 
 Families of more than 30 balls screen their triples anchor ball by anchor
-ball, least log radius first, for both goals at once, value each triple in
-the screen so that only the triples within the window of the least value
-reach stage 2, and stop a goal once no later anchor can reach that window.
+ball, least height above each goal's LP supporting plane first, value each
+triple in the screen so that only the triples within the window of the
+least value reach stage 2, stop a goal once no later anchor can reach that
+window, and cut each anchor's pairs to those with a later anchor low
+enough to reach it.
 The same family on the flat path (FLAT_TRIPLES raised) screens every triple
 and values them all in stage 2, and `tests/grid_brute.py` screens every
 triple per middle index, so all three must agree with `==` on every
@@ -11,7 +13,9 @@ component and certificate, and with `tests/psi_brute.py` where it reaches.
 """
 
 import importlib
+import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -110,6 +114,29 @@ def _margin_levels(rng, size):
                  [(b.p.u, b.theta.u, math.exp(level)) for b, level in zip(inst.balls, levels)])
 
 
+def _affine(rng, size, near=False):
+    # log nu affine in (1/p, 1/theta), the tilted analogue of equal radii:
+    # every triangle about a goal has the value of the plane there, so the
+    # tilt can neither stop an anchor nor cut a pair.  `near` moves each log
+    # radius by up to 1.5 times the screen's margin, so that the triples tie
+    # within it.
+    c = rng.uniform(-1.0, 1.0, 3)
+    inst = _family(rng, _cells(rng, size), lambda: 1.0)
+    lift = [c[0] + c[1] * float(b.p.u) + c[2] * float(b.theta.u) for b in inst.balls]
+    if near:
+        err = 16 * sys.float_info.epsilon / psi_module._DET_MARGIN
+        tilt = abs(c[1]) + abs(c[2])
+        lgoal = np.abs(_screen(inst)[3]).max()
+        margin = tilt * err + 1e-9 * (1.0 + lgoal + max(map(abs, lift)) + tilt)
+        lift = [x + margin * rng.uniform(-1.5, 1.5) for x in lift]
+    return build(inst.dims.m, inst.dims.k, inst.dims.n, inst.target.q.u, inst.target.sigma.u,
+                 [(b.p.u, b.theta.u, math.exp(x)) for b, x in zip(inst.balls, lift)])
+
+
+def _affine_near(rng, size):
+    return _affine(rng, size, near=True)
+
+
 def _screen(inst):
     """`_grid_triples`' arguments for one instance, as `psi` passes them."""
     uf, vf, la = inst._ball_arrays
@@ -148,7 +175,7 @@ def assert_grid_matches_flat(monkeypatch, inst):
 # families beyond both goals stop at 80.  That keeps the test quick.
 CASES = ([(kind, size) for kind in (_random, _levels, _extreme, _goal_on_edge) for size in (31, 48, 80, 128)]
          + [(kind, size) for kind in (_target_two, _outside, _margin_levels) for size in (31, 48, 80)]
-         + [(kind, size) for kind in (_equal, _overflowing) for size in (31, 48)])
+         + [(kind, size) for kind in (_equal, _overflowing, _affine, _affine_near) for size in (31, 48)])
 
 
 @pytest.mark.parametrize("kind, size", CASES, ids=[f"{k.__name__[1:]}-{n}" for k, n in CASES])
@@ -237,10 +264,11 @@ def _peak(batches, done):
         for _, rows, _, _ in batches:
             if done(rows):
                 break
+        else:
+            raise AssertionError("the batches ended before `done`")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert done(rows)
     return peak
 
 
@@ -262,8 +290,15 @@ def test_grid_memory_has_no_table():
 def test_anchor_memory_is_bounded():
     # Log radii 1e-8 apart spread more than the window, so the anchors screen
     # them, least first, with every triple in the window: run through the
-    # first anchor's 2 million pairs, in chunks, into the second anchor.
-    assert _peak(_memory_family(np.arange(2048) * 1e-8), lambda rows: rows[0, 0] >= 1) < 4 * 2**20
+    # first anchor's 2 million pairs (some 860,000 rows), in chunks, into
+    # the second anchor.
+    seen = [0]
+
+    def done(rows):
+        seen[0] += len(rows)
+        return seen[0] >= 1_000_000
+
+    assert _peak(_memory_family(np.arange(2048) * 1e-8), done) < 4 * 2**20
 
 
 def test_degenerate_triangles_raise_no_warning(monkeypatch):
@@ -292,7 +327,7 @@ def _rows(batches):
 
 @pytest.mark.parametrize("kind, size", [(_random, 40), (_random, 64), (_levels, 31), (_levels, 48),
                                         (_margin_levels, 40), (_margin_levels, 64), (_goal_on_edge, 48),
-                                        (_equal, 40)])
+                                        (_equal, 40), (_affine, 40), (_affine_near, 40)])
 def test_anchor_screen_keeps_what_can_win(kind, size):
     # Every triple the per-middle-index grid passes on that stage 3 could
     # confirm as a winner is among the anchor screen's rows, with the same
@@ -346,11 +381,12 @@ def test_last_anchor_with_a_pair_is_screened():
 
 
 def _contains_spy(monkeypatch):
-    """Patch `_contains` to count the triples screened, over the goals."""
-    count = {"triples": 0}
+    """Patch `_contains` to count its calls and the triples screened, over the goals."""
+    count = {"triples": 0, "calls": 0}
     contains = psi_module._contains
 
     def counted(o_ab, o_bc, o_ca):
+        count["calls"] += 1
         count["triples"] += o_ca.size
         return contains(o_ab, o_bc, o_ca)
 
@@ -358,14 +394,61 @@ def _contains_spy(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("size, low, high", [(80, 0.05, 0.10), (128, 0.10, 0.15)])
+@pytest.mark.parametrize("size, low, high", [(80, 0.002, 0.004), (128, 0.0008, 0.0016)])
 def test_anchor_screen_fraction(monkeypatch, size, low, high):
-    # the share of the 2 C(N, 3) (triple, goal) pairs the anchor screen meets
+    # the share of the 2 C(N, 3) (triple, goal) pairs the anchor screen
+    # meets: the basis triangles, then about 3 N per goal
     count = _contains_spy(monkeypatch)
     inst = _random(np.random.default_rng(size), size)
     est = psi(inst)
     assert low < count["triples"] / (2 * math.comb(size, 3)) < high, count
     assert est == on_grid_brute(monkeypatch, inst)
+
+
+def test_random_family_screens_in_few_chunks(monkeypatch):
+    # the two basis triangles in one call, then both goals' anchors in one chunk
+    count = _contains_spy(monkeypatch)
+    inst = _random(np.random.default_rng(128), 128)
+    assert list(psi_module._grid_triples(*_screen(inst)))
+    assert count["calls"] <= 6, count
+
+
+def _least_contained(inst, g):
+    """The least sum of exact weight times log radius over the triangles that strictly contain goal g."""
+    offsets = psi_module._goal(inst, 6 + g)[2]
+    la = inst._ball_arrays[2]
+    least = math.inf
+    for row in itertools.combinations(range(len(inst.balls)), 3):
+        found = psi_module._triple_geometry(inst, row, offsets)
+        if found is not None:
+            least = min(least, sum(t / det * la[i] for (t, det), i in zip(found[1], row)))
+    return least
+
+
+@pytest.mark.parametrize("kind, exact", [(_random, True), (_extreme, True), (_affine_near, True),
+                                         (_levels, False), (_equal, False), (_goal_on_edge, False)])
+def test_plane_bounds_every_contained_triangle(kind, exact):
+    # The walk's plane, lowered onto the lowest lifted point, lies below
+    # every lifted point, and its height at the goal is at most the least
+    # value of a triangle that contains the goal; on generic families the
+    # LP relaxation is exact, and the two agree.
+    inst = kind(np.random.default_rng(11), 31)
+    du, dv, la = _screen(inst)[:3]
+    for g in (0, 1):
+        least = _least_contained(inst, g)
+        plane = psi_module._plane(du[g], dv[g], la)
+        if exact:
+            assert plane is not None and least < math.inf, g
+        if plane is None:
+            continue
+        beta, gamma, basis = plane
+        t = la - beta * du[g] - gamma * dv[g]
+        height = t.min()
+        assert (height + beta * du[g] + gamma * dv[g] <= la + 1e-12 * (1.0 + np.abs(la))).all()
+        assert height <= least + 1e-12 * (1.0 + abs(least)), g
+        if exact:
+            assert math.isclose(height, least, rel_tol=1e-12, abs_tol=1e-12), (g, height, least)
+            assert t[basis].max() - height <= 1e-12 * (1.0 + abs(height))
 
 
 def test_goal_outside_the_hull_is_not_screened(monkeypatch):
