@@ -26,16 +26,17 @@ is `psi_many` of one instance.  Stage 2 values a block's batches joined up
 to BLOCK rows: small instances together, a large one a component at a time.
 
 Triples take one of two paths by the size rule `_flat`.  An instance with
-at most FLAT_TRIPLES triples has them enumerated with those of the rest of
-its block (`_flat_triples`); a larger one screens its own, and values them
-in the screen so that only the triples stage 2 could pick leave it
-(`_grid_triples`).  That screen bounds every triangle about a goal by the
-goal's LP supporting plane (`_plane`, a simplex walk on three rows): it
-takes anchor balls in ascending height above the plane's tilt, stops a
-goal at the first anchor that cannot reach the window (level 1), and cuts
-each anchor's pairs to those with a ball low enough to reach it (level 2),
-so a generic family screens O(N) triples.  Both paths screen with the same
-float operations and margins, so the path taken changes no result.
+at most FLAT_TRIPLES triples has them enumerated in one pass with those of
+the rest of its block (`_flat_triples`); a larger one screens its own, and
+values them in the screen so that only the triples stage 2 could pick
+leave it (`_grid_triples`).  That screen bounds every triangle about a
+goal by the goal's LP supporting plane (`_plane`, a simplex walk on three
+rows): it takes anchor balls in ascending height above the plane's tilt,
+stops a goal at the first anchor that cannot reach the window (level 1),
+and cuts each anchor's pairs to those with a ball low enough to reach it
+(level 2), so a generic family screens O(N) triples.  Both paths orient
+each triangle in index order and screen it with the same float operations
+and margins (`_oriented_contains`), so the path taken changes no result.
 
 The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
@@ -84,11 +85,10 @@ _LOG_SAFE = 700.0
 # Critical crossings this near the box edges, and triangles with |det| <=
 # _DET_MARGIN or a coordinate within _BARY_MARGIN of 0, are uncertain.
 _CRITICAL_MARGIN, _DET_MARGIN, _BARY_MARGIN = 1e-9, 1e-8, 1e-4
-# Triples screened at a time, on either path: the triple scan's memory is
-# O(TRIPLE_CHUNK).  The anchor screen gathers each triple's offsets and
-# indices, so it screens an eighth as many (triple, goal) pairs; at N = 128
-# its peak then stays below that of the pair stage.
-TRIPLE_CHUNK = 1 << 16
+# (Triple, goal) pairs the anchor screen takes at a time: its memory is
+# O(N + TRIPLE_CHUNK), and at N = 128 its peak stays below that of the pair
+# stage.
+TRIPLE_CHUNK = 1 << 13
 # The size rule: an instance with at most this many triples (N <= 30) takes
 # the flat path.  Measured on `psi` of random families on the 1/1024 grid,
 # the flat path takes 0.7-0.9x the grid's time from N = 8 to 24; the two
@@ -425,6 +425,18 @@ def _orient(ux, vx, uy, vy) -> np.ndarray:
     return o
 
 
+def _oriented_contains(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """`_contains` of the triangles (a_i, b_i, c_i), a_i < b_i < c_i, from the balls' offsets (u, v) from the goal.
+
+    Both paths orient every triangle in index order here, so they screen it
+    with the same float operations.
+    """
+    ua, va, ub, vb, uc, vc = u.take(a), v.take(a), u.take(b), v.take(b), u.take(c), v.take(c)
+    o = _orient(ua, va, ub, vb), _orient(ub, vb, uc, vc), _orient(uc, vc, ua, va)
+    del ua, va, ub, vb, uc, vc  # freed before the scan's peak, in `_contains`
+    return _contains(*o)
+
+
 def _pairs(balls: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair a < b of one instance with a in `balls`, in index order; ends[a] ends a's instance."""
     rest = ends[balls] - 1 - balls
@@ -436,30 +448,22 @@ def _flat_triples(balls: np.ndarray, ends: np.ndarray, slot: np.ndarray, du: np.
                   dv: np.ndarray) -> Iterator[tuple]:
     """Components 6-7 of the small instances, of balls `balls`: every triple a < b < c at once.
 
-    The triples extend the `_pairs` of `balls` by each c < ends[b], in
-    index order, and are screened TRIPLE_CHUNK at a time across instances.
-    `slot` is each ball's slot of component 0, and (du[g], dv[g]) are every
-    ball's float offsets from its instance's goal of component 6 + g; each
-    orientation is `_orient`'s, as on the grid.  Yields one stage-2 batch
-    per chunk, without profile logs.
+    The triples extend the `_pairs` (a, b) of `balls` by each c < ends[b],
+    in index order, and are screened in one pass across instances:
+    `psi_many` closes a block once its triples reach FLAT_TRIPLES, so it
+    holds fewer than twice that many.  `slot` is each ball's slot of
+    component 0, and (du[g], dv[g]) are every ball's float offsets from its
+    instance's goal of component 6 + g.  Yields the stage-2 batch of the
+    triples that may contain a goal, without profile logs.
     """
     pa, pb = _pairs(balls, ends)
-    rest = ends[pb] - 1 - pb
-    stop = np.cumsum(rest)
-    start = stop - rest
-    total = int(stop[-1]) if len(stop) else 0
-    for first in range(0, total, TRIPLE_CHUNK):
-        # Triple t extends the pair p whose run [start, stop) holds t.
-        c = np.arange(first, min(total, first + TRIPLE_CHUNK))
-        p = np.searchsorted(stop, c, side="right")
-        a, b = pa[p], pb[p]
-        c += b + 1 - start[p]
-        batch = []
-        for j, u, v in zip((6, 7), du, dv):
-            hit, weights, unsure = _contains(*(_orient(u[x], v[x], u[y], v[y])
-                                               for x, y in ((a, b), (b, c), (c, a))))
-            batch.append((slot[a[hit]] + j, np.column_stack((a[hit], b[hit], c[hit])), weights, unsure))
-        yield _joined(batch)
+    b, c = _pairs(pb, ends)
+    a = np.repeat(pa, ends[pb] - 1 - pb)
+    batch = []
+    for j, u, v in zip((6, 7), du, dv):
+        hit, weights, unsure = _oriented_contains(u, v, a, b, c)
+        batch.append((slot[a[hit]] + j, np.column_stack((a[hit], b[hit], c[hit])), weights, unsure))
+    yield _joined(batch)
 
 
 def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
@@ -476,11 +480,11 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     its least-t vertex x, t_x + lgoal.  Each goal takes its balls as
     anchors in ascending (t, index) order, and anchor x meets each pair of
     later anchors, so each triple is met once per goal.  Rows of
-    consecutive anchors, of both goals, share a chunk of up to
-    TRIPLE_CHUNK / 8 triples, screened with the flat path's orientations
-    (`_anchor_orients`).  Each triple is valued as stage 2 values it, and
-    dropped if sure and more than `window` above its goal's least sure value
-    vmin so far.  Yields stage-2 batches without profile logs, balls
+    consecutive anchors, of both goals, share a chunk of up to TRIPLE_CHUNK
+    triples, each sorted to index order and screened as on the flat path
+    (`_oriented_contains`).  Each triple is valued as stage 2 values it,
+    and dropped if sure and more than `window` above its goal's least sure
+    value vmin so far.  Yields stage-2 batches without profile logs, balls
     numbered from `first`; memory is O(N + TRIPLE_CHUNK).
 
     Floats.  A sure triangle (|det| > _DET_MARGIN, every weight above
@@ -491,12 +495,8 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     lgoal less `margin`: (|beta| + |gamma|) R err, plus 1e-9 of 1 + |lgoal|
     + max |la| + (|beta| + |gamma|) R for a few ulps of the sums, products
     and heights.  An unsure triangle's exact weights meet the same bound.
-    The plane is flat (t = la) where the walk fails, where that budget's
-    first term is above the window, and where every t lies within the
-    window and margin of the least (equal radii, or log radii affine in
-    (du, dv)): there the tilt could neither stop a goal nor cut a pair,
-    while the flat plane's level 1 stops a goal at the first anchor above
-    its value.
+    The plane is flat (t = la) where the walk fails or where that budget's
+    first term is above the window.
 
     The rules.  With D = vmin + window - lgoal + margin, (level 1) a goal
     stops at the first anchor with t_x > D: no later triple could be kept,
@@ -510,8 +510,8 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     the first anchor, each walk's basis triangle is valued as its anchor
     will value it, which sets vmin at once; a chunk tests its anchors with
     vmin from before it, which only falls.  With an infinite window (where
-    a sure triple could be risky), no sure triple, or equal radii, neither
-    rule cuts, and every triple is screened once.
+    a sure triple could be risky), no sure triple, equal radii, or log radii
+    affine in (du, dv), neither rule cuts, and every triple is screened once.
 
     A goal with no plane (an infinite window, or a failed walk) is skipped
     if `_outside` the balls' hull; a goal on the hull is screened.
@@ -533,7 +533,7 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
         t = la - beta * du[g]
         t -= gamma * dv[g]
         margin = budget * err[g] + 1e-9 * (1.0 + abs(lgoal[g]) + lmax + budget)
-        if not (budget * err[g] <= window[g] and np.ptp(t) > window[g] + margin):
+        if not budget * err[g] <= window[g]:
             t, margin = la, 1e-9 * (1.0 + abs(lgoal[g]) + lmax)
         if plane is not None:
             bases.append([len(goals) * n + i for i in sorted(plane[2])])
@@ -553,15 +553,14 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
     ends = np.repeat(n * np.arange(1, len(goals) + 1), n)
     vmin = np.full(len(goals), math.inf)
 
-    def screened(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
-        """(goal, rows, weights, unsure, logv) of the flat triangles {x, y, z}, y < z, that may contain the goal.
+    def screened(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+        """(goal, rows, weights, unsure, logv) of the flat triangles a < b < c that may contain the goal.
 
         Lowers vmin to their least sure log-value; logv is inf where unsure.
         """
-        hit, weights, unsure = _contains(*_anchor_orients(u, v, x, y, z))
-        x, y, z = x.take(hit), y.take(hit), z.take(hit)
-        g = x // n
-        rows = np.minimum(y, x), np.clip(x, y, z), np.maximum(z, x)
+        hit, weights, unsure = _oriented_contains(u, v, a, b, c)
+        rows = a.take(hit), b.take(hit), c.take(hit)
+        g = rows[0] // n
         logv = _log_value(zip(weights.T, (lnu.take(r) for r in rows)), lgoal.take(g))
         logv[unsure] = math.inf
         np.minimum.at(vmin, g, logv)
@@ -569,12 +568,11 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
 
     if bases:
         screened(*np.array(bases).T)
-    cap = max(1, TRIPLE_CHUNK // 8)
     pos, row, rows = [0] * len(goals), [0] * len(goals), [0] * len(goals)  # per goal: anchor, its next row, its rows
     while True:
         starts, anchors, counts, size = [], [], [], 0
         for g, bound in enumerate((vmin + window - lgoal + margin).tolist()):
-            while size < cap and pos[g] < n - 2:
+            while size < TRIPLE_CHUNK and pos[g] < n - 2:
                 p, r, x = pos[g], row[g], order[g * n + pos[g]]
                 if r == 0:
                     tx = float(ts[g, p])
@@ -586,7 +584,7 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
                         cut = tx + 2 * (bound - tx) / delta[x] * (1.0 + 1e-9) + margin[g]
                         rows[g] = min(rows[g], int(ts[g].searchsorted(cut, side="right")) - p - 1)
                 # Row r of the anchor at p pairs position p + 1 + r with each later one.
-                end = min(rows[g], r + max(1, (cap - size) // (n - 2 - p - r))) if r < rows[g] else r
+                end = min(rows[g], r + max(1, (TRIPLE_CHUNK - size) // (n - 2 - p - r))) if r < rows[g] else r
                 starts.append(np.arange(g * n + p + 1 + r, g * n + p + 1 + end))
                 anchors.append(x)
                 counts.append(end - r)
@@ -598,9 +596,15 @@ def _grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndar
             return
         i = np.concatenate(starts)
         pa, pb = _pairs(i, ends)
-        y, z = order.take(pa), order.take(pb)
-        g, found, weights, unsure, logv = screened(np.repeat(np.repeat(anchors, counts), ends[i] - 1 - i),
-                                                   np.minimum(y, z), np.maximum(y, z))
+        x, y, z = np.repeat(np.repeat(anchors, counts), ends[i] - 1 - i), order.take(pa), order.take(pb)
+        # Each (x, y, z) sorted to index order in place: the chunk's peak holds
+        # no more index arrays than before the sort.
+        a = np.minimum(y, z)
+        np.maximum(y, z, out=z)
+        np.clip(x, a, z, out=y)
+        np.minimum(a, x, out=a)
+        np.maximum(z, x, out=z)
+        g, found, weights, unsure, logv = screened(a, y, z)
         keep = logv <= (vmin + window).take(g)
         keep |= unsure
         keep = keep.nonzero()[0]
@@ -681,26 +685,6 @@ def _plane(u: np.ndarray, v: np.ndarray, la: np.ndarray) -> Optional[tuple]:
     return beta, gamma, basis
 
 
-def _anchor_orients(u: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
-    """`_contains`' orientations (o_ab, o_bc, o_ca) of the triangles {x_i, y_i, z_i}, y_i < z_i, in index order.
-
-    (u, v) are the balls' offsets from the goal.  With A = o(x, y), B =
-    o(y, z) and C = o(z, x), as `_orient` computes them, the order a < b < c
-    gives (A, B, C) where x < y and (B, C, A) where z < x.  Where y < x < z
-    it gives (-A, -C, -B), and (A, C, B) screens alike: `_contains` reads
-    ratios and |det| only, and float negation is exact.
-    """
-    ux, vx, uy, vy, uz, vz = u.take(x), v.take(x), u.take(y), v.take(y), u.take(z), v.take(z)
-    a, b, c = _orient(ux, vx, uy, vy), _orient(uy, vy, uz, vz), _orient(uz, vz, ux, vx)
-    low, high = x < y, z < x
-    ca = b.copy()
-    np.copyto(ca, c, where=low)
-    np.copyto(ca, a, where=high)
-    np.copyto(c, b, where=low)
-    np.copyto(a, b, where=high)
-    return a, c, ca
-
-
 def _goal_context(inst: Instance, j: int) -> tuple:
     """Stage 3's context of triple component j, about (1/q, 1/sigma) (j = 6) or (1/2, 1/2): see `_exact`."""
     pe, te, offsets = _goal(inst, j)
@@ -724,12 +708,13 @@ def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
 def _merged(batches: Iterable[tuple], size: int = BLOCK) -> Iterator[tuple]:
     """Consecutive batches joined while they hold at most `size` rows; a larger one stays alone.
 
-    A full join is yielded before the next batch is built.
+    A full join is yielded before the next batch is built, and no join is
+    empty: an empty batch joins the next rows, or is dropped at the end.
     """
     pending: list[tuple] = []
     rows = 0
     for batch in batches:
-        if pending and rows + len(batch[0]) > size:
+        if rows and rows + len(batch[0]) > size:
             yield _joined(pending)
             pending, rows = [], 0
         pending.append(batch)
@@ -737,7 +722,7 @@ def _merged(batches: Iterable[tuple], size: int = BLOCK) -> Iterator[tuple]:
         if rows >= size:
             yield _joined(pending)
             pending, rows = [], 0
-    if pending:
+    if rows:
         yield _joined(pending)
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 psi_module = importlib.import_module("mixwidth.psi")
 _contains, _log_value, _orient = psi_module._contains, psi_module._log_value, psi_module._orient
+# Triples per slab; the triples kept do not depend on it.
+SLAB = 1 << 16
 
 
 def grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarray,
@@ -23,7 +25,7 @@ def grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarr
     (du[g], dv[g]) are its balls' float offsets from the goal of component
     slot + g, for g = 0, 1, and `la` their log radii.  Per b the triples are
     an a-by-c grid for both goals at once, screened in slabs of at most
-    TRIPLE_CHUNK triples, with each orientation computed from slices of
+    SLAB triples, with each orientation computed from slices of
     (du, dv) as `_orient` computes it.  The screen also values each sure
     triple as stage 2 does (`_log_value`, with lgoal[g] the log of goal g's
     profile), keeps a running least value per goal, and drops a sure triple
@@ -63,7 +65,7 @@ def grid_triples(du: np.ndarray, dv: np.ndarray, la: np.ndarray, lgoal: np.ndarr
         return slot + g, rows, weights[keep], unsure[keep]
 
     for b in range(1, n - 1):
-        step = max(1, psi_module.TRIPLE_CHUNK // (2 * (n - b - 1)))
+        step = max(1, SLAB // (2 * (n - b - 1)))
         for a0 in range(0, b, step):
             batch = slab(b, a0, min(b, a0 + step))
             if batch is not None:

@@ -200,14 +200,14 @@ def test_goal_on_edge_has_balls_at_both_goals():
 
 
 def test_small_chunks(monkeypatch):
-    # five triples per chunk: every anchor's pairs are cut into one chunk per row
-    monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
+    # one triple per chunk: every anchor's pairs are cut into one chunk per row
+    monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 1)
     assert_grid_matches_flat(monkeypatch, _levels(np.random.default_rng(5), 31))
 
 
 def test_small_chunks_on_equal_radii(monkeypatch):
     # no goal stops on equal radii: every anchor's pairs, a chunk per row
-    monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
+    monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 1)
     assert_grid_matches_flat(monkeypatch, _equal(np.random.default_rng(5), 31))
 
 
@@ -282,7 +282,7 @@ def _memory_family(la):
 def test_grid_memory_has_no_table():
     # The old N x N orientation table alone took 32 MB at 2,048 balls.  With
     # equal radii every ball is an anchor and no goal stops: run through the
-    # first anchor's full chunks (TRIPLE_CHUNK / 8 triples over both goals)
+    # first anchor's full chunks (TRIPLE_CHUNK triples over both goals)
     # until its pairs reach ball 24.
     assert _peak(_memory_family(np.zeros(2048)), lambda rows: rows[0, 1] >= 24) < 4 * 2**20
 

@@ -243,6 +243,23 @@ def test_small_blocks(monkeypatch, block):
     assert list(psi_many(batch)) == want
 
 
+def test_flat_blocks_hold_under_twice_the_size_rule(monkeypatch):
+    # `_flat_triples` screens a block's triples in one pass: `psi_many`
+    # closes a block once they reach FLAT_TRIPLES, and a family adds at most
+    # that many, so a pass holds fewer than twice as many
+    flat, seen = psi_module._flat_triples, []
+
+    def counted(balls, ends, *rest):
+        seen.append(sum(math.comb(int(e) - 1 - int(a), 2) for a, e in zip(balls, ends[balls])))
+        return flat(balls, ends, *rest)
+
+    monkeypatch.setattr(psi_module, "_flat_triples", counted)
+    rng = np.random.default_rng(23)
+    for _ in psi_many(_rand_instance(rng, max_balls=LAST_FLAT) for _ in range(600)):
+        pass
+    assert psi_module.FLAT_TRIPLES < max(seen) <= 2 * psi_module.FLAT_TRIPLES, max(seen)
+
+
 def test_empty_and_generator_input():
     assert list(psi_many([])) == []
     batch = mixed_batch(20, 12)

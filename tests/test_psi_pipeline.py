@@ -109,22 +109,19 @@ class TestDifferential:
         assert_matches_brute(inst)
 
     def test_small_triple_chunks(self, monkeypatch):
-        # Chunks of five triples: on the block path they split one family's
-        # triples and join the next family's, on the grid (the last family,
-        # one ball past the size rule) they split every middle index.
+        # Chunks of five triples on the anchor screen of a family one ball
+        # past the size rule: they split its anchors' rows.
         psi_module = sys.modules["mixwidth.psi"]
         monkeypatch.setattr(psi_module, "TRIPLE_CHUNK", 5)
         rng = np.random.default_rng(13)
-        batch = [_rand_instance(rng, max_balls=16) for _ in range(10)]
         size = max(n for n in range(3, 200) if psi_module._flat(n)) + 1
         cells = rng.choice(65 * 65, size=size, replace=False)
-        batch.append(build(16, 16, 8, "1/3", "1/4", [
+        inst = build(16, 16, 8, "1/3", "1/4", [
             (Fraction(int(c) // 65, 64), Fraction(int(c) % 65, 64), float(np.exp(rng.uniform(-1, 1))))
-            for c in cells]))
-        for inst, est in zip(batch, psi_many(batch)):
-            for j in (6, 7):
-                want = brute_component(inst, j)
-                assert psi_component(inst, j) == (est.components[j], est.certificates.get(j)) == want, j
+            for c in cells])
+        est = psi(inst)
+        for j in (6, 7):
+            assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
 @pytest.mark.parametrize("size", [160, 256])

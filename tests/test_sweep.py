@@ -98,6 +98,10 @@ CASES = {
                    [(1045, 1052)]),
     "overflow12": (lambda: _family(15, 12, 1024, 64, 64, Fraction(1, 3), Fraction(1, 4), _overflowing),
                    [(1051, 1058)]),
+    # three balls whose one triangle contains neither goal: the sweep has no triple
+    "no-triangle3": (lambda: build(4, 4, 2, Fraction(1, 4), Fraction(1, 4),
+                                   [(1, 1, 1.0), (Fraction(1, 2), 1, 2.0), (1, Fraction(1, 2), 0.5)]),
+                     [(0, 8)]),
 }
 
 
@@ -115,6 +119,49 @@ def test_sweep_equals_the_per_row_reference(name):
         got = list(psi_sweep(inst, ns))
         assert [_estimate_key(e) for e in got] == [_estimate_key(e) for e in want], (name, n_from)
         assert run_sweep(inst, n_from, n_to) == reference_rows(inst, n_from, n_to), (name, n_from)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_runs_of_three_rows(monkeypatch, name):
+    # the first rows of each range three at a time: a sweep keeps its parts
+    # across runs of rows, or finds them again when they are many
+    monkeypatch.setattr(sweep_module, "SWEEP_ROWS", 3)
+    make, ranges = CASES[name]
+    inst = make()
+    for n_from, n_to in ranges:
+        ns = range(n_from, min(n_to, n_from + 39) + 1)
+        assert [_estimate_key(e) for e in psi_sweep(inst, ns)] == [
+            _estimate_key(e) for e in reference_estimates(inst, ns)], (name, n_from)
+
+
+def _outcome(sweep, inst, n_from, n_to):
+    """The rows of `sweep`, or the kind of error it raises."""
+    try:
+        return sweep(inst, n_from, n_to)
+    except ValueError as error:
+        return type(error)
+
+
+def test_verify_families_equal_the_per_row_reference():
+    # families of 1-8 balls from the verify generator, over random ranges;
+    # many have no triangle about either goal
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        inst = _rand_instance(rng, max_balls=8)
+        half = inst.dims.m * inst.dims.k // 2
+        n_from = int(rng.integers(0, half + 1))
+        n_to = int(rng.integers(n_from, min(half, n_from + 15) + 1))
+        assert _outcome(run_sweep, inst, n_from, n_to) == _outcome(reference_rows, inst, n_from, n_to), inst
+
+
+def test_no_part_is_empty(monkeypatch):
+    # at q = 2 psi_5 has no line and its batch is empty; it follows psi_4's
+    # nine pairs, a part of their own when a part holds eight
+    monkeypatch.setattr(sweep_module, "_SWEEP_PART", 8)
+    inst = build(8, 8, 4, Fraction(1, 2), Fraction(1, 3), [
+        (Fraction(u, 8), Fraction(v, 4), nu)
+        for u, v, nu in ((0, 1, 1.0), (1, 1, 2.0), (3, 1, 0.5), (0, 3, 1.5), (2, 3, 1.0), (3, 3, 4.0))])
+    assert run_sweep(inst, 0, 32) == reference_rows(inst, 0, 32)
 
 
 def test_crossing_case_crosses():
