@@ -12,17 +12,7 @@ oracles, and randomized verification suites.
 first read (PEP 562), so a run imports only the modules its mode uses.
 """
 
-from .exponents import (
-    Exponent,
-    ReciprocalPoint,
-    Weight,
-    barycentric,
-    convex_combine,
-    critical_deviation,
-    parse_exponent,
-    solve_critical_crossing,
-    solve_crossing,
-)
+from .exponents import Exponent, parse_exponent
 from .phi import ConsistencyError, Dimensions, PhiValue, TargetSpace, phi
 from .psi import (
     BallSpec,
@@ -31,7 +21,6 @@ from .psi import (
     PsiEstimate,
     family_reduce,
     psi,
-    psi_component,
     psi_many,
     validate_instance,
 )
@@ -54,17 +43,12 @@ __all__ = [
     "Instance",
     "PhiValue",
     "PsiEstimate",
-    "ReciprocalPoint",
     "SUITE_NAMES",
     "SuiteResult",
     "TargetSpace",
-    "Weight",
     "WidthSample",
-    "barycentric",
     "best_witness_lower_bound",
-    "convex_combine",
     "corollary_check",
-    "critical_deviation",
     "exact_width_euclidean_ball",
     "exact_width_linf",
     "family_reduce",
@@ -76,13 +60,10 @@ __all__ = [
     "parse_exponent",
     "phi",
     "psi",
-    "psi_component",
     "psi_many",
     "psi_sweep",
     "run_suites",
     "sample_boundary",
-    "solve_critical_crossing",
-    "solve_crossing",
     "sup_norm_over_M",
     "v_extreme_point",
     "v_inclusion_scale",

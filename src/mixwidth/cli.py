@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -358,19 +359,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command line and return its exit code.
 
     0 success, 1 invalid input, 2 bad arguments (from argparse), 3 a verify
-    suite failed, 4 a ConsistencyError; any other exception is a bug and
-    propagates with its traceback.
+    suite failed, 4 a ConsistencyError, 141 stdout closed by its reader
+    (128 + SIGPIPE); any other exception is a bug and propagates with its
+    traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and args.mode in ("verify", "witness"):
         parser.error(f"argument --format: csv is not a format of --mode {args.mode} (choose table or json)")
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
     except ValueError as exc:
         return _fail(str(exc), 1)
     except ConsistencyError as exc:
         return _fail(f"internal consistency failure: {exc}", 4)
+    except BrokenPipeError:
+        # What is still buffered goes to os.devnull, so the exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _fail(message: str, code: int) -> int:

@@ -52,9 +52,10 @@ component: verify and sweep, which read none, build none.
 
 `mixwidth.sweep` runs this pipeline over many n at once: it shares stage
 1, the triple screen and the n-independent parts of stage 3
-(`_pair_geometry`, `_triple_geometry`, `_goal`) across a sweep's rows, and
-picks and keeps rows by the same stage-2 policy (`_picked`) and winner
-rule (`_keep`) as `_scan_block`.
+(`_pair_geometry`, `_triple_geometry`, `_goal`) across each run of a
+sweep's rows, joins its candidates by `_merged`, and picks and keeps rows
+by the same stage-2 policy (`_picked`) and winner rule (`_keep`) as
+`_scan_block`.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ FLAT_TRIPLES = 1 << 12
 # Candidates per stage-2 pass.  `psi_many` closes a block of instances once
 # they count this many (eight per instance for its components, plus its
 # balls and opposite-sign pairs), and pair and triple batches alike are
-# joined up to this many rows.  Stage 2's memory is O(BLOCK) beyond a single
-# component's own; at 1024 and more, joined triples raised the grid's peak
-# at N = 128.
+# joined up to this many rows, here and in a sweep (`_merged`).  Stage 2's
+# memory is O(BLOCK) beyond a single component's own; at 1024 and more,
+# joined triples raised the grid's peak at N = 128.
 BLOCK = 512
 # The psi_6/psi_7 screen's LP walk (`_plane`): its artificial vertices, at radius
 # 4 about the goal, and its pivot cap (a random family at N = 128 takes
@@ -705,21 +706,22 @@ def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
     return ua * (vb * dc - vc * db) + ub * (vc * da - va * dc) + uc * (va * db - vb * da) == 0
 
 
-def _merged(batches: Iterable[tuple], size: int = BLOCK) -> Iterator[tuple]:
-    """Consecutive batches joined while they hold at most `size` rows; a larger one stays alone.
+def _merged(batches: Iterable[tuple]) -> Iterator[tuple]:
+    """Consecutive batches joined while they hold at most BLOCK rows; a larger one stays alone.
 
     A full join is yielded before the next batch is built, and no join is
     empty: an empty batch joins the next rows, or is dropped at the end.
+    It reads the module's BLOCK, so one patch of `psi.BLOCK` sets every join.
     """
     pending: list[tuple] = []
     rows = 0
     for batch in batches:
-        if rows and rows + len(batch[0]) > size:
+        if rows and rows + len(batch[0]) > BLOCK:
             yield _joined(pending)
             pending, rows = [], 0
         pending.append(batch)
         rows += len(batch[0])
-        if rows >= size:
+        if rows >= BLOCK:
             yield _joined(pending)
             pending, rows = [], 0
     if rows:
@@ -741,28 +743,31 @@ def _pair_batches(lines: list[dict], owner: np.ndarray, ends: np.ndarray, uf: np
 
     `lines` holds each instance's `_lines` and `uq` its float 1/q; `owner`
     and `ends` give each ball's instance and where that instance's balls
-    end.  A batch is (label, a, b, w, cu, cv, unsure): each candidate's slot
-    8 i + j, its balls (a single is the pair (a, a) with weight 0 on b), the
-    weight w on b, its float crossing point, and whether admission is
-    unsure.
+    end.  A batch is (label, rows, weights, cu, cv, unsure): each
+    candidate's slot 8 i + j, its balls (a, b) and weights (1 - w, w) as
+    two-column arrays (a single is (a, a) with weights (1, 0)), its float
+    crossing point, and whether admission is unsure.
     """
     every = np.arange(len(uf))
-    yield owner * 8, every, every, np.zeros(len(uf)), uf, vf, np.zeros(len(uf), bool)
+    yield (owner * 8, np.column_stack((every, every)), np.repeat([[1.0, 0.0]], len(uf), axis=0), uf, vf,
+           np.zeros(len(uf), bool))
     pa, pb = _pairs(every, ends)
     for j in range(1, 6):
         signs = np.array([s for line in lines for s in line[j][1]], dtype=np.int8)
         offsets = np.array([f for line in lines for f in line[j][2]])
         keep = signs[pa] * signs[pb] < 0
-        a, b = pa[keep], pb[keep]
+        rows = np.column_stack((pa[keep], pb[keep]))
+        a, b = rows.T
         w = offsets[a] / (offsets[a] - offsets[b])
+        weights = np.column_stack((1.0 - w, w))
         cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
         unsure = np.zeros(len(a), bool)
         if j == 5:
             # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
             gap = np.minimum(cu - uq[owner[a]], 0.5 - cu)
             keep = gap >= -_CRITICAL_MARGIN
-            a, b, w, cu, cv, unsure = (x[keep] for x in (a, b, w, cu, cv, gap <= _CRITICAL_MARGIN))
-        yield owner[a] * 8 + j, a, b, w, cu, cv, unsure
+            rows, weights, cu, cv, unsure = (x[keep] for x in (rows, weights, cu, cv, gap <= _CRITICAL_MARGIN))
+        yield owner[rows[:, 0]] * 8 + j, rows, weights, cu, cv, unsure
 
 
 def _triple_batches(sizes: list[int], owner: np.ndarray, ends: np.ndarray, uf: np.ndarray, vf: np.ndarray,
@@ -814,10 +819,10 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     uf, vf, la = map(np.concatenate, zip(*(inst._ball_arrays for inst in insts)))
     params = np.array([inst._params for inst in insts])
 
-    def valued(label, a, b, w, cu, cv, unsure) -> tuple:
+    def valued(label, rows, weights, cu, cv, unsure) -> tuple:
         """A pair batch with the log of the profile at each crossing."""
-        lphi = log_phi_array(cu, cv, params[owner[a]].T if len(insts) > 1 else params[0])
-        return label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), lphi, unsure
+        lphi = log_phi_array(cu, cv, params[owner[rows[:, 0]]].T if len(insts) > 1 else params[0])
+        return label, rows, weights, lphi, unsure
 
     contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
     # log Phi at each instance's goals: (1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7.

@@ -1,15 +1,17 @@
-"""`psi` over many n at once: the sweep's n-independent work done once.
+"""`psi` over many n at once: the n-independent work done once per run of rows.
 
-A sweep changes only n.  `psi_sweep` runs what does not read n once:
-stage 1 of `psi`'s pipeline, one triple screen for every row, and each
+A sweep changes only n.  `psi_sweep` values its rows in runs of SWEEP_ROWS,
+and for each run (`_Sweep`) does once what does not read n: stage 1 of
+`psi`'s pipeline, one triple screen for every row of the run, and each
 candidate's exact geometry, radius powers and profile regions
 (`phi._regions`).  Per row it values only the candidates that can reach
-the row's window, by a bound from the monotonicity of each log-value in n
-(`_Sweep`), and confirms them with the profile's branch formulas
-(`phi._profile`) times the cached radius factors, in `psi._exact`'s
-operation order, so every estimate is `psi`'s for that n.  The candidates
-pass in parts of a bounded size, each over all the rows, and each slot
-keeps its best row across parts by `psi`'s own rule (`psi._keep`).
+the row's window, by a bound from the monotonicity of each log-value in n,
+and confirms them with the profile's branch formulas (`phi._profile`)
+times the cached radius factors, in `psi._exact`'s operation order, so
+every estimate is `psi`'s for that n.  The candidates pass in parts joined
+up to `psi.BLOCK` rows (`psi._merged`), each over all the run's rows, and
+each slot keeps its best row across parts by `psi`'s own rule
+(`psi._keep`).  No candidate outlives its run.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .psi import (
 # about _SWEEP_ENTRIES (candidate, row) pairs, or one row's candidates.
 SWEEP_ROWS = 1 << 12
 _SWEEP_ENTRIES = 1 << 14
-# Candidates the sweep values at a time (`_Sweep._parts`), about 120 bytes each.
-_SWEEP_PART = 1 << 12
 # The row bound's margin per unit of 1 + |base| + |log Phi|: see `_Sweep`.
 _ROW_MARGIN = 1e-12
 
@@ -55,19 +55,21 @@ def psi_sweep(inst: Instance, ns: Sequence[int]) -> Iterator[PsiEstimate]:
     """`psi` of `inst` with n replaced by each n of `ns`, an increasing sequence, in order.
 
     Every value, tie set and certificate is the one `psi` gives for that n.
-    What does not read n is found once: stage 1's singles, pairs and triple
-    screen, the exact geometry and radius powers of each candidate stage 3
-    meets, and the profile's region tests at its crossing point or goal.
-    The rows are then valued SWEEP_ROWS at a time (`_Sweep.rows`), and on
-    each only the candidates that can reach its window pass stages 2 and 3.
+    The rows are valued in runs of SWEEP_ROWS (`_Sweep`), and each run finds
+    once what does not read n: stage 1's singles, pairs and triple screen,
+    the exact geometry and radius powers of each candidate stage 3 meets,
+    and the profile's region tests at its crossing point or goal.  On each
+    row only the candidates that can reach its window pass stages 2 and 3.
     """
-    sweep = _Sweep(inst, ns[0], ns[-1])
     for start in range(0, len(ns), SWEEP_ROWS):
-        yield from sweep.rows(ns[start:start + SWEEP_ROWS])
+        run = ns[start:start + SWEEP_ROWS]
+        best = _Sweep(inst, run).best
+        for r in range(len(run)):
+            yield _found_estimate({j: best[8 * r + j] for j in range(8) if 8 * r + j in best})
 
 
 class _Sweep:
-    """One family's candidates and their n-independent data, valued at any run of n (`rows`).
+    """One family's candidates valued at a run of rows `ns`: the winning rows of slot 8 r + j in `best`.
 
     The candidates come in parts (`_parts`): stage 1's singles and pairs,
     whose profile is taken at their crossing point, then the triples the
@@ -93,80 +95,63 @@ class _Sweep:
     splits the run there.  Row n = 0, where G is infinite, and the first and
     last of the other rows are valued with every candidate of a part.
 
-    Each part's stage 2 picks at least the candidates that stage 2 of `psi`
-    picks among them, and stage 3 keeps a slot's best row across parts
-    (`psi._keep`), so a row's estimate is `psi`'s.
+    Stage 2 keeps each row's least non-risky log-values in one array
+    (`vmin`) across parts, as `psi._scan_block` does across batches: a
+    minimum only falls, so each pick holds at least what the final window
+    needs, and stage 3 keeps a slot's best row across parts (`psi._keep`),
+    so a row's estimate is `psi`'s.
     """
 
-    def __init__(self, inst: Instance, n_first: int, n_last: int):
+    def __init__(self, inst: Instance, ns: Sequence[int]):
         self.inst = inst
         uf, vf, la = inst._ball_arrays
         self.la = la
-        self.lmax = float(np.abs(la).max())
+        lmax = float(np.abs(la).max())
         lines = _lines(inst)
         self.offsets = {j: lines[j][0] for j in lines}
+        # The rows' parameters, windows and goal profiles, which `_lphi`,
+        # `_split` and `_settle` read by row index.
+        dims = [Dimensions(inst.dims.m, inst.dims.k, n) for n in ns]
+        self.params = [profile_params(inst.target, d) for d in dims]
+        self.table = np.array(self.params)
+        self.windows = np.array([_log_window(inst.target, d, lmax) for d in dims])
+        count = len(ns)
+        goal = np.array([self.params[0][:2]])
+        self.lgoal = log_phi_array(np.repeat((goal[0, 0], 0.5), count), np.repeat((goal[0, 1], 0.5), count),
+                                   np.tile(self.table.T, 2)).reshape(2, count)
         sizes, _, owner, ends = _block_layout([inst])
-        goal = np.array([inst._params[:2]])
         self.stage1 = [lines], owner, ends, uf, vf, goal[:, 0]
         # One triple screen serves every row: log Phi at a goal shifts each of
         # its triples alike, so the screen runs with a shift as large as any
         # row's |log Phi(goal)| (monotone in n, so largest at an end) and
-        # the widest row's window, both with the bound's margin.  A goal
-        # whose triples may then be risky keeps every triple that may
+        # the widest row's window, the last, both with the bound's margin.  A
+        # goal whose triples may then be risky keeps every triple that may
         # contain it, as the per-row screen does.
-        far = [Dimensions(inst.dims.m, inst.dims.k, n) for n in (n_first, n_last)]
-        table = np.array([profile_params(inst.target, d) for d in far])
-        lgoal = log_phi_array(np.repeat((goal[0, 0], 0.5), 2), np.repeat((goal[0, 1], 0.5), 2), np.tile(table.T, 2))
-        shift = np.nan_to_num(np.abs(lgoal).reshape(2, 2).max(axis=1), nan=math.inf)
+        shift = np.nan_to_num(np.abs(self.lgoal[:, [0, -1]]).max(axis=1), nan=math.inf)
         shift += _ROW_MARGIN * (1.0 + shift)
-        window = _log_window(inst.target, far[1], self.lmax) + _ROW_MARGIN * (1.0 + shift.max() + self.lmax)
+        window = self.windows[-1] + _ROW_MARGIN * (1.0 + shift.max() + lmax)
         self.screen = sizes, owner, ends, uf, vf, la, goal, shift[None], [window]
-        # The parts, if they count at most _SWEEP_PART candidates (None: find them again).
-        self.kept: Optional[list[_Part]] = None
         # Stage 3's profile regions, numbered, and each goal's data (`_goal`).
         self.regions: list[tuple] = []
         self.region_ids: dict[tuple, int] = {}
         self.goals: dict[int, tuple] = {}
-
-    def _parts(self) -> Iterator[_Part]:
-        """The candidates, in parts of one kind of about _SWEEP_PART (a single stage-1 batch may hold more).
-
-        Candidates that count at most _SWEEP_PART in all are kept for the next
-        run of rows; more are found again for each run, and held two parts at
-        a time at most, so a sweep's memory does not grow with their number.
-        """
-        if self.kept is not None:
-            yield from self.kept
-            return
-        pairs = (_Part(label, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), unsure, self.la, cu, cv)
-                 for label, a, b, w, cu, cv, unsure in _merged(_pair_batches(*self.stage1), _SWEEP_PART))
-        triples = (_Part(label, rows, weights, unsure, self.la)
-                   for label, rows, weights, unsure in _merged(_triple_batches(*self.screen), _SWEEP_PART))
-        self.kept, count = [], 0
-        for part in chain(pairs, triples):
-            count += len(part.label)
-            if self.kept is not None:
-                self.kept = self.kept + [part] if count <= _SWEEP_PART else None
-            yield part
-
-    def rows(self, ns: Sequence[int]) -> Iterator[PsiEstimate]:
-        """The estimates at the rows `ns`, whose parameters, windows and goal
-        profiles `_lphi`, `_split` and `_settle` read by row index."""
-        inst = self.inst
-        dims = [Dimensions(inst.dims.m, inst.dims.k, n) for n in ns]
-        self.params = [profile_params(inst.target, d) for d in dims]
-        self.table = np.array(self.params)
-        self.windows = np.array([_log_window(inst.target, d, self.lmax) for d in dims])
-        count = len(ns)
-        goal = self.params[0][:2]
-        self.lgoal = log_phi_array(np.repeat((goal[0], 0.5), count), np.repeat((goal[1], 0.5), count),
-                                   np.tile(self.table.T, 2)).reshape(2, count)
+        self.vmin = np.full(8 * count, math.inf)
         self.best: dict[int, tuple] = {}
         first = min(1 if ns[0] == 0 else 0, count - 1)
         for part in self._parts():
             self._value(part, first)
-        for r in range(count):
-            yield _found_estimate({j: self.best[8 * r + j] for j in range(8) if 8 * r + j in self.best})
+
+    def _parts(self) -> Iterator[_Part]:
+        """The candidates, in parts of one kind joined up to `psi.BLOCK` (a single stage-1 batch may hold more).
+
+        Held two parts at a time at most, so a run's memory does not grow
+        with their number.
+        """
+        pairs = (_Part(label, rows, weights, unsure, self.la, cu, cv)
+                 for label, rows, weights, cu, cv, unsure in _merged(_pair_batches(*self.stage1)))
+        triples = (_Part(label, rows, weights, unsure, self.la)
+                   for label, rows, weights, unsure in _merged(_triple_batches(*self.screen)))
+        return chain(pairs, triples)
 
     def _value(self, part: _Part, first: int) -> None:
         """Stages 2 and 3 of every row for the candidates of `part`; `first` is the first row with n > 0,
@@ -231,15 +216,16 @@ class _Sweep:
     def _settle(self, part: _Part, row: np.ndarray, cand: np.ndarray, lphi: np.ndarray) -> None:
         """Stages 2 and 3 of rows `row`, each given with every candidate of `part` that can reach its window.
 
-        Stage 2 is `psi._picked`.  Stage 3 values every picked candidate at
-        once: its profile, found once per row and set of regions, times its
-        factors in `_exact`'s order (a pair's cached product of radius
-        powers, or a triple's powers in turn), so each value is `_exact`'s
-        bit for bit.  The rows of each slot's least value go to `psi._keep`.
+        Stage 2 is `psi._picked`, against the run's minima `vmin`.  Stage 3
+        values every picked candidate at once: its profile, found once per
+        row and set of regions, times its factors in `_exact`'s order (a
+        pair's cached product of radius powers, or a triple's powers in
+        turn), so each value is `_exact`'s bit for bit.  The rows of each
+        slot's least value go to `psi._keep`.
         """
         slot = row * 8 + part.label[cand]
         pick = _picked(slot, part.base[cand] + lphi, lphi, part.wabs[cand], part.unsure[cand], self.windows[row],
-                       np.full(8 * len(self.params), math.inf))
+                       self.vmin)
         row, cand = row[pick], cand[pick]
         for c in dict.fromkeys(cand[part.group[cand] == -2].tolist()):
             self._geometry(part, c)

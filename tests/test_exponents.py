@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixwidth import (
+from mixwidth.exponents import (
     Exponent,
     ReciprocalPoint,
     barycentric,

@@ -11,7 +11,6 @@ from mixwidth import (
     Dimensions,
     Exponent,
     Instance,
-    ReciprocalPoint,
     TargetSpace,
     family_reduce,
     membership,
@@ -19,10 +18,11 @@ from mixwidth import (
     parse_exponent,
     phi,
     psi,
-    psi_component,
     sample_boundary,
     validate_instance,
 )
+from mixwidth.exponents import ReciprocalPoint
+from mixwidth.psi import psi_component
 from conftest import make_instance
 
 E = parse_exponent

@@ -15,17 +15,16 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mixwidth import (
-    Exponent,
+from mixwidth import Exponent, phi
+from mixwidth.exponents import (
+    HALF,
     ReciprocalPoint,
     barycentric,
     convex_combine,
     critical_deviation,
-    phi,
     solve_critical_crossing,
     solve_crossing,
 )
-from mixwidth.exponents import HALF
 from mixwidth.psi import _exact, _goal_context, _lines
 from conftest import build
 from helpers import primes_from

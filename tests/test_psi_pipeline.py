@@ -22,10 +22,10 @@ from mixwidth import (
     TargetSpace,
     phi,
     psi,
-    psi_component,
     psi_many,
 )
 from mixwidth.phi import _REL_BRANCH_TOL, log_phi_array, profile_params
+from mixwidth.psi import psi_component
 from mixwidth.verify import _rand_instance
 from conftest import build
 from psi_brute import brute_component

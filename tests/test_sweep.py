@@ -123,8 +123,8 @@ def test_sweep_equals_the_per_row_reference(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_runs_of_three_rows(monkeypatch, name):
-    # the first rows of each range three at a time: a sweep keeps its parts
-    # across runs of rows, or finds them again when they are many
+    # the first rows of each range three at a time: each run of rows finds
+    # its candidates and screens its triples on its own
     monkeypatch.setattr(sweep_module, "SWEEP_ROWS", 3)
     make, ranges = CASES[name]
     inst = make()
@@ -157,7 +157,7 @@ def test_verify_families_equal_the_per_row_reference():
 def test_no_part_is_empty(monkeypatch):
     # at q = 2 psi_5 has no line and its batch is empty; it follows psi_4's
     # nine pairs, a part of their own when a part holds eight
-    monkeypatch.setattr(sweep_module, "_SWEEP_PART", 8)
+    monkeypatch.setattr(psi_module, "BLOCK", 8)
     inst = build(8, 8, 4, Fraction(1, 2), Fraction(1, 3), [
         (Fraction(u, 8), Fraction(v, 4), nu)
         for u, v, nu in ((0, 1, 1.0), (1, 1, 2.0), (3, 1, 0.5), (0, 3, 1.5), (2, 3, 1.0), (3, 3, 4.0))])
@@ -209,7 +209,7 @@ def test_shared_screen_drops_triples():
 
 def _triple_labels(inst, n_from, n_to):
     """The labels of the triples the sweep's shared screen keeps."""
-    parts = sweep_module._Sweep(inst, n_from, n_to)._parts()
+    parts = sweep_module._Sweep(inst, range(n_from, n_to + 1))._parts()
     return np.concatenate([part.label for part in parts if part.cu is None] + [np.empty(0, int)])
 
 
@@ -274,24 +274,23 @@ def test_parts_keep_the_first_of_tied_rows(monkeypatch):
     # has the same value, so each slot's row is the least index tuple among
     # many ties, which the grid meets in another order (by middle index) and
     # the sweep splits over several parts; longer than a run of rows, the
-    # sweep finds its parts again for the second run
+    # sweep finds its parts again in each run
     inst = _family(16, 36, 64, 64, 64, Fraction(5, 16), Fraction(7, 16), _unit)
     assert not psi_module._flat(len(inst.balls))
-    monkeypatch.setattr(sweep_module, "_SWEEP_PART", 200)
+    monkeypatch.setattr(psi_module, "BLOCK", 200)
     monkeypatch.setattr(sweep_module, "SWEEP_ROWS", 4)
-    assert len(list(sweep_module._Sweep(inst, 100, 106)._parts())) > 4
     ns = range(100, 107)
+    assert len(list(sweep_module._Sweep(inst, ns)._parts())) > 4
     assert [_estimate_key(e) for e in psi_sweep(inst, ns)] == [
         _estimate_key(e) for e in reference_estimates(inst, ns)]
 
 
-def test_parts_bound_the_memory_of_many_triples(monkeypatch):
+def test_parts_bound_the_memory_of_many_triples():
     # equal radii: the shared screen keeps every contained triple, here
     # 19,301 of 64 balls; a sweep holds a part of them at a time, so its peak
-    # stays that of a few parts (0.8 MB; all in one part, 8.5 MB)
+    # stays that of a few parts (1.4 MB; all in one part, 6.0 MB)
     inst = _family(17, 64, 64, 64, 64, Fraction(5, 16), Fraction(7, 16), _equal)
-    monkeypatch.setattr(sweep_module, "_SWEEP_PART", 1024)
-    sweep_module._Sweep(inst, 1000, 1001)  # the imports and first calls, outside the count
+    sweep_module._Sweep(inst, range(1000, 1002))  # the imports and first calls, outside the count
     tracemalloc.start()
     try:
         estimates = list(psi_sweep(inst, range(1000, 1002)))
@@ -361,8 +360,7 @@ def test_float_log_values_rise_within_the_margin(name):
     # the margin the bound allows
     inst = CASES[name][0]()
     ns = _log_spaced(inst)
-    sweep = sweep_module._Sweep(inst, ns[0], ns[-1])
-    list(sweep.rows(ns))
+    sweep = sweep_module._Sweep(inst, ns)
     for part in sweep._parts():
         every = np.arange(len(part.base))
         lphi = np.array([sweep._lphi(part, every, np.full(len(every), r)) for r in range(len(ns))])
