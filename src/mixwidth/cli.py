@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -245,13 +244,11 @@ def witness_report(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+def _write_csv(rows: list[dict]) -> None:
+    """The rows as CSV on stdout, a line per write, so a reader that closes the pipe early is seen."""
+    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({key: row[key] for key in CSV_COLUMNS})
-    return buf.getvalue()
+    writer.writerows(rows)
 
 
 def _estimate_table(inst: Instance, est: PsiEstimate) -> str:
@@ -415,7 +412,7 @@ def _dispatch(args) -> int:
         if args.format == "json":
             print(json.dumps(estimate_report(inst, _finite_psi(inst)), indent=2))
         elif args.format == "csv":
-            print(_rows_to_csv([_sweep_row(inst.dims.n, _finite_psi(inst), WitnessGrid(inst))]), end="")
+            _write_csv([_sweep_row(inst.dims.n, _finite_psi(inst), WitnessGrid(inst))])
         else:
             print(_estimate_table(inst, _finite_psi(inst)))
         return 0
@@ -428,7 +425,7 @@ def _dispatch(args) -> int:
         if args.format == "json":
             print(json.dumps({"schema": SCHEMA, "mode": "sweep", "rows": rows}, indent=2))
         elif args.format == "csv":
-            print(_rows_to_csv(rows), end="")
+            _write_csv(rows)
         else:
             print(_sweep_table(rows))
         return 0

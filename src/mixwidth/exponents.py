@@ -21,10 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-# Interpolation weights are exact rationals; the admissible interval is
-# enforced at each construction site (usually strict interiority in (0, 1)).
-Weight = Fraction
-
 HALF = Fraction(1, 2)
 
 
@@ -103,7 +99,7 @@ def parse_exponent(text: str) -> Exponent:
     return Exponent(1 / value)
 
 
-def convex_combine(a: Exponent, b: Exponent, w: Weight) -> Exponent:
+def convex_combine(a: Exponent, b: Exponent, w: Fraction) -> Exponent:
     """The exponent whose reciprocal is (1-w)*a.u + w*b.u, exactly."""
     w = Fraction(w)
     if not 0 <= w <= 1:
@@ -111,7 +107,7 @@ def convex_combine(a: Exponent, b: Exponent, w: Weight) -> Exponent:
     return Exponent((1 - w) * a.u + w * b.u)
 
 
-def solve_crossing(a: Exponent, b: Exponent, target: Exponent) -> Optional[Weight]:
+def solve_crossing(a: Exponent, b: Exponent, target: Exponent) -> Optional[Fraction]:
     """Weight w with (1-w)*a.u + w*b.u = target.u, if strictly interior.
 
     Returns None when the segment is degenerate (a.u = b.u), when the first
@@ -154,7 +150,7 @@ def critical_deviation(pt: ReciprocalPoint, q: Exponent, sigma: Exponent) -> Fra
 
 def solve_critical_crossing(
     a: ReciprocalPoint, b: ReciprocalPoint, q: Exponent, sigma: Exponent
-) -> Optional[tuple[Weight, ReciprocalPoint]]:
+) -> Optional[tuple[Fraction, ReciprocalPoint]]:
     """Interior crossing of the segment [a, b] with the critical line.
 
     Returns (w, crossing) where the crossing point (1-w)*a + w*b has zero
@@ -184,7 +180,7 @@ def _cross(ax: Fraction, ay: Fraction, bx: Fraction, by: Fraction) -> Fraction:
 
 def barycentric(
     a: ReciprocalPoint, b: ReciprocalPoint, c: ReciprocalPoint, target: ReciprocalPoint
-) -> Optional[tuple[Weight, Weight, Weight]]:
+) -> Optional[tuple[Fraction, Fraction, Fraction]]:
     """Exact barycentric coordinates of target in triangle (a, b, c).
 
     Returns (ta, tb, tc) with ta+tb+tc = 1 only when the triangle is

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import Exponent, Weight
+from .exponents import Exponent
 
 MEMBERSHIP_SLACK = 1e-12
 
@@ -90,7 +90,7 @@ def membership(x, balls: Sequence) -> tuple[bool, float]:
 
 
 def interpolation_check(
-    x, s1: ExponentPair, s2: ExponentPair, lam: Weight
+    x, s1: ExponentPair, s2: ExponentPair, lam: Fraction
 ) -> tuple[float, float, bool]:
     """Two-norm interpolation inequality at the convex combination of s1, s2.
 
@@ -103,7 +103,7 @@ def interpolation_check(
 
 
 def corollary_check(
-    x, specs: Sequence[tuple[ExponentPair, Weight]]
+    x, specs: Sequence[tuple[ExponentPair, Fraction]]
 ) -> tuple[float, float, bool]:
     """Multiway interpolation: weights tau_i >= 0 summing to one, exactly."""
     taus = [Fraction(t) for _, t in specs]

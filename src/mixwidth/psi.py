@@ -45,17 +45,19 @@ and `phi_ints` decides the profile's regions by cross-multiplication.
 One pass over an instance's balls (`_lines`) gives the offsets from all
 five pair lines.  Every float is an int true division, correctly rounded
 as float(Fraction) is, so the results equal those of the `Fraction`
-solvers in `exponents` bit for bit.  Each component keeps only its winning
-row, and a `Certificate`, with its `Fraction` weights and `Exponent`s, is
-built from it when the estimate's `certificates` mapping first reads that
-component: verify and sweep, which read none, build none.
+solvers in `exponents` bit for bit.  One function, `_geometry`, finds the
+exact record of every candidate, single, pair or triple, without the
+profile: the factors the profile is multiplied by, in order, and the
+certificate's indices, weights and exponent pair.  Each component keeps
+only its winning row, and a `Certificate`, with its `Fraction` weights and
+`Exponent`s, is built from it when the estimate's `certificates` mapping
+first reads that component: verify and sweep, which read none, build none.
 
 `mixwidth.sweep` runs this pipeline over many n at once: it shares stage
-1, the triple screen and the n-independent parts of stage 3
-(`_pair_geometry`, `_triple_geometry`, `_goal`) across each run of a
-sweep's rows, joins its candidates by `_merged`, and picks and keeps rows
-by the same stage-2 policy (`_picked`) and winner rule (`_keep`) as
-`_scan_block`.
+1, the triple screen and the n-independent part of stage 3 (`_geometry`,
+and the goals of `_goal`) across each run of a sweep's rows, joins its
+candidates by `_merged`, and picks and keeps rows by the same stage-2
+policy (`_picked`) and winner rule (`_keep`) as `_scan_block`.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class Certificate:
 
 
 class _Certificates(Mapping):
-    """Read-only map from component to `Certificate`, over the rows `_exact` found.
+    """Read-only map from component to `Certificate`, over the rows stage 3 kept.
 
     A component's certificate is built from its row the first time it is
     read, then kept, so a caller that prints none builds none.
@@ -289,47 +291,40 @@ def _lines(inst: Instance) -> dict[int, tuple[list[int], list[int], list[float]]
     return lines
 
 
-def _exact(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tuple]:
-    """Stage 3: candidate `row` of component j in integer arithmetic (None if it does not qualify).
+def _geometry(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tuple]:
+    """Stage 3's exact record of candidate `row` of component j without the profile (None if it does not qualify).
 
-    Returns (value, indices, weights, p, theta, profile), the fields of its
-    `Certificate` with each weight and reciprocal exponent as an integer
-    (numerator, denominator) pair, denominator positive.  `context` is the
-    offset numerators of `_lines` (j = 1..5) or the goal, its profile and
-    every ball's offset from the goal (j = 6, 7).  Only the profile reads n:
-    `_pair_geometry` and `_triple_geometry` do the rest.
+    Returns (factors, indices, weights, p, theta): the candidate's value is
+    the profile at (p, theta) times each of `factors` in turn, which are a
+    single's radius, a pair's product of its two radius powers or a
+    triple's three powers.  (p, theta) is the crossing point, or the goal.
+    Each weight and reciprocal exponent is an integer (numerator,
+    denominator) pair, denominator positive.  `context` is the offset
+    numerators of `_lines` (j = 1..5) or the goal, `_goal` (j = 6, 7).
+    Nothing here reads n: `mixwidth.sweep` finds each record once per run
+    of rows.
     """
-    if j < 6:
-        geometry = _pair_geometry(inst, j, row, context)
-        if geometry is None:
+    balls = inst.balls
+    if j > 5:
+        # With x_i - goal = (P_i / (D_i s), Q_i / (D_i t)), the orientation o(x, y) is
+        # (P_x Q_y - Q_x P_y) / (D_x D_y s t), so o(b, c), o(c, a), o(a, b) times
+        # D_a D_b D_c s t are the barycentric numerators, over their sum.
+        pe, te, offsets = context
+        a, b, c = row
+        (pa, qa, da), (pb, qb, db), (pc, qc, dc) = offsets[a], offsets[b], offsets[c]
+        ta, tb, tc = (pb * qc - qb * pc) * da, (pc * qa - qc * pa) * db, (pa * qb - qa * pb) * dc
+        det = ta + tb + tc
+        if det < 0:
+            ta, tb, tc, det = -ta, -tb, -tc, -det
+        if not (ta > 0 and tb > 0 and tc > 0):  # also when det = 0
             return None
-        factor, indices, weights, p, theta = geometry
-        profile = phi_ints(*p, *theta, inst.target, inst._params)
-        return factor * profile.value, indices, weights, p, theta, profile
-    pe, te, profile, offsets = context
-    geometry = _triple_geometry(inst, row, offsets)
-    if geometry is None:
-        return None
-    powers, weights = geometry
-    value = profile.value
-    for power in powers:
-        value *= power
-    return value, row, weights, pe, te, profile
-
-
-def _pair_geometry(inst: Instance, j: int, row: tuple[int, ...], offsets) -> Optional[tuple]:
-    """What `_exact` finds of single or pair candidate `row` without the profile, or None.
-
-    Returns (factor, indices, weights, p, theta): the candidate's value is
-    factor times the profile at (p, theta), and factor is the radius of a
-    single or the product of a pair's two radius powers.
-    """
-    balls, target = inst.balls, inst.target
+        powers = balls[a].nu ** (ta / det), balls[b].nu ** (tb / det), balls[c].nu ** (tc / det)
+        return powers, row, ((ta, det), (tb, det), (tc, det)), pe, te
     if j == 0:
         u, v, d = balls[row[0]]._ints
-        return balls[row[0]].nu, row[:1], ((1, 1),), (u, d), (v, d)
+        return (balls[row[0]].nu,), row[:1], ((1, 1),), (u, d), (v, d)
     (ua, va, da), (ub, vb, db) = balls[row[0]]._ints, balls[row[1]]._ints
-    fa, fb = offsets[row[0]], offsets[row[1]]
+    fa, fb = context[row[0]], context[row[1]]
     if fa < 0:
         fa, fb = -fa, -fb
     # fa > 0 > fb: w = fa db / den on b lies in (0, 1), and the crossing
@@ -337,37 +332,17 @@ def _pair_geometry(inst: Instance, j: int, row: tuple[int, ...], offsets) -> Opt
     den = fa * db - fb * da
     un, vn = fa * ub - fb * ua, fa * vb - fb * va
     if j == 5:
-        q, sigma = target.q.u, target.sigma.u
+        q, sigma = inst.target.q.u, inst.target.sigma.u
         if not (q.numerator * den < un * q.denominator and 2 * un < den
                 and sigma.numerator * den < vn * sigma.denominator and 2 * vn < den):
             return None
     wa, wb = -fb * da, fa * db
     factor = balls[row[0]].nu ** (wa / den) * balls[row[1]].nu ** (wb / den)
-    return factor, row, ((wa, den), (wb, den)), (un, den), (vn, den)
-
-
-def _triple_geometry(inst: Instance, row: tuple[int, ...], offsets) -> Optional[tuple]:
-    """(powers, weights) of triple `row` if its triangle strictly contains the goal, else None.
-
-    `offsets` are the balls' offsets from the goal (`_goal`); the weights are
-    the goal's barycentric coordinates and powers[i] is nu_i to weight i.
-    """
-    # With x_i - goal = (P_i / (D_i s), Q_i / (D_i t)), the orientation o(x, y) is
-    # (P_x Q_y - Q_x P_y) / (D_x D_y s t), so o(b, c), o(c, a), o(a, b) times
-    # D_a D_b D_c s t are the barycentric numerators, over their sum.
-    (pa, qa, da), (pb, qb, db), (pc, qc, dc) = (offsets[i] for i in row)
-    ta, tb, tc = (pb * qc - qb * pc) * da, (pc * qa - qc * pa) * db, (pa * qb - qa * pb) * dc
-    det = ta + tb + tc
-    if det < 0:
-        ta, tb, tc, det = -ta, -tb, -tc, -det
-    if not (ta > 0 and tb > 0 and tc > 0):  # also when det = 0
-        return None
-    powers = tuple(inst.balls[i].nu ** (t / det) for i, t in zip(row, (ta, tb, tc)))
-    return powers, ((ta, det), (tb, det), (tc, det))
+    return (factor,), row, ((wa, den), (wb, den)), (un, den), (vn, den)
 
 
 def _certificate(j: int, found: tuple) -> Certificate:
-    """The `Certificate` of a row `_exact` found, with its weights and exponents as `Fraction`s."""
+    """The `Certificate` of a row stage 3 kept, with its weights and exponents as `Fraction`s."""
     value, indices, weights, p, theta, profile = found
     return Certificate(j, indices, tuple(Fraction(n, d) for n, d in weights),
                        Exponent(Fraction(*p)), Exponent(Fraction(*theta)), profile, value)
@@ -687,13 +662,13 @@ def _plane(u: np.ndarray, v: np.ndarray, la: np.ndarray) -> Optional[tuple]:
 
 
 def _goal_context(inst: Instance, j: int) -> tuple:
-    """Stage 3's context of triple component j, about (1/q, 1/sigma) (j = 6) or (1/2, 1/2): see `_exact`."""
-    pe, te, offsets = _goal(inst, j)
-    return pe, te, phi_ints(*pe, *te, inst.target, inst._params), offsets
+    """Stage 3's context of triple component j in `_scan_block`: its goal (`_goal`) and the profile there."""
+    goal = pe, te, _ = _goal(inst, j)
+    return goal, phi_ints(*pe, *te, inst.target, inst._params)
 
 
 def _goal(inst: Instance, j: int) -> tuple:
-    """Goal j's reciprocal exponents and every ball's offset from it, the part of `_goal_context` that does not read n."""
+    """Goal j, (1/q, 1/sigma) (j = 6) or (1/2, 1/2): its reciprocal exponents and every ball's offset from it."""
     gu, gv = (inst.target.q.u, inst.target.sigma.u) if j == 6 else (HALF, HALF)
     (gun, gud), (gvn, gvd) = pe, te = (gu.numerator, gu.denominator), (gv.numerator, gv.denominator)
     ints = (ball._ints for ball in inst.balls)
@@ -811,8 +786,10 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     context at its first such row.  The least (value, indices) wins, which
     is the first strict minimum in index-lexicographic order.
     A row confirmed before its slot's minimum settles costs time but cannot
-    change the result.  Each winning row is kept as `_exact` returns it, and
-    its `Certificate` is built only when the estimate's mapping is read.
+    change the result.  A picked row's value is the profile times the
+    factors of its `_geometry` record in turn; each winning row is kept as
+    (value, indices, weights, p, theta, profile), and its `Certificate` is
+    built only when the estimate's mapping is read.
     """
     insts = [inst for inst, _ in block]
     sizes, firsts, owner, ends = _block_layout(insts)
@@ -824,7 +801,8 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         lphi = log_phi_array(cu, cv, params[owner[rows[:, 0]]].T if len(insts) > 1 else params[0])
         return label, rows, weights, lphi, unsure
 
-    contexts = {8 * i + j: lines[j][0] for i, (_, lines) in enumerate(block) for j in lines}
+    # Each slot's `_geometry` context, and the profile a triple slot shares.
+    contexts = {8 * i + j: (lines[j][0], None) for i, (_, lines) in enumerate(block) for j in lines}
     # log Phi at each instance's goals: (1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7.
     goals = np.concatenate((params[:, :2], np.full((len(insts), 2), 0.5)))
     lgoal = np.zeros((len(insts), 8))
@@ -846,12 +824,21 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         pick = _picked(label, logv, lphi, (weights * np.abs(lnu, out=lnu)).sum(axis=1), unsure, window[label], vmin)
         for slot, row in zip(label[pick].tolist(), rows[pick].tolist()):
             i, j = divmod(slot, 8)
-            row = tuple(r - firsts[i] for r in row)
+            inst, row = insts[i], tuple(r - firsts[i] for r in row)
             if j > 5 and slot not in contexts:
-                if _collinear(insts[i], row):  # contains no goal: no context needed yet
+                if _collinear(inst, row):  # contains no goal: no context needed yet
                     continue
-                contexts[slot] = _goal_context(insts[i], j)
-            _keep(best, slot, _exact(insts[i], j, row, contexts.get(slot)))
+                contexts[slot] = _goal_context(inst, j)
+            context, profile = contexts.get(slot, (None, None))
+            found = _geometry(inst, j, row, context)
+            if found is not None:
+                factors, indices, weights, p, theta = found
+                if profile is None:
+                    profile = phi_ints(*p, *theta, inst.target, inst._params)
+                value = profile.value
+                for factor in factors:
+                    value *= factor
+                _keep(best, slot, (value, indices, weights, p, theta, profile))
         # Free this batch before the next one is built.
         del label, rows, weights, lphi, unsure, lnu, logv, pick
     return [_found_estimate({j: best[8 * i + j] for j in range(8) if 8 * i + j in best})
@@ -877,13 +864,13 @@ def _picked(slot: np.ndarray, logv: np.ndarray, lphi: np.ndarray, wabs: np.ndarr
     return pick
 
 
-def _keep(best: dict[int, tuple], slot: int, found: Optional[tuple]) -> None:
-    """Hold row `found` of `_exact` (or None) as `slot`'s if it beats the row held.
+def _keep(best: dict[int, tuple], slot: int, found: tuple) -> None:
+    """Hold stage 3's row `found`, (value, indices, weights, p, theta, profile), as `slot`'s if it beats the row held.
 
     The least value wins, then the least indices, which is the first
     minimizer in index-lexicographic order; a row valued inf or NaN never wins.
     """
-    if found is not None and found[:2] < best.get(slot, (math.inf, ()))[:2]:
+    if found[:2] < best.get(slot, (math.inf, ()))[:2]:
         best[slot] = found
 
 
@@ -897,7 +884,7 @@ def _rank(rows: np.ndarray, size: int) -> np.ndarray:
 
 
 def _found_estimate(rows: dict[int, tuple]) -> PsiEstimate:
-    """The estimate whose component j is the row `_exact` found for it, if any."""
+    """The estimate whose component j is the row stage 3 kept for it, if any."""
     return _estimate([rows[j][0] if j in rows else math.inf for j in range(8)], _Certificates(rows))
 
 

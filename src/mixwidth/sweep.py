@@ -3,15 +3,15 @@
 A sweep changes only n.  `psi_sweep` values its rows in runs of SWEEP_ROWS,
 and for each run (`_Sweep`) does once what does not read n: stage 1 of
 `psi`'s pipeline, one triple screen for every row of the run, and each
-candidate's exact geometry, radius powers and profile regions
+candidate's exact record (`psi._geometry`) and profile regions
 (`phi._regions`).  Per row it values only the candidates that can reach
 the row's window, by a bound from the monotonicity of each log-value in n,
 and confirms them with the profile's branch formulas (`phi._profile`)
-times the cached radius factors, in `psi._exact`'s operation order, so
-every estimate is `psi`'s for that n.  The candidates pass in parts joined
-up to `psi.BLOCK` rows (`psi._merged`), each over all the run's rows, and
-each slot keeps its best row across parts by `psi`'s own rule
-(`psi._keep`).  No candidate outlives its run.
+times the record's factors in turn, as `psi._scan_block` does, so every
+estimate is `psi`'s for that n.  The candidates pass in parts joined up to
+`psi.BLOCK` rows (`psi._merged`), each over all the run's rows, and each
+slot keeps its best row across parts by `psi`'s own rule (`psi._keep`).
+No candidate outlives its run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .psi import (
     PsiEstimate,
     _block_layout,
     _found_estimate,
+    _geometry,
     _goal,
     _keep,
     _lines,
@@ -36,11 +37,9 @@ from .psi import (
     _log_window,
     _merged,
     _pair_batches,
-    _pair_geometry,
     _picked,
     _rank,
     _triple_batches,
-    _triple_geometry,
 )
 
 # `psi_sweep` values SWEEP_ROWS rows at a time; a pass of its row bound holds
@@ -108,7 +107,11 @@ class _Sweep:
         self.la = la
         lmax = float(np.abs(la).max())
         lines = _lines(inst)
-        self.offsets = {j: lines[j][0] for j in lines}
+        # Each component's `psi._geometry` context, and the regions of each goal's profile.
+        self.contexts, self.goal_regions = {j: lines[j][0] for j in lines}, {}
+        for j in (6, 7):
+            pe, te, _ = self.contexts[j] = _goal(inst, j)
+            self.goal_regions[j] = _regions(*pe, *te, inst.target, inst._params)
         # The rows' parameters, windows and goal profiles, which `_lphi`,
         # `_split` and `_settle` read by row index.
         dims = [Dimensions(inst.dims.m, inst.dims.k, n) for n in ns]
@@ -131,10 +134,9 @@ class _Sweep:
         shift += _ROW_MARGIN * (1.0 + shift)
         window = self.windows[-1] + _ROW_MARGIN * (1.0 + shift.max() + lmax)
         self.screen = sizes, owner, ends, uf, vf, la, goal, shift[None], [window]
-        # Stage 3's profile regions, numbered, and each goal's data (`_goal`).
+        # Stage 3's profile regions, numbered.
         self.regions: list[tuple] = []
         self.region_ids: dict[tuple, int] = {}
-        self.goals: dict[int, tuple] = {}
         self.vmin = np.full(8 * count, math.inf)
         self.best: dict[int, tuple] = {}
         first = min(1 if ns[0] == 0 else 0, count - 1)
@@ -218,10 +220,9 @@ class _Sweep:
 
         Stage 2 is `psi._picked`, against the run's minima `vmin`.  Stage 3
         values every picked candidate at once: its profile, found once per
-        row and set of regions, times its factors in `_exact`'s order (a
-        pair's cached product of radius powers, or a triple's powers in
-        turn), so each value is `_exact`'s bit for bit.  The rows of each
-        slot's least value go to `psi._keep`.
+        row and set of regions, times its cached factors in turn, so each
+        value is `psi._scan_block`'s bit for bit.  The rows of each slot's
+        least value go to `psi._keep`, with the rest of their record.
         """
         slot = row * 8 + part.label[cand]
         pick = _picked(slot, part.base[cand] + lphi, lphi, part.wabs[cand], part.unsure[cand], self.windows[row],
@@ -257,53 +258,26 @@ class _Sweep:
         np.minimum.at(first, slot[win], rank[win])
         win &= rank == first[slot]
         for s, v, c, e in zip(slot[win].tolist(), value[win].tolist(), cand[win].tolist(), inv[win].tolist()):
-            _keep(self.best, s, (v, *self._rest(part, c), profiles[e]))
+            if c not in part.rest:
+                part.rest[c] = self._geometry(part, c)[1:]
+            _keep(self.best, s, (v, *part.rest[c], profiles[e]))
 
-    def _geometry(self, part: _Part, c: int) -> None:
-        """Candidate c's region id and factors (see `_Part`), from `_pair_geometry` or `_triple_geometry`."""
+    def _geometry(self, part: _Part, c: int) -> Optional[tuple]:
+        """Candidate c's `psi._geometry` record, with its region id and factors set in `part` (see `_Part`)."""
         inst, j = self.inst, int(part.label[c])
-        row = tuple(part.balls[c].tolist())
-        if part.cu is not None:
-            found = _pair_geometry(inst, j, row, self.offsets.get(j))
-            if found is not None:
-                part.factors[c, 0], _, _, p, theta = found
-                regions = _regions(*p, *theta, inst.target, inst._params)
-        else:
-            _, _, offsets, regions = self._goal(j)
-            found = _triple_geometry(inst, row, offsets)
-            if found is not None:
-                part.factors[c] = found[0]
+        found = _geometry(inst, j, tuple(part.balls[c].tolist()), self.contexts.get(j))
         if found is None:
             part.group[c] = -1
-            return
+            return None
+        part.factors[c], _, _, p, theta = found
+        regions = self.goal_regions[j] if j > 5 else _regions(*p, *theta, inst.target, inst._params)
         # Equal regions give equal profiles; NaN marks what no holding branch reads.
         key = tuple(None if x != x else x for x in regions[:4]) + regions[4:]
         if key not in self.region_ids:
             self.region_ids[key] = len(self.regions)
             self.regions.append(regions)
         part.group[c] = self.region_ids[key]
-
-    def _rest(self, part: _Part, c: int) -> tuple:
-        """What `_exact` returns for qualifying candidate c between its value and its profile.
-
-        Found again, and kept, only for the candidates that win some slot.
-        """
-        if c not in part.rest:
-            inst, j = self.inst, int(part.label[c])
-            row = tuple(part.balls[c].tolist())
-            if part.cu is not None:
-                part.rest[c] = _pair_geometry(inst, j, row, self.offsets.get(j))[1:]
-            else:
-                pe, te, offsets, _ = self._goal(j)
-                part.rest[c] = row, _triple_geometry(inst, row, offsets)[1], pe, te
-        return part.rest[c]
-
-    def _goal(self, j: int) -> tuple:
-        """Goal j's exponents and offsets (`_goal`) and the regions of its profile."""
-        if j not in self.goals:
-            pe, te, offsets = _goal(self.inst, j)
-            self.goals[j] = pe, te, offsets, _regions(*pe, *te, self.inst.target, self.inst._params)
-        return self.goals[j]
+        return found
 
 
 class _Part:
@@ -316,8 +290,9 @@ class _Part:
     absolute value, and `rank` its place in `psi._keep`'s order.  Stage 3's
     data is found when a candidate is first picked: the id of its profile's
     regions in `group` (-1 if it does not qualify, -2 while unknown), and in
-    `factors` what `_exact` multiplies the profile by, in its order; `rest`
-    holds the rest of the `_exact` rows of the candidates that win a slot.
+    `factors` the factors of its `psi._geometry` record; `rest` holds the
+    rest of the records of the candidates that win a slot, found again for
+    them only.
     """
 
     def __init__(self, label: np.ndarray, balls: np.ndarray, weights: np.ndarray, unsure: np.ndarray,

@@ -187,16 +187,18 @@ class TestSweep:
     def test_row_limit_in_help(self):
         assert f"at most {cli.SWEEP_ROW_LIMIT} rows" in " ".join(cli.build_parser().format_help().split())
 
-    def test_closed_stdout_exits_quietly(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, fmt):
         # `mixwidth F --mode sweep | head -1`: the output outgrows the pipe's
-        # buffer, the reader closes it after one line, and the run ends with
-        # 128 + SIGPIPE and nothing on stderr
+        # buffer (the CSV, the smaller, is 127 KB against Linux's 64 KB), the
+        # reader closes it after one line, and the run ends with 128 + SIGPIPE
+        # and nothing on stderr
         path = write_instance(tmp_path, {**WORKED, "m": 128, "k": 128})
         code = "import sys, mixwidth.cli; sys.exit(mixwidth.cli.main(sys.argv[1:]))"
         proc = subprocess.Popen(
-            [sys.executable, "-c", code, path, "--mode", "sweep", "--format", "json", "--n-to", "1000"],
+            [sys.executable, "-c", code, path, "--mode", "sweep", "--format", fmt, "--n-to", "2000"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline() == {"json": b"{\n", "csv": ",".join(CSV_COLUMNS).encode() + b"\n"}[fmt]
         proc.stdout.close()
         assert (proc.stderr.read(), proc.wait()) == (b"", 141)
         proc.stderr.close()

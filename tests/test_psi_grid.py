@@ -352,10 +352,10 @@ def test_anchor_screen_keeps_what_can_win(kind, size):
     for (label, row), (weights, unsure) in ref.items():
         bound = sure.get(label, math.inf) + window
         if unsure:
-            exact = psi_module._triple_geometry(inst, row, psi_module._goal(inst, label)[2])
+            exact = psi_module._geometry(inst, label, row, psi_module._goal(inst, label))
             if exact is None:
                 continue
-            logv = sum(t / det * la[i] for (t, det), i in zip(exact[1], row)) + lgoal[label - 6]
+            logv = sum(t / det * la[i] for (t, det), i in zip(exact[2], row)) + lgoal[label - 6]
         else:
             logv = sum(w * la[i] for w, i in zip(weights, row)) + lgoal[label - 6]
         if logv <= bound:
@@ -415,13 +415,13 @@ def test_random_family_screens_in_few_chunks(monkeypatch):
 
 def _least_contained(inst, g):
     """The least sum of exact weight times log radius over the triangles that strictly contain goal g."""
-    offsets = psi_module._goal(inst, 6 + g)[2]
+    goal = psi_module._goal(inst, 6 + g)
     la = inst._ball_arrays[2]
     least = math.inf
     for row in itertools.combinations(range(len(inst.balls)), 3):
-        found = psi_module._triple_geometry(inst, row, offsets)
+        found = psi_module._geometry(inst, 6 + g, row, goal)
         if found is not None:
-            least = min(least, sum(t / det * la[i] for (t, det), i in zip(found[1], row)))
+            least = min(least, sum(t / det * la[i] for (t, det), i in zip(found[2], row)))
     return least
 
 

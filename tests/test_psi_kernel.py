@@ -1,12 +1,13 @@
 """Stage 3's integer core against the `Fraction` references.
 
 `psi._lines` gives each ball's offset from each pair component's line as an
-integer numerator over the ball's denominator, and `psi._exact` turns the
-offsets of an opposite-sign pair into its weights and crossing point, and
-a triple into its barycentric numerators over |det|.  Every one must equal
+integer numerator over the ball's denominator, and `psi._geometry` turns
+a single into its own point, the offsets of an opposite-sign pair into its
+weights and crossing point, and a triple into its barycentric numerators
+over |det|.  Every one must equal the ball's exponents, or
 `solve_crossing` with `convex_combine`, `critical_deviation`,
-`solve_critical_crossing` or `barycentric` as a `Fraction`, and every float
-must equal `float(Fraction)` bit for bit.
+`solve_critical_crossing` or `barycentric`, as a `Fraction`, and every
+float must equal `float(Fraction)` bit for bit.
 """
 
 import random
@@ -16,6 +17,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mixwidth import Exponent, phi
+from mixwidth.phi import phi_ints
 from mixwidth.exponents import (
     HALF,
     ReciprocalPoint,
@@ -25,7 +27,7 @@ from mixwidth.exponents import (
     solve_critical_crossing,
     solve_crossing,
 )
-from mixwidth.psi import _exact, _goal_context, _lines
+from mixwidth.psi import _geometry, _goal_context, _lines
 from conftest import build
 from helpers import primes_from
 from psi_brute import TWO
@@ -86,6 +88,32 @@ def _same_float(x, y):
     return x.hex() == y.hex()
 
 
+def _record(inst, j, row, context):
+    """`_geometry`'s record with the profile multiplied in, as stage 3 keeps it:
+    (value, indices, weights, p, theta, profile), or None."""
+    found = _geometry(inst, j, row, context)
+    if found is None:
+        return None
+    factors, indices, weights, p, theta = found
+    profile = phi_ints(*p, *theta, inst.target, inst._params)
+    value = profile.value
+    for factor in factors:
+        value *= factor
+    return value, indices, weights, p, theta, profile
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_single_records(seed):
+    for inst in _instances(seed):
+        for a, ball in enumerate(inst.balls):
+            u, v, d = ball._ints
+            assert _geometry(inst, 0, (a, a), None) == ((ball.nu,), (a,), ((1, 1),), (u, d), (v, d))
+            assert (Fraction(u, d), Fraction(v, d)) == (ball.p.u, ball.theta.u)
+            value, *_, profile = _record(inst, 0, (a, a), None)
+            assert profile == phi(ball.p, ball.theta, inst.target, inst.dims)
+            assert _same_float(value, profile.value * ball.nu)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_offsets_are_scaled_exact_offsets(seed):
     for inst in _instances(seed):
@@ -123,17 +151,18 @@ def test_pair_weights_and_crossings(seed):
                     # the pipeline admits exactly the opposite-sign pairs
                     assert ref is None or j == 5 and HALF in (q.u, sigma.u)
                     continue
-                found = _exact(inst, j, (ia, ib), nums)
+                found = _record(inst, j, (ia, ib), nums)
                 assert (found is None) == (ref is None), (j, ia, ib)
                 if found is None:
                     continue
-                _, _, ((wa, den), (wb, den_b)), (un, ud), (vn, vd), profile = found
+                value, _, ((wa, den), (wb, den_b)), (un, ud), (vn, vd), profile = found
                 w, cross = ref
                 assert den == den_b == ud == vd > 0
                 assert (Fraction(wa, den), Fraction(wb, den)) == (1 - w, w)
                 assert (Fraction(un, ud), Fraction(vn, vd)) == (cross.u, cross.v)
                 assert _same_float(wa / den, float(1 - w)) and _same_float(wb / den, float(w))
                 assert profile == phi(Exponent(cross.u), Exponent(cross.v), inst.target, inst.dims)
+                assert _same_float(value, profile.value * (a.nu ** float(1 - w) * b.nu ** float(w)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -142,17 +171,21 @@ def test_barycentric_numerators(seed):
     for inst in _instances(seed):
         points = [b.point for b in inst.balls]
         for j, goal in ((6, (inst.target.q.u, inst.target.sigma.u)), (7, (HALF, HALF))):
-            context = _goal_context(inst, j)
-            assert context[2] == phi(Exponent(goal[0]), Exponent(goal[1]), inst.target, inst.dims)
+            context, profile = _goal_context(inst, j)
+            assert profile == phi(Exponent(goal[0]), Exponent(goal[1]), inst.target, inst.dims)
             for row in combinations(range(len(points)), 3):
                 ref = barycentric(*(points[i] for i in row), ReciprocalPoint(*goal))
-                found = _exact(inst, j, row, context)
+                found = _record(inst, j, row, context)
                 assert (found is None) == (ref is None), (j, row)
                 if found is None:
                     continue
                 hits += 1
-                weights = found[2]
+                value, indices, weights, p, theta, at_goal = found
+                assert indices == row and at_goal == profile
+                assert (Fraction(*p), Fraction(*theta)) == goal
                 assert all(den == weights[0][1] > 0 for _, den in weights)
                 assert tuple(Fraction(n, d) for n, d in weights) == ref
                 assert all(_same_float(n / d, float(t)) for (n, d), t in zip(weights, ref))
+                powers = [inst.balls[i].nu ** float(t) for i, t in zip(row, ref)]
+                assert _same_float(value, profile.value * powers[0] * powers[1] * powers[2])
     assert hits

@@ -10,6 +10,7 @@ selection against full per-row valuations.
 """
 
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from mixwidth import best_witness_lower_bound, psi_many, psi_sweep
-from mixwidth.cli import _rows_to_csv, _sweep_table, instance_to_dict, main, run_sweep
+from mixwidth.cli import CSV_COLUMNS, _sweep_table, instance_to_dict, main, run_sweep
 from mixwidth.phi import Dimensions, log_phi_array, profile_params
 from mixwidth.verify import _rand_instance
 from mixwidth.witness import _width
@@ -228,6 +229,16 @@ def _cli(path, fmt, n_from, n_to):
         code = main([path, "--mode", "sweep", "--format", fmt, "--n-from", str(n_from), "--n-to", str(n_to)])
     assert code == 0
     return out.getvalue()
+
+
+def _rows_to_csv(rows):
+    """The CSV of `rows` as one in-memory string: the reference for the CLI, which writes a line at a time."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({key: row[key] for key in CSV_COLUMNS})
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", ["bench16-equal", "random31", "q2"])
