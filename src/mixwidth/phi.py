@@ -7,10 +7,12 @@ six closed regions, each with its own formula; the formulas coincide on the
 overlaps, which `phi` asserts on every call.
 
 Region membership is decided with exact rational comparisons on reciprocal
-exponents, made in `phi_ints` on integer numerators and denominators; only
-the final power evaluations are floating point.  `phi` (through
-`phi_ints`) and its float array form `log_phi_array` evaluate the one set
-of formulas in `_branches`.
+exponents, made in `_regions` on integer numerators and denominators; only
+the final power evaluations are floating point.  `phi` is `_profile` of
+`_regions`: the regions do not read n, so a caller that values one point at
+many n, or many candidates at one point, finds them once.  `phi` and its
+float array form `log_phi_array` evaluate the one set of formulas in
+`_branches`.
 """
 
 from __future__ import annotations
@@ -126,9 +128,8 @@ def phi(p: Exponent, theta: Exponent, target: TargetSpace, dims: Dimensions) -> 
     with the list of applicable branch ids.  At n = 0 the factor n^{-1/2} is
     taken as +inf so each min picks its finite branch.
     """
-    u, v = p.u, theta.u
-    return phi_ints(u.numerator, u.denominator, v.numerator, v.denominator, target,
-                    profile_params(target, dims))
+    u, v, params = p.u, theta.u, profile_params(target, dims)
+    return _profile(_regions(u.numerator, u.denominator, v.numerator, v.denominator, target, params), params)
 
 
 def _omega(num: int, den: int) -> tuple[int, int]:
@@ -136,19 +137,16 @@ def _omega(num: int, den: int) -> tuple[int, int]:
     return (num, den) if 0 <= num < den else (1, 1)
 
 
-def phi_ints(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) -> PhiValue:
-    """`phi` at (1/p, 1/theta) = (un/ud, vn/vd), ud, vd > 0, with `params` its `profile_params`.
-
-    The region tests and omegas are exact: integers compared by
-    cross-multiplication.  Each float exponent is an int true division,
-    which is correctly rounded as float(Fraction) is.
-    """
-    return _profile(_regions(un, ud, vn, vd, target, params), params)
-
-
 def _regions(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) -> tuple:
-    """The part of `phi_ints` that does not read n: (a, b, wp, wt, holds), the first
-    arguments of `_branches`.  Of `params` it reads only m and k."""
+    """The part of `phi` that does not read n, at (1/p, 1/theta) = (un/ud, vn/vd), ud, vd > 0.
+
+    Returns (a, b, wp, wt, holds), the first arguments of `_branches`, with
+    None for each of a, b, wp and wt that no holding branch reads, so equal
+    tuples give equal profiles.  Of `params`, the point's `profile_params`,
+    it reads only m and k.  The region tests and omegas are exact: integers
+    compared by cross-multiplication.  Each float exponent is an int true
+    division, which is correctly rounded as float(Fraction) is.
+    """
     uq, vs = target.q.u, target.sigma.u
     aq, bq, av, bv = uq.numerator, uq.denominator, vs.numerator, vs.denominator
     # u - 1/q = du / (ud bq) and v - 1/sigma = dv / (vd bv)
@@ -157,24 +155,24 @@ def _regions(un: int, ud: int, vn: int, vd: int, target: TargetSpace, params) ->
     r4 = hi_u and hi_v and 2 * un <= ud  # 2 <= p <= q, 1 <= theta <= sigma, if wp <= wt
     r5 = hi_u and hi_v and 2 * vn <= vd  # 2 <= theta <= sigma, 1 <= p <= q, if wt <= wp
     # (u - 1/q) / (1/2 - 1/q) = 2 du / (ud (bq - 2 aq)), whose denominator is 0 at q = 2.
-    # An omega is computed only when a holding branch reads it, and is NaN otherwise.
-    wp = _omega(2 * du, ud * (bq - 2 * aq)) if (hi_u and lo_v) or r4 or r5 else (math.nan, 1)
-    wt = _omega(2 * dv, vd * (bv - 2 * av)) if (lo_u and hi_v) or r4 or r5 else (math.nan, 1)
+    # An omega is computed only when a holding branch reads it.
+    wp = _omega(2 * du, ud * (bq - 2 * aq)) if (hi_u and lo_v) or r4 or r5 else None
+    wt = _omega(2 * dv, vd * (bv - 2 * av)) if (lo_u and hi_v) or r4 or r5 else None
     if r4 or r5:
         p_first, t_first = wp[0] * wt[1] <= wt[0] * wp[1], wt[0] * wp[1] <= wp[0] * wt[1]
         r4, r5 = r4 and p_first, r5 and t_first
     _, _, fm, fk = params[:4]
-    a = fm ** (-du / (ud * bq)) if lo_u or r4 else math.nan
-    b = fk ** (-dv / (vd * bv)) if lo_v or r5 else math.nan
+    a = fm ** (-du / (ud * bq)) if lo_u or r4 else None
+    b = fk ** (-dv / (vd * bv)) if lo_v or r5 else None
     holds = (lo_u and lo_v, lo_u and hi_v, hi_u and lo_v, r4, r5, 2 * un >= ud and 2 * vn >= vd)
     if not any(holds):
         u, v = Fraction(un, ud), Fraction(vn, vd)
         raise ConsistencyError(f"no branch covers (1/p, 1/theta) = ({u}, {v})")
-    return a, b, wp[0] / wp[1], wt[0] / wt[1], holds
+    return a, b, wp and wp[0] / wp[1], wt and wt[0] / wt[1], holds  # None stays None
 
 
 def _profile(regions: tuple, params) -> PhiValue:
-    """The profile from `_regions` and the G, R and C of `params`: the part of `phi_ints` that reads n."""
+    """The profile from `_regions` and the G, R and C of `params`: the part of `phi` that reads n."""
     a, b, wp, wt, holds = regions
     values = _branches(a, b, wp, wt, *params[4:], min, holds)
     lo, hi = min(values.values()), max(values.values())

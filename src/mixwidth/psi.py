@@ -41,23 +41,26 @@ and margins (`_oriented_contains`), so the path taken changes no result.
 The exact work is on Python integers: each ball's reciprocal point is
 (U/D, V/D) over its own denominator D, offsets, crossing points and
 barycentric coordinates are integer numerators over positive denominators,
-and `phi_ints` decides the profile's regions by cross-multiplication.
+and `phi._regions` decides the profile's regions by cross-multiplication.
 One pass over an instance's balls (`_lines`) gives the offsets from all
 five pair lines.  Every float is an int true division, correctly rounded
 as float(Fraction) is, so the results equal those of the `Fraction`
 solvers in `exponents` bit for bit.  One function, `_geometry`, finds the
-exact record of every candidate, single, pair or triple, without the
-profile: the factors the profile is multiplied by, in order, and the
-certificate's indices, weights and exponent pair.  Each component keeps
-only its winning row, and a `Certificate`, with its `Fraction` weights and
-`Exponent`s, is built from it when the estimate's `certificates` mapping
-first reads that component: verify and sweep, which read none, build none.
+exact record of every candidate, single, pair or triple: the factors the
+profile is multiplied by, in order, the certificate's indices, weights and
+exponent pair, and the profile's regions there, the part of the profile
+that does not read n.  Every candidate is valued one way, as
+`phi._profile` of its regions times its factors in turn.  Each component
+keeps only its winning row, and a `Certificate`, with its `Fraction`
+weights and `Exponent`s, is built from it when the estimate's
+`certificates` mapping first reads that component: verify and sweep,
+which read none, build none.
 
 `mixwidth.sweep` runs this pipeline over many n at once: it shares stage
 1, the triple screen and the n-independent part of stage 3 (`_geometry`,
-and the goals of `_goal`) across each run of a sweep's rows, joins its
-candidates by `_merged`, and picks and keeps rows by the same stage-2
-policy (`_picked`) and winner rule (`_keep`) as `_scan_block`.
+and the goals and their regions of `_goal`) across each run of a sweep's
+rows, joins its candidates by `_merged`, and picks and keeps rows by the
+same stage-2 policy (`_picked`) and winner rule (`_keep`) as `_scan_block`.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exponents import HALF, Exponent, ReciprocalPoint
-from .phi import Dimensions, PhiValue, TargetSpace, log_phi_array, phi_ints, profile_params
+from .exponents import HALF, Exponent
+from .phi import Dimensions, PhiValue, TargetSpace, _profile, _regions, log_phi_array, profile_params
 
 REL_TIE_TOL = 1e-9
 
@@ -128,10 +131,6 @@ class BallSpec:
         if not 0 < self.nu <= sys.float_info.max:
             raise ValueError(f"radius must lie in (0, {sys.float_info.max!r}]")
         object.__setattr__(self, "nu", float(self.nu))
-
-    @cached_property
-    def point(self) -> ReciprocalPoint:
-        return ReciprocalPoint(self.p.u, self.theta.u)
 
     @cached_property
     def _ints(self) -> tuple[int, int, int]:
@@ -292,24 +291,25 @@ def _lines(inst: Instance) -> dict[int, tuple[list[int], list[int], list[float]]
 
 
 def _geometry(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional[tuple]:
-    """Stage 3's exact record of candidate `row` of component j without the profile (None if it does not qualify).
+    """Stage 3's exact record of candidate `row` of component j (None if it does not qualify).
 
-    Returns (factors, indices, weights, p, theta): the candidate's value is
-    the profile at (p, theta) times each of `factors` in turn, which are a
-    single's radius, a pair's product of its two radius powers or a
-    triple's three powers.  (p, theta) is the crossing point, or the goal.
-    Each weight and reciprocal exponent is an integer (numerator,
-    denominator) pair, denominator positive.  `context` is the offset
-    numerators of `_lines` (j = 1..5) or the goal, `_goal` (j = 6, 7).
-    Nothing here reads n: `mixwidth.sweep` finds each record once per run
-    of rows.
+    Returns (factors, indices, weights, p, theta, regions): the candidate's
+    value is the profile at (p, theta), `phi._profile(regions, params)`,
+    times each of `factors` in turn, which are a single's radius, a pair's
+    product of its two radius powers or a triple's three powers.
+    (p, theta) is the crossing point, or the goal, and `regions` is
+    `phi._regions` there.  Each weight and reciprocal exponent is an
+    integer (numerator, denominator) pair, denominator positive.  `context`
+    is the offset numerators of `_lines` (j = 1..5) or the goal, `_goal`
+    (j = 6, 7).  Nothing here reads n: `mixwidth.sweep` finds each record
+    once per run of rows.
     """
     balls = inst.balls
     if j > 5:
         # With x_i - goal = (P_i / (D_i s), Q_i / (D_i t)), the orientation o(x, y) is
         # (P_x Q_y - Q_x P_y) / (D_x D_y s t), so o(b, c), o(c, a), o(a, b) times
         # D_a D_b D_c s t are the barycentric numerators, over their sum.
-        pe, te, offsets = context
+        pe, te, offsets, regions = context
         a, b, c = row
         (pa, qa, da), (pb, qb, db), (pc, qc, dc) = offsets[a], offsets[b], offsets[c]
         ta, tb, tc = (pb * qc - qb * pc) * da, (pc * qa - qc * pa) * db, (pa * qb - qa * pb) * dc
@@ -319,10 +319,10 @@ def _geometry(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional
         if not (ta > 0 and tb > 0 and tc > 0):  # also when det = 0
             return None
         powers = balls[a].nu ** (ta / det), balls[b].nu ** (tb / det), balls[c].nu ** (tc / det)
-        return powers, row, ((ta, det), (tb, det), (tc, det)), pe, te
+        return powers, row, ((ta, det), (tb, det), (tc, det)), pe, te, regions
     if j == 0:
         u, v, d = balls[row[0]]._ints
-        return (balls[row[0]].nu,), row[:1], ((1, 1),), (u, d), (v, d)
+        return (balls[row[0]].nu,), row[:1], ((1, 1),), (u, d), (v, d), _regions(u, d, v, d, inst.target, inst._params)
     (ua, va, da), (ub, vb, db) = balls[row[0]]._ints, balls[row[1]]._ints
     fa, fb = context[row[0]], context[row[1]]
     if fa < 0:
@@ -338,7 +338,8 @@ def _geometry(inst: Instance, j: int, row: tuple[int, ...], context) -> Optional
             return None
     wa, wb = -fb * da, fa * db
     factor = balls[row[0]].nu ** (wa / den) * balls[row[1]].nu ** (wb / den)
-    return (factor,), row, ((wa, den), (wb, den)), (un, den), (vn, den)
+    regions = _regions(un, den, vn, den, inst.target, inst._params)
+    return (factor,), row, ((wa, den), (wb, den)), (un, den), (vn, den), regions
 
 
 def _certificate(j: int, found: tuple) -> Certificate:
@@ -663,16 +664,18 @@ def _plane(u: np.ndarray, v: np.ndarray, la: np.ndarray) -> Optional[tuple]:
 
 def _goal_context(inst: Instance, j: int) -> tuple:
     """Stage 3's context of triple component j in `_scan_block`: its goal (`_goal`) and the profile there."""
-    goal = pe, te, _ = _goal(inst, j)
-    return goal, phi_ints(*pe, *te, inst.target, inst._params)
+    goal = _goal(inst, j)
+    return goal, _profile(goal[3], inst._params)
 
 
 def _goal(inst: Instance, j: int) -> tuple:
-    """Goal j, (1/q, 1/sigma) (j = 6) or (1/2, 1/2): its reciprocal exponents and every ball's offset from it."""
+    """Goal j, (1/q, 1/sigma) (j = 6) or (1/2, 1/2): its reciprocal exponents, every ball's offset from it,
+    and the profile's regions there (`phi._regions`)."""
     gu, gv = (inst.target.q.u, inst.target.sigma.u) if j == 6 else (HALF, HALF)
     (gun, gud), (gvn, gvd) = pe, te = (gu.numerator, gu.denominator), (gv.numerator, gv.denominator)
     ints = (ball._ints for ball in inst.balls)
-    return pe, te, [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints]
+    return (pe, te, [(u * gud - gun * d, v * gvd - gvn * d, d) for u, v, d in ints],
+            _regions(*pe, *te, inst.target, inst._params))
 
 
 def _collinear(inst: Instance, row: tuple[int, ...]) -> bool:
@@ -832,9 +835,9 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
             context, profile = contexts.get(slot, (None, None))
             found = _geometry(inst, j, row, context)
             if found is not None:
-                factors, indices, weights, p, theta = found
+                factors, indices, weights, p, theta, regions = found
                 if profile is None:
-                    profile = phi_ints(*p, *theta, inst.target, inst._params)
+                    profile = _profile(regions, inst._params)
                 value = profile.value
                 for factor in factors:
                     value *= factor

@@ -3,12 +3,12 @@
 A sweep changes only n.  `psi_sweep` values its rows in runs of SWEEP_ROWS,
 and for each run (`_Sweep`) does once what does not read n: stage 1 of
 `psi`'s pipeline, one triple screen for every row of the run, and each
-candidate's exact record (`psi._geometry`) and profile regions
-(`phi._regions`).  Per row it values only the candidates that can reach
-the row's window, by a bound from the monotonicity of each log-value in n,
-and confirms them with the profile's branch formulas (`phi._profile`)
-times the record's factors in turn, as `psi._scan_block` does, so every
-estimate is `psi`'s for that n.  The candidates pass in parts joined up to
+candidate's exact record (`psi._geometry`), which ends in its profile's
+regions.  Per row it values only the candidates that can reach the row's
+window, by a bound from the monotonicity of each log-value in n, and
+confirms them with the profile of their regions (`phi._profile`) times the
+record's factors in turn, as `psi._scan_block` does, so every estimate is
+`psi`'s for that n.  The candidates pass in parts joined up to
 `psi.BLOCK` rows (`psi._merged`), each over all the run's rows, and each
 slot keeps its best row across parts by `psi`'s own rule (`psi._keep`).
 No candidate outlives its run.
@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .phi import Dimensions, _profile, _regions, log_phi_array, profile_params
+from .phi import Dimensions, _profile, log_phi_array, profile_params
 from .psi import (
     _LOG_SAFE,
     Instance,
@@ -51,15 +51,19 @@ _ROW_MARGIN = 1e-12
 
 
 def psi_sweep(inst: Instance, ns: Sequence[int]) -> Iterator[PsiEstimate]:
-    """`psi` of `inst` with n replaced by each n of `ns`, an increasing sequence, in order.
+    """`psi` of `inst` with n replaced by each n of `ns`, in order; ValueError if `ns` decreases anywhere.
 
     Every value, tie set and certificate is the one `psi` gives for that n.
     The rows are valued in runs of SWEEP_ROWS (`_Sweep`), and each run finds
     once what does not read n: stage 1's singles, pairs and triple screen,
-    the exact geometry and radius powers of each candidate stage 3 meets,
-    and the profile's region tests at its crossing point or goal.  On each
-    row only the candidates that can reach its window pass stages 2 and 3.
+    and the exact record of each candidate stage 3 meets: its geometry,
+    radius powers and the profile's regions at its crossing point or goal.
+    On each row only the candidates that can reach its window pass stages 2
+    and 3; the row bound that decides which holds only where n does not
+    decrease.
     """
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("the n of a sweep must not decrease")
     for start in range(0, len(ns), SWEEP_ROWS):
         run = ns[start:start + SWEEP_ROWS]
         best = _Sweep(inst, run).best
@@ -107,11 +111,8 @@ class _Sweep:
         self.la = la
         lmax = float(np.abs(la).max())
         lines = _lines(inst)
-        # Each component's `psi._geometry` context, and the regions of each goal's profile.
-        self.contexts, self.goal_regions = {j: lines[j][0] for j in lines}, {}
-        for j in (6, 7):
-            pe, te, _ = self.contexts[j] = _goal(inst, j)
-            self.goal_regions[j] = _regions(*pe, *te, inst.target, inst._params)
+        # Each component's `psi._geometry` context.
+        self.contexts = {**{j: lines[j][0] for j in lines}, 6: _goal(inst, 6), 7: _goal(inst, 7)}
         # The rows' parameters, windows and goal profiles, which `_lphi`,
         # `_split` and `_settle` read by row index.
         dims = [Dimensions(inst.dims.m, inst.dims.k, n) for n in ns]
@@ -259,24 +260,23 @@ class _Sweep:
         win &= rank == first[slot]
         for s, v, c, e in zip(slot[win].tolist(), value[win].tolist(), cand[win].tolist(), inv[win].tolist()):
             if c not in part.rest:
-                part.rest[c] = self._geometry(part, c)[1:]
+                part.rest[c] = self._geometry(part, c)[1:5]
             _keep(self.best, s, (v, *part.rest[c], profiles[e]))
 
     def _geometry(self, part: _Part, c: int) -> Optional[tuple]:
-        """Candidate c's `psi._geometry` record, with its region id and factors set in `part` (see `_Part`)."""
-        inst, j = self.inst, int(part.label[c])
-        found = _geometry(inst, j, tuple(part.balls[c].tolist()), self.contexts.get(j))
+        """Candidate c's `psi._geometry` record, with its region id and factors set in `part` (see `_Part`).
+
+        Equal regions give equal profiles, so a regions tuple is its own id's key.
+        """
+        j = int(part.label[c])
+        found = _geometry(self.inst, j, tuple(part.balls[c].tolist()), self.contexts.get(j))
         if found is None:
             part.group[c] = -1
             return None
-        part.factors[c], _, _, p, theta = found
-        regions = self.goal_regions[j] if j > 5 else _regions(*p, *theta, inst.target, inst._params)
-        # Equal regions give equal profiles; NaN marks what no holding branch reads.
-        key = tuple(None if x != x else x for x in regions[:4]) + regions[4:]
-        if key not in self.region_ids:
-            self.region_ids[key] = len(self.regions)
+        part.factors[c], regions = found[0], found[5]
+        part.group[c] = group = self.region_ids.setdefault(regions, len(self.regions))
+        if group == len(self.regions):
             self.regions.append(regions)
-        part.group[c] = self.region_ids[key]
         return found
 
 
@@ -291,8 +291,8 @@ class _Part:
     data is found when a candidate is first picked: the id of its profile's
     regions in `group` (-1 if it does not qualify, -2 while unknown), and in
     `factors` the factors of its `psi._geometry` record; `rest` holds the
-    rest of the records of the candidates that win a slot, found again for
-    them only.
+    certificate fields (indices, weights, p, theta) of the records of the
+    candidates that win a slot, found again for them only.
     """
 
     def __init__(self, label: np.ndarray, balls: np.ndarray, weights: np.ndarray, unsure: np.ndarray,

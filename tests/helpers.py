@@ -4,8 +4,9 @@
 relates triple certificates to the witness grid, `is_general_position` is
 the exact non-degeneracy predicate on reciprocal points and
 `perturb_to_general_position` exercises it, `single_ball_width_estimate`
-spells out the single-ball estimate nu * Phi, and `primes_from` gives
-pairwise-coprime denominators.
+spells out the single-ball estimate nu * Phi, `primes_from` gives
+pairwise-coprime denominators, and `point` is a ball's reciprocal point
+for the `Fraction` references.
 """
 
 import math
@@ -25,6 +26,11 @@ from mixwidth.witness import GroupElement
 
 #: A violated general-position condition: (condition number 1-4, offending indices).
 Violation = tuple[int, tuple[int, ...]]
+
+
+def point(ball) -> ReciprocalPoint:
+    """The reciprocal point (1/p, 1/theta) of a `BallSpec`."""
+    return ReciprocalPoint(ball.p.u, ball.theta.u)
 
 
 def primes_from(start: int, count: int) -> list[int]:

@@ -21,6 +21,7 @@ from mixwidth.exponents import (
 )
 from mixwidth.phi import phi
 from mixwidth.psi import Certificate
+from helpers import point
 
 TWO = Exponent(HALF)
 
@@ -75,7 +76,7 @@ def _critical(inst):
         for ib, b in enumerate(inst.balls):
             if ia == ib:
                 continue
-            hit = solve_critical_crossing(a.point, b.point, target.q, target.sigma)
+            hit = solve_critical_crossing(point(a), point(b), target.q, target.sigma)
             if hit is None:
                 continue
             w, cross = hit
@@ -97,7 +98,7 @@ def _triples(inst, j):
         goal = ReciprocalPoint(HALF, HALF)
         pe, te = TWO, TWO
     profile = phi(pe, te, target, inst.dims)
-    points = [b.point for b in inst.balls]
+    points = [point(b) for b in inst.balls]
     best, cert = math.inf, None
     for triple in combinations(range(len(points)), 3):
         taus = barycentric(*(points[i] for i in triple), goal)

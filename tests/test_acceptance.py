@@ -28,7 +28,7 @@ from mixwidth import (
     validate_instance,
 )
 from conftest import make_instance
-from helpers import is_general_position
+from helpers import is_general_position, point
 
 E = parse_exponent
 
@@ -109,7 +109,7 @@ def test_criterion_5_witness_sandwich_order_consistency():
                 for mk in (4, 8, 16, 32, 64):
                     inst = make_instance(mk, mk, (mk * mk) // 4, q, s, balls)
                     ok, _ = is_general_position(
-                        [b.point for b in inst.balls], inst.target.q, inst.target.sigma
+                        [point(b) for b in inst.balls], inst.target.q, inst.target.sigma
                     )
                     assert ok, (q, s, name)
                     lb, _, _ = best_witness_lower_bound(inst)

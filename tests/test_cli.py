@@ -330,7 +330,7 @@ class TestInternalFailures:
         def broken(*args):
             raise ConsistencyError("applicable branches disagree:\n{1: 1.0, 2: 2.0}")
 
-        monkeypatch.setattr(sys.modules["mixwidth.psi"], "phi_ints", broken)
+        monkeypatch.setattr(sys.modules["mixwidth.psi"], "_profile", broken)
         code, out, err = run_cli(capsys, worked_file, "--format", "json")
         assert code == 4
         assert out == ""
@@ -368,7 +368,7 @@ class TestInternalFailures:
         def broken(*args):
             raise error("float division by zero")
 
-        monkeypatch.setattr(sys.modules["mixwidth.psi"], "phi_ints", broken)
+        monkeypatch.setattr(sys.modules["mixwidth.psi"], "_profile", broken)
         with pytest.raises(error, match="float division by zero"):
             main([worked_file, "--format", "json"])
         assert capsys.readouterr().err == ""

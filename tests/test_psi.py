@@ -21,9 +21,9 @@ from mixwidth import (
     sample_boundary,
     validate_instance,
 )
-from mixwidth.exponents import ReciprocalPoint
 from mixwidth.psi import psi_component
 from conftest import make_instance
+from helpers import point
 
 E = parse_exponent
 
@@ -85,16 +85,16 @@ class TestValidateInstance:
 
         assert psi(instance(10**30)) == psi(instance(1e30))
 
-    def test_point_is_cached(self):
+    def test_ints_are_cached(self):
         ball, twin = BallSpec(E("3"), E("4"), 2.0), BallSpec(E("3"), E("4"), 2.0)
-        first = ball.point
-        assert ball.point is first
-        assert first == ReciprocalPoint(ball.p.u, ball.theta.u)
+        first = ball._ints
+        assert ball._ints is first
+        assert first == (4, 3, 12)  # (1/3, 1/4) over their least common denominator
         # the cache is no field: equality, hashing and pickling are unchanged
         assert ball == twin and hash(ball) == hash(twin)
         for copy in (pickle.loads(pickle.dumps(ball)), pickle.loads(pickle.dumps(twin))):
             assert copy == ball and hash(copy) == hash(ball)
-            assert copy.point == first
+            assert copy._ints == first
         assert ball != BallSpec(E("3"), E("4"), 3.0)
 
 
@@ -136,7 +136,7 @@ class TestComponents:
         assert value < math.inf
         ta, tb, tc = cert.weights
         assert ta + tb + tc == 1
-        pts = [b.point for b in inst.balls]
+        pts = [point(b) for b in inst.balls]
         assert sum(w * p.u for w, p in zip(cert.weights, pts)) == Fraction(1, 3)
         assert sum(w * p.v for w, p in zip(cert.weights, pts)) == Fraction(1, 3)
 

@@ -137,6 +137,18 @@ def _affine_near(rng, size):
     return _affine(rng, size, near=True)
 
 
+def _steep(rng, size):
+    # a tiny triangle about (1/2, 1/2) with log radii -5, -5 and 5, and every
+    # other ball on its low side: goal 7's LP plane rises 5,120 per unit of
+    # 1/p, so steeply that its tilt's float error could exceed the window
+    cell = lambda u, v: (Fraction(u, 1024), Fraction(v, 1024))
+    balls = {cell(511, 511): math.exp(-5), cell(511, 513): math.exp(-5), cell(513, 512): math.exp(5)}
+    while len(balls) < size:
+        u, v = (int(x) for x in rng.integers(0, 461, 2))
+        balls.setdefault(cell(u, v + 300), float(np.exp(rng.uniform(-1, 1))))
+    return build(64, 64, 100, Fraction(1, 3), Fraction(1, 4), [(u, v, nu) for (u, v), nu in balls.items()])
+
+
 def _screen(inst):
     """`_grid_triples`' arguments for one instance, as `psi` passes them."""
     uf, vf, la = inst._ball_arrays
@@ -449,6 +461,33 @@ def test_plane_bounds_every_contained_triangle(kind, exact):
         if exact:
             assert math.isclose(height, least, rel_tol=1e-12, abs_tol=1e-12), (g, height, least)
             assert t[basis].max() - height <= 1e-12 * (1.0 + abs(height))
+
+
+@pytest.mark.parametrize("pivots", [0, 1, 2])
+def test_walk_cut_short_screens_without_a_plane(monkeypatch, pivots):
+    # a walk of at most two pivots keeps an artificial vertex, so it fails:
+    # each goal is then skipped outside the hull or screened without a tilt,
+    # and every estimate stays that of the flat path
+    monkeypatch.setattr(psi_module, "_WALK_PIVOTS", pivots)
+    for kind in (_random, _levels, _extreme, _target_two, _goal_on_edge, _outside, _margin_levels, _affine_near):
+        for seed in range(3):
+            inst = kind(np.random.default_rng(seed), 40)
+            du, dv, la = _screen(inst)[:3]
+            assert all(psi_module._plane(du[g], dv[g], la) is None for g in (0, 1))
+            assert_grid_matches_flat(monkeypatch, inst)
+
+
+def test_steep_plane_screens_without_its_tilt(monkeypatch):
+    # the plane exists, but its tilt's float error bound exceeds the window:
+    # the screen takes the heights without the tilt, and its plain margin
+    inst = _steep(np.random.default_rng(0), 40)
+    du, dv, la = _screen(inst)[:3]
+    beta, gamma, _ = psi_module._plane(du[1], dv[1], la)
+    reach = max(np.abs(du[1]).max(), np.abs(dv[1]).max())
+    err = 16 * sys.float_info.epsilon * reach * reach / psi_module._DET_MARGIN
+    assert (abs(beta) + abs(gamma)) * reach * err > inst._window
+    est = assert_grid_matches_flat(monkeypatch, inst)
+    assert est.components[7] < math.inf
 
 
 def test_goal_outside_the_hull_is_not_screened(monkeypatch):

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mixwidth import Exponent, phi
-from mixwidth.phi import phi_ints
+from mixwidth.phi import _profile
 from mixwidth.exponents import (
     HALF,
     ReciprocalPoint,
@@ -29,7 +29,7 @@ from mixwidth.exponents import (
 )
 from mixwidth.psi import _geometry, _goal_context, _lines
 from conftest import build
-from helpers import primes_from
+from helpers import point, primes_from
 from psi_brute import TWO
 
 PRIMES = primes_from(10**6, 40)
@@ -79,7 +79,7 @@ def _instances(seed):
 def _reference_offset(inst, ball, j):
     q, sigma = inst.target.q, inst.target.sigma
     if j == 5:
-        return Fraction(0) if HALF in (q.u, sigma.u) else critical_deviation(ball.point, q, sigma)
+        return Fraction(0) if HALF in (q.u, sigma.u) else critical_deviation(point(ball), q, sigma)
     level = {1: q, 2: sigma, 3: TWO, 4: TWO}[j]
     return (ball.p if j in (1, 3) else ball.theta).u - level.u
 
@@ -94,8 +94,8 @@ def _record(inst, j, row, context):
     found = _geometry(inst, j, row, context)
     if found is None:
         return None
-    factors, indices, weights, p, theta = found
-    profile = phi_ints(*p, *theta, inst.target, inst._params)
+    factors, indices, weights, p, theta, regions = found
+    profile = _profile(regions, inst._params)
     value = profile.value
     for factor in factors:
         value *= factor
@@ -107,7 +107,7 @@ def test_single_records(seed):
     for inst in _instances(seed):
         for a, ball in enumerate(inst.balls):
             u, v, d = ball._ints
-            assert _geometry(inst, 0, (a, a), None) == ((ball.nu,), (a,), ((1, 1),), (u, d), (v, d))
+            assert _geometry(inst, 0, (a, a), None)[:5] == ((ball.nu,), (a,), ((1, 1),), (u, d), (v, d))
             assert (Fraction(u, d), Fraction(v, d)) == (ball.p.u, ball.theta.u)
             value, *_, profile = _record(inst, 0, (a, a), None)
             assert profile == phi(ball.p, ball.theta, inst.target, inst.dims)
@@ -140,7 +140,7 @@ def test_pair_weights_and_crossings(seed):
             for ia, ib in permutations(range(len(inst.balls)), 2):
                 a, b = inst.balls[ia], inst.balls[ib]
                 if j == 5:
-                    ref = solve_critical_crossing(a.point, b.point, q, sigma) if signs[ia] else None
+                    ref = solve_critical_crossing(point(a), point(b), q, sigma) if signs[ia] else None
                 else:
                     on_p = j in (1, 3)
                     w = solve_crossing(*((a.p, b.p) if on_p else (a.theta, b.theta)), level)
@@ -169,7 +169,7 @@ def test_pair_weights_and_crossings(seed):
 def test_barycentric_numerators(seed):
     hits = 0
     for inst in _instances(seed):
-        points = [b.point for b in inst.balls]
+        points = [point(b) for b in inst.balls]
         for j, goal in ((6, (inst.target.q.u, inst.target.sigma.u)), (7, (HALF, HALF))):
             context, profile = _goal_context(inst, j)
             assert profile == phi(Exponent(goal[0]), Exponent(goal[1]), inst.target, inst.dims)

@@ -314,6 +314,18 @@ def test_parts_bound_the_memory_of_many_triples():
         _estimate_key(e) for e in reference_estimates(inst, range(1001, 1002))]
 
 
+def test_decreasing_ns_raise_and_repeats_match():
+    # the row bound holds only where n does not decrease: a shuffled range
+    # raises before any row, and the same n sorted, with repeats, are `psi`'s
+    inst = CASES["random48"][0]()
+    ns = np.random.default_rng(22).permutation(np.arange(0, 2049, 7)).tolist()
+    with pytest.raises(ValueError, match="must not decrease"):
+        next(psi_sweep(inst, ns))
+    ns = sorted(ns + ns[:60])
+    assert [_estimate_key(e) for e in psi_sweep(inst, ns)] == [
+        _estimate_key(e) for e in reference_estimates(inst, ns)]
+
+
 def test_overflowing_values_win_no_slot():
     # the only single's value overflows to inf on every row: it wins no slot,
     # so psi_0 is inf with no certificate, as in `psi`

@@ -22,7 +22,7 @@ from mixwidth import (
 )
 from mixwidth.verify import _rand_instance
 from conftest import build, make_instance
-from helpers import compose, identity, is_general_position, solve_rl_loglinear
+from helpers import compose, identity, is_general_position, point, solve_rl_loglinear
 from witness_brute import brute_witness, inclusion_scale, width_lower_bound
 
 E = parse_exponent
@@ -451,7 +451,7 @@ def test_certificate_inequality_for_top_component():
                 continue
             seen.add((u, v))
             balls.append(BallSpec(Exponent(u), Exponent(v), nu))
-        ok, _ = is_general_position([b.point for b in balls], target.q, target.sigma)
+        ok, _ = is_general_position([point(b) for b in balls], target.q, target.sigma)
         if not ok:
             continue
         inst = validate_instance(
