@@ -25,6 +25,20 @@ with the window and its minimum kept per (instance, component), and `psi`
 is `psi_many` of one instance.  Stage 2 values a block's batches joined up
 to BLOCK rows: small instances together, a large one a component at a time.
 
+Where a block's opposite-sign pairs exceed BLOCK, they come from anchor
+balls.  A pair's log-value, a convex combination of its two log radii plus
+log Phi at its crossing, is at least its lesser log radius plus its line's
+floor: the least log Phi at the line's knots (`_KNOTS`: its ends, and where
+it meets 1/q, 1/sigma or 1/2), less a margin.  Between knots every term of
+every branch of `phi._branches` has a log affine along the line, as the
+regions change and the omegas cap only at knots, so log Phi is concave
+there and least at a knot.  Each line's seed, its signed ball of least log
+radius, meets the other side first, which sets the slot's least log-value
+vmin; then only the anchors, the balls up to vmin + window - floor
+(`_reach`), meet the other side.  Where a pair could be risky by range, or
+a knot value is not finite, every ball is an anchor.  A smaller block, and
+a sweep, whose floor would read n, value every opposite-sign pair.
+
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated in one pass with those of
 the rest of its block (`_flat_triples`); a larger one screens its own, and
@@ -106,11 +120,20 @@ TRIPLE_CHUNK = 1 << 13
 FLAT_TRIPLES = 1 << 12
 # Candidates per stage-2 pass.  `psi_many` closes a block of instances once
 # they count this many (eight per instance for its components, plus its
-# balls and opposite-sign pairs), and pair and triple batches alike are
-# joined up to this many rows, here and in a sweep (`_merged`).  Stage 2's
+# balls and opposite-sign pairs), a block with more opposite-sign pairs
+# takes them from anchors, and pair and triple batches alike are joined up
+# to this many rows, here and in a sweep (`_merged`).  Stage 2's
 # memory is O(BLOCK) beyond a single component's own; at 1024 and more,
 # joined triples raised the grid's peak at N = 128.
 BLOCK = 512
+# Each instance's knots, the points where log Phi may take its least value
+# on a pair component's line: (u, v) as indices into (1/q, 1/sigma, 0, 1/2,
+# 1), the goals first.  `_LINE_KNOTS[j - 1]` indexes line j's knots (the
+# critical line's two ends, twice).  The floor of `_reach` lies
+# _FLOOR_MARGIN windows below a line's least knot value.
+_KNOTS = np.array([(0, 1), (3, 3), (0, 2), (0, 3), (0, 4), (2, 1), (3, 1), (4, 1), (3, 2), (3, 4), (2, 3), (4, 3)])
+_LINE_KNOTS = np.array([(0, 2, 3, 4), (0, 5, 6, 7), (1, 8, 6, 9), (1, 10, 3, 11), (0, 1, 0, 1)])
+_FLOOR_MARGIN = 1.0
 # The psi_6/psi_7 screen's LP walk (`_plane`): its artificial vertices, at radius
 # 4 about the goal, and its pivot cap (a random family at N = 128 takes
 # 3-11 pivots).
@@ -715,37 +738,70 @@ def _flat(n: int) -> bool:
     return math.comb(n, 3) <= FLAT_TRIPLES
 
 
-def _pair_batches(lines: list[dict], owner: np.ndarray, ends: np.ndarray, uf: np.ndarray,
-                  vf: np.ndarray, uq: np.ndarray) -> Iterator[tuple]:
-    """Stage 1 of components 0-5 for a block: a batch per component, without profile logs.
+def _line_arrays(lines: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, offsets) of a block's balls from the pair lines, from each instance's `_lines`: row j - 1 is line j's."""
+    return (np.array([[s for line in lines for s in line[j][1]] for j in range(1, 6)], dtype=np.int8),
+            np.array([[f for line in lines for f in line[j][2]] for j in range(1, 6)]))
 
-    `lines` holds each instance's `_lines` and `uq` its float 1/q; `owner`
-    and `ends` give each ball's instance and where that instance's balls
-    end.  A batch is (label, rows, weights, cu, cv, unsure): each
-    candidate's slot 8 i + j, its balls (a, b) and weights (1 - w, w) as
-    two-column arrays (a single is (a, a) with weights (1, 0)), its float
-    crossing point, and whether admission is unsure.
-    """
+
+def _singles(owner: np.ndarray, uf: np.ndarray, vf: np.ndarray) -> tuple:
+    """Stage 1 of component 0 for a block: its batch as `_pair_batches` gives a pair's, a single being (a, a)."""
     every = np.arange(len(uf))
-    yield (owner * 8, np.column_stack((every, every)), np.repeat([[1.0, 0.0]], len(uf), axis=0), uf, vf,
-           np.zeros(len(uf), bool))
-    pa, pb = _pairs(every, ends)
-    for j in range(1, 6):
-        signs = np.array([s for line in lines for s in line[j][1]], dtype=np.int8)
-        offsets = np.array([f for line in lines for f in line[j][2]])
-        keep = signs[pa] * signs[pb] < 0
-        rows = np.column_stack((pa[keep], pb[keep]))
-        a, b = rows.T
-        w = offsets[a] / (offsets[a] - offsets[b])
-        weights = np.column_stack((1.0 - w, w))
-        cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
-        unsure = np.zeros(len(a), bool)
-        if j == 5:
-            # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
-            gap = np.minimum(cu - uq[owner[a]], 0.5 - cu)
-            keep = gap >= -_CRITICAL_MARGIN
-            rows, weights, cu, cv, unsure = (x[keep] for x in (rows, weights, cu, cv, gap <= _CRITICAL_MARGIN))
-        yield owner[rows[:, 0]] * 8 + j, rows, weights, cu, cv, unsure
+    return (owner * 8, np.column_stack((every, every)), np.repeat([[1.0, 0.0]], len(uf), axis=0), uf, vf,
+            np.zeros(len(uf), bool))
+
+
+def _pair_batches(signs: np.ndarray, offsets: np.ndarray, owner: np.ndarray, uf: np.ndarray, vf: np.ndarray,
+                  uq: np.ndarray, anchors: Optional[np.ndarray] = None) -> Iterator[tuple]:
+    """Stage 1 of components 1-5 for a block: one batch, or a batch per component, without profile logs.
+
+    `signs` and `offsets` are `_line_arrays` of the block, `owner` gives
+    each ball's instance and `uq` each instance's float 1/q.  Each anchor
+    of line j (`anchors[j - 1]`, every ball if None) meets each ball of its
+    instance on the other side of the line, an anchor only if it comes
+    later, so each opposite-sign pair with an anchor is met once and, with
+    every ball an anchor, each opposite-sign pair: a sort of the signed
+    balls by (line, instance, side), anchors first, puts every anchor's
+    partners in one run.  Rows that fit in BLOCK come as one batch, as
+    `_merged` would join them.  A batch is (label, rows, weights, cu, cv,
+    unsure): each candidate's slot 8 i + j, its balls (a, b), a < b, and
+    weights (1 - w, w) as two-column arrays, its float crossing point, and
+    whether admission is unsure.
+    """
+    insts = int(owner[-1]) + 1
+    line, ball = np.nonzero(signs)
+    anchor = np.ones(len(ball), bool) if anchors is None else anchors[line, ball]
+    # Group (line, instance, side) holds its anchors by index, then the rest.
+    key = 4 * (line * insts + owner[ball]) + 2 * (signs[line, ball] > 0) + ~anchor
+    order = np.argsort(key, kind="stable")
+    key, ball = key[order], ball[order]
+    bounds = np.searchsorted(key, 2 * np.arange(10 * insts + 1))
+    # Anchor x meets the opposite group from its first anchor past x on.
+    xs = np.flatnonzero(key % 2 == 0)
+    opposite = key[xs] // 2 ^ 1
+    first = np.searchsorted(key * len(owner) + ball, 2 * opposite * len(owner) + ball[xs])
+    count = bounds[opposite + 1] - first
+    # One batch if the rows fit in BLOCK, as `_merged` would join them; else one per line.
+    cuts = [0, len(xs)] if count.sum() <= BLOCK else np.searchsorted(key[xs], 4 * insts * np.arange(6)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = slice(lo, hi)
+        pa = np.repeat(ball[xs[at]], count[at])
+        pb = ball[np.arange(len(pa)) + np.repeat(first[at] - np.cumsum(count[at]) + count[at], count[at])]
+        yield _crossings(pa, pb, np.repeat(key[xs[at]] // (4 * insts), count[at]), offsets, owner, uf, vf, uq)
+
+
+def _crossings(pa: np.ndarray, pb: np.ndarray, line: np.ndarray, offsets: np.ndarray, owner: np.ndarray,
+               uf: np.ndarray, vf: np.ndarray, uq: np.ndarray) -> tuple:
+    """The stage-1 batch of the opposite-sign pairs {pa, pb} of lines `line` + 1 (see `_pair_batches`)."""
+    a, b = np.minimum(pa, pb), np.maximum(pa, pb)
+    fa, fb = offsets[line, a], offsets[line, b]
+    w = fa / (fa - fb)
+    cu, cv = (1.0 - w) * uf[a] + w * uf[b], (1.0 - w) * vf[a] + w * vf[b]
+    # On the critical line 1/q < u < 1/2 exactly when 1/sigma < v < 1/2.
+    gap = np.where(line == 4, np.minimum(cu - uq[owner[a]], 0.5 - cu), math.inf)
+    keep = (gap >= -_CRITICAL_MARGIN).nonzero()[0]
+    a, b, line, w, cu, cv, unsure = (x[keep] for x in (a, b, line, w, cu, cv, gap <= _CRITICAL_MARGIN))
+    return owner[a] * 8 + line + 1, np.column_stack((a, b)), np.column_stack((1.0 - w, w)), cu, cv, unsure
 
 
 def _triple_batches(sizes: list[int], owner: np.ndarray, ends: np.ndarray, uf: np.ndarray, vf: np.ndarray,
@@ -778,12 +834,12 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     `block` pairs each instance with its `_lines`.
     Slot 8 i + j is component j of instance i; balls are numbered across
     the block.  Stage 1 enumerates the singles (a pair (a, a) with weight 0
-    on its second ball), the opposite-sign pairs and the triples of the
-    small instances (`_flat`) of all slots, a batch per pair component or
-    triple chunk, and screens and values a larger instance's triples on its
-    own grid; stage 2 values joined batches (`_merged`) with
-    `log_phi_array`, at the crossing for a pair and at the goal (one call
-    per block) for a triple, and keeps the least non-risky log-value per
+    on its second ball), the opposite-sign pairs that stage 2 could pick
+    (below) and the triples of the small instances (`_flat`) of all slots,
+    a batch per pair component or triple chunk, and screens and values a
+    larger instance's triples on its own grid; stage 2 values joined
+    batches (`_merged`) with `log_phi_array`, at the crossing for a pair and
+    at the goal for a triple, and keeps the least non-risky log-value per
     slot; stage 3 re-runs every risky row and every row within its slot's
     window of that least value exactly, building a triple slot's goal
     context at its first such row.  The least (value, indices) wins, which
@@ -793,11 +849,21 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     factors of its `_geometry` record in turn; each winning row is kept as
     (value, indices, weights, p, theta, profile), and its `Certificate` is
     built only when the estimate's mapping is read.
+
+    Pairs from anchors (see the module's docstring).  In a block whose
+    opposite-sign pairs exceed BLOCK, each line's seed meets the other side
+    first, and its pairs' least non-risky log-value sets the slot's minimum
+    (an unsure critical pair is risky, so it never does).  Then only the
+    anchors that `_reach` admits meet the other side.  The seeds' pairs go
+    through stages 2 and 3 after the other pairs, against the final
+    minimum.  One `log_phi_array` call per block values the goals, the other
+    knots and the seeds' crossings, as one call valued the goals alone.
     """
     insts = [inst for inst, _ in block]
     sizes, firsts, owner, ends = _block_layout(insts)
     uf, vf, la = map(np.concatenate, zip(*(inst._ball_arrays for inst in insts)))
     params = np.array([inst._params for inst in insts])
+    signs, offsets = _line_arrays([lines for _, lines in block])
 
     def valued(label, rows, weights, cu, cv, unsure) -> tuple:
         """A pair batch with the log of the profile at each crossing."""
@@ -806,19 +872,54 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
 
     # Each slot's `_geometry` context, and the profile a triple slot shares.
     contexts = {8 * i + j: (lines[j][0], None) for i, (_, lines) in enumerate(block) for j in lines}
-    # log Phi at each instance's goals: (1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7.
-    goals = np.concatenate((params[:, :2], np.full((len(insts), 2), 0.5)))
+    # A block whose opposite-sign pairs fit one stage-2 pass values them all.  In a larger one each
+    # line's seed x, its signed ball of least log radius (first by index), meets the other side.
+    screened = (np.add.reduceat(signs > 0, firsts, axis=1) * np.add.reduceat(signs < 0, firsts, axis=1)).sum() > BLOCK
+    if screened:
+        order = np.argsort(la, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(la))
+        least = np.minimum.reduceat(np.where(signs != 0, rank, len(la)), firsts, axis=1)
+        x = order[np.minimum(least, len(la) - 1)]
+        side = np.where(least < len(la), np.take_along_axis(signs, x, axis=1), 0)
+        line, ball = np.nonzero(signs * side[:, owner] < 0)
+        label, rows, weights, cu, cv, unsure = _crossings(x[line, owner[ball]], ball, line, offsets, owner, uf, vf,
+                                                          params[:, 0])
+        # The other pairs come from the lines without their seeds.
+        line, col = np.nonzero(side)
+        signs[line, x[line, col]] = 0
+    else:
+        rows, cu, cv = np.zeros((0, 2), int), np.zeros(0), np.zeros(0)
+    # log Phi at each instance's goals ((1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7) and,
+    # if screened, at its other knots and at the seeds' crossings.
+    basis = np.zeros((len(insts), 5))
+    basis[:, :2], basis[:, 3:] = params[:, :2], (0.5, 1.0)
+    ku, kv = basis[:, _KNOTS if screened else _KNOTS[:2]].T
+    at = params[0] if len(insts) == 1 else np.hstack((np.tile(params.T, len(ku)), params[owner[rows[:, 0]]].T))
+    lphi = log_phi_array(np.concatenate((ku.ravel(), cu)), np.concatenate((kv.ravel(), cv)), at)
+    lknots, lphi = lphi[:ku.size].reshape(ku.shape), lphi[ku.size:]
     lgoal = np.zeros((len(insts), 8))
-    lgoal[:, 6:] = log_phi_array(*goals.T, np.tile(params.T, 2)).reshape(2, -1).T
+    lgoal[:, 6:] = lknots[:2].T
     windows = [inst._window for inst in insts]
-    pairs = _pair_batches([lines for _, lines in block], owner, ends, uf, vf, params[:, 0])
     triples = _triple_batches(sizes, owner, ends, uf, vf, la, params[:, :2], lgoal[:, 6:], windows)
     lgoal = lgoal.ravel()
     window = np.repeat(windows, 8)
     vmin = np.full(8 * len(insts), math.inf)
+    seeds, anchors = [], None
+    if screened:
+        # The seeds set the pair slots' minima, and go through stages 2 and 3 after the other pairs.
+        lnu = la[rows]
+        _picked(label, _log_value(zip(weights.T, lnu.T), lphi), lphi, (weights * np.abs(lnu)).sum(axis=1), unsure,
+                window[label], vmin)
+        seeds = [(label, rows, weights, lphi, unsure)]
+        reach = _reach(vmin.reshape(-1, 8)[:, 1:6].T, lknots, np.array(windows), params,
+                       np.maximum.reduceat(np.abs(la), firsts))
+        anchors = ~(la > reach[:, owner])
+        del label, rows, weights, cu, cv, unsure, lphi, lnu
+    pairs = chain([_singles(owner, uf, vf)], _pair_batches(signs, offsets, owner, uf, vf, params[:, 0], anchors))
     best: dict[int, tuple] = {}
     for label, rows, weights, lphi, unsure in chain(
-            starmap(valued, _merged(pairs)),
+            starmap(valued, _merged(pairs)), seeds,
             ((label, rows, weights, lgoal[label], unsure) for label, rows, weights, unsure in _merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
@@ -846,6 +947,28 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
         del label, rows, weights, lphi, unsure, lnu, logv, pick
     return [_found_estimate({j: best[8 * i + j] for j in range(8) if 8 * i + j in best})
             for i in range(len(insts))]
+
+
+def _reach(vmin: np.ndarray, lknots: np.ndarray, window: np.ndarray, params: np.ndarray,
+           lmax: np.ndarray) -> np.ndarray:
+    """The log radius up to which a ball is an anchor of pair component j of instance i, at [j - 1, i].
+
+    `vmin` is each pair slot's least non-risky log-value so far, as [j - 1,
+    i], `lknots` log Phi at each instance's `_KNOTS`, and `window`,
+    `params` and `lmax` the instances' windows, `profile_params` and
+    largest |log nu|.  The floor is line j's least knot value less
+    _FLOOR_MARGIN windows, which covers the float error of a pair's
+    log-value and of the knots' (the window is twice a log-value's error
+    budget), so stage 2 cannot pick a pair with no ball up to vmin + window
+    - floor.  Every ball is an anchor where a knot value is not finite, or
+    where a pair could be risky by range (log Phi lies between the floor
+    and (log m + log k) / 2 on every branch); and, through `~(la > reach)`,
+    where a NaN vmin makes the reach NaN.
+    """
+    least = lknots[_LINE_KNOTS].min(axis=1)
+    margin = _FLOOR_MARGIN * window
+    top = np.maximum(margin - least, 0.5 * np.log(params[:, 2] * params[:, 3])) + lmax + margin
+    return np.where(np.isfinite(least) & (top <= _LOG_SAFE), vmin + window + margin - least, math.inf)
 
 
 def _picked(slot: np.ndarray, logv: np.ndarray, lphi: np.ndarray, wabs: np.ndarray, unsure: np.ndarray,

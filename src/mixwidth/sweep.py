@@ -2,9 +2,10 @@
 
 A sweep changes only n.  `psi_sweep` values its rows in runs of SWEEP_ROWS,
 and for each run (`_Sweep`) does once what does not read n: stage 1 of
-`psi`'s pipeline, one triple screen for every row of the run, and each
-candidate's exact record (`psi._geometry`), which ends in its profile's
-regions.  Per row it values only the candidates that can reach the row's
+`psi`'s pipeline with every opposite-sign pair (`psi`'s anchors rest on a
+floor of log Phi, which reads n), one triple screen for every row of the
+run, and each candidate's exact record (`psi._geometry`), which ends in its
+profile's regions.  Per row it values only the candidates that can reach the row's
 window, by a bound from the monotonicity of each log-value in n, and
 confirms them with the profile of their regions (`phi._profile`) times the
 record's factors in turn, as `psi._scan_block` does, so every estimate is
@@ -32,6 +33,7 @@ from .psi import (
     _geometry,
     _goal,
     _keep,
+    _line_arrays,
     _lines,
     _log_value,
     _log_window,
@@ -39,6 +41,7 @@ from .psi import (
     _pair_batches,
     _picked,
     _rank,
+    _singles,
     _triple_batches,
 )
 
@@ -124,7 +127,8 @@ class _Sweep:
         self.lgoal = log_phi_array(np.repeat((goal[0, 0], 0.5), count), np.repeat((goal[0, 1], 0.5), count),
                                    np.tile(self.table.T, 2)).reshape(2, count)
         sizes, _, owner, ends = _block_layout([inst])
-        self.stage1 = [lines], owner, ends, uf, vf, goal[:, 0]
+        # Every opposite-sign pair: the row bound screens each row.
+        self.stage1 = (*_line_arrays([lines]), owner, uf, vf, goal[:, 0])
         # One triple screen serves every row: log Phi at a goal shifts each of
         # its triples alike, so the screen runs with a shift as large as any
         # row's |log Phi(goal)| (monotone in n, so largest at an end) and
@@ -150,8 +154,10 @@ class _Sweep:
         Held two parts at a time at most, so a run's memory does not grow
         with their number.
         """
+        owner, uf, vf = self.stage1[2:5]
+        singles = _singles(owner, uf, vf)
         pairs = (_Part(label, rows, weights, unsure, self.la, cu, cv)
-                 for label, rows, weights, cu, cv, unsure in _merged(_pair_batches(*self.stage1)))
+                 for label, rows, weights, cu, cv, unsure in _merged(chain([singles], _pair_batches(*self.stage1))))
         triples = (_Part(label, rows, weights, unsure, self.la)
                    for label, rows, weights, unsure in _merged(_triple_batches(*self.screen)))
         return chain(pairs, triples)

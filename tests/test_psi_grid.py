@@ -205,6 +205,25 @@ def test_grid_matches_flat(monkeypatch, kind, size):
             assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
+# Every generator above, and the hull family below, at the brute force's size.
+PAIR_KINDS = (_random, _levels, _equal, _extreme, _overflowing, _target_two, _goal_on_edge, _outside,
+              _margin_levels, _affine, _affine_near, _steep, lambda rng, size: _hull_family(rng, []))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=[k.__name__[1:] for k in PAIR_KINDS[:-1]] + ["hull_family"])
+def test_pair_components_match_brute(monkeypatch, kind):
+    # The pair components, whose pairs come from anchor balls under each
+    # line's floor, equal brute force, as `psi` screens them and with every
+    # block screened.
+    inst = kind(np.random.default_rng(31), 31)
+    est = psi(inst)
+    with monkeypatch.context() as patch:
+        patch.setattr(psi_module, "BLOCK", 0)
+        assert psi(inst) == est
+    for j in range(6):
+        assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
+
+
 def test_goal_on_edge_has_balls_at_both_goals():
     edge = _goal_on_edge(np.random.default_rng(1), 40)
     points = {(b.p.u, b.theta.u) for b in edge.balls}

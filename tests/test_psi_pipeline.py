@@ -124,11 +124,13 @@ class TestDifferential:
             assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
-@pytest.mark.parametrize("size", [160, 256])
+@pytest.mark.parametrize("size", [160, 256, 1024])
 def test_psi_memory_is_bounded(size):
     # 669,920 triples at 160 balls: holding them all at once would take about
     # 70 MB.  At 256 balls the pair components have 75,602 crossings, and
-    # valuing them in one joined pass would peak near 13 MB.
+    # valuing them in one joined pass would peak near 13 MB.  At 1,024 balls
+    # every opposite-sign pair at once took 44 MB; the anchors' pairs take
+    # a few thousand rows.
     rng = np.random.default_rng(14)
     cells = rng.choice(1025 * 1025, size=size, replace=False)
     radii = np.exp(rng.uniform(-1.5, 1.5, size=size))
