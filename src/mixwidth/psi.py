@@ -32,12 +32,17 @@ floor: the least log Phi at the line's knots (`_KNOTS`: its ends, and where
 it meets 1/q, 1/sigma or 1/2), less a margin.  Between knots every term of
 every branch of `phi._branches` has a log affine along the line, as the
 regions change and the omegas cap only at knots, so log Phi is concave
-there and least at a knot.  Each line's seed, its signed ball of least log
-radius, meets the other side first, which sets the slot's least log-value
-vmin; then only the anchors, the balls up to vmin + window - floor
-(`_reach`), meet the other side.  Where a pair could be risky by range, or
-a knot value is not finite, every ball is an anchor.  A smaller block, and
-a sweep, whose floor would read n, value every opposite-sign pair.
+there and least at a knot.  The balls rank by (log radius, index), and
+each pair is met once, by its lower-ranked ball, its anchor
+(`_pair_batches`).  The seeds come first, one batch: each line's
+least-ranked signed ball meets the whole other side, which sets the slot's
+least log-value vmin.  The other anchors follow in batches, and before each
+one the balls above vmin + window - floor (`_reach`, on the minima stage 2
+has lowered so far) are dropped: minima only fall, so the reach only
+tightens, and a reach one batch out of date is still sound.  Where a pair
+could be risky by range, or a knot value is not finite, every ball is an
+anchor.  A smaller block, and a sweep, whose floor would read n, value
+every opposite-sign pair, from the same stream of anchors.
 
 Triples take one of two paths by the size rule `_flat`.  An instance with
 at most FLAT_TRIPLES triples has them enumerated in one pass with those of
@@ -83,6 +88,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, starmap
@@ -752,42 +758,54 @@ def _singles(owner: np.ndarray, uf: np.ndarray, vf: np.ndarray) -> tuple:
 
 
 def _pair_batches(signs: np.ndarray, offsets: np.ndarray, owner: np.ndarray, uf: np.ndarray, vf: np.ndarray,
-                  uq: np.ndarray, anchors: Optional[np.ndarray] = None) -> Iterator[tuple]:
-    """Stage 1 of components 1-5 for a block: one batch, or a batch per component, without profile logs.
+                  la: np.ndarray, uq: np.ndarray, size: int, reach: Optional[Callable] = None) -> Iterator[tuple]:
+    """Stage 1 of components 1-5 for a block: batches of whole anchors' pairs, without profile logs.
 
     `signs` and `offsets` are `_line_arrays` of the block, `owner` gives
-    each ball's instance and `uq` each instance's float 1/q.  Each anchor
-    of line j (`anchors[j - 1]`, every ball if None) meets each ball of its
-    instance on the other side of the line, an anchor only if it comes
-    later, so each opposite-sign pair with an anchor is met once and, with
-    every ball an anchor, each opposite-sign pair: a sort of the signed
-    balls by (line, instance, side), anchors first, puts every anchor's
-    partners in one run.  Rows that fit in BLOCK come as one batch, as
-    `_merged` would join them.  A batch is (label, rows, weights, cu, cv,
-    unsure): each candidate's slot 8 i + j, its balls (a, b), a < b, and
-    weights (1 - w, w) as two-column arrays, its float crossing point, and
-    whether admission is unsure.
+    each ball's instance, `la` its log radius and `uq` each instance's float
+    1/q.  The balls rank by (log radius, index), and each signed ball of
+    line j, its anchor, meets the balls of its instance on the other side of
+    the line that rank higher, so each opposite-sign pair is met once, by
+    its lower-ranked ball: a sort of the signed balls by (line, instance,
+    side, rank) puts every anchor's partners in one run.  The anchors come
+    in that order, in batches of whole anchors of at least `size` rows.
+    With `reach`, the seeds, the least-ranked ball of each line and
+    instance, come first as one batch; before each later batch, `reach()`
+    gives the log radius up to which a ball of line j and instance i is
+    still an anchor, at [j - 1, i], and the anchors above it are dropped.
+    A batch is (label, rows, weights, cu, cv, unsure): each candidate's slot
+    8 i + j, its balls (a, b), a < b, and weights (1 - w, w) as two-column
+    arrays, its float crossing point, and whether admission is unsure.
     """
-    insts = int(owner[-1]) + 1
-    line, ball = np.nonzero(signs)
-    anchor = np.ones(len(ball), bool) if anchors is None else anchors[line, ball]
-    # Group (line, instance, side) holds its anchors by index, then the rest.
-    key = 4 * (line * insts + owner[ball]) + 2 * (signs[line, ball] > 0) + ~anchor
-    order = np.argsort(key, kind="stable")
-    key, ball = key[order], ball[order]
-    bounds = np.searchsorted(key, 2 * np.arange(10 * insts + 1))
-    # Anchor x meets the opposite group from its first anchor past x on.
-    xs = np.flatnonzero(key % 2 == 0)
-    opposite = key[xs] // 2 ^ 1
-    first = np.searchsorted(key * len(owner) + ball, 2 * opposite * len(owner) + ball[xs])
-    count = bounds[opposite + 1] - first
-    # One batch if the rows fit in BLOCK, as `_merged` would join them; else one per line.
-    cuts = [0, len(xs)] if count.sum() <= BLOCK else np.searchsorted(key[xs], 4 * insts * np.arange(6)).tolist()
-    for lo, hi in zip(cuts, cuts[1:]):
-        at = slice(lo, hi)
-        pa = np.repeat(ball[xs[at]], count[at])
+    n, insts = len(la), int(owner[-1]) + 1
+    order = np.argsort(la, kind="stable")
+    line, rank = np.nonzero(signs[:, order])
+    ball = order[rank]
+    group = 2 * (line * insts + owner[ball]) + (signs[line, ball] > 0)
+    order = np.argsort(group, kind="stable")  # each group stays in rank order
+    key, ball, group = group[order] * n + rank[order], ball[order], group[order]
+    bounds = np.searchsorted(key, n * np.arange(10 * insts + 1))
+    # Anchor x meets the opposite group from its first ball of higher rank on.
+    first = np.searchsorted(key, (group ^ 1) * n + key % n)
+    count = bounds[(group ^ 1) + 1] - first
+    xs = np.flatnonzero(count)
+
+    def pairs(at: np.ndarray) -> tuple:
+        pa = np.repeat(ball[at], count[at])
         pb = ball[np.arange(len(pa)) + np.repeat(first[at] - np.cumsum(count[at]) + count[at], count[at])]
-        yield _crossings(pa, pb, np.repeat(key[xs[at]] // (4 * insts), count[at]), offsets, owner, uf, vf, uq)
+        return _crossings(pa, pb, np.repeat(group[at] // (2 * insts), count[at]), offsets, owner, uf, vf, uq)
+
+    if reach is not None:
+        # A seed ranks below the rest of its group and the whole opposite one.
+        seed = (first[xs] == bounds[group[xs] ^ 1]) & (xs == bounds[group[xs]])
+        yield pairs(xs[seed])
+        xs = xs[~seed]
+    # reach()[j - 1, i] is reach().ravel()[g // 2] for the groups g of line j and instance i.
+    while len(xs := xs if reach is None else xs[~(la[ball[xs]] > reach().ravel()[group[xs] // 2])]):
+        # Each anchor has a row, so the first `size` anchors hold at least `size` rows.
+        cut = int(np.searchsorted(np.cumsum(count[xs[:size]]), size)) + 1
+        yield pairs(xs[:cut])
+        xs = xs[cut:]
 
 
 def _crossings(pa: np.ndarray, pb: np.ndarray, line: np.ndarray, offsets: np.ndarray, owner: np.ndarray,
@@ -851,13 +869,14 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     built only when the estimate's mapping is read.
 
     Pairs from anchors (see the module's docstring).  In a block whose
-    opposite-sign pairs exceed BLOCK, each line's seed meets the other side
-    first, and its pairs' least non-risky log-value sets the slot's minimum
-    (an unsure critical pair is risky, so it never does).  Then only the
-    anchors that `_reach` admits meet the other side.  The seeds' pairs go
-    through stages 2 and 3 after the other pairs, against the final
-    minimum.  One `log_phi_array` call per block values the goals, the other
-    knots and the seeds' crossings, as one call valued the goals alone.
+    opposite-sign pairs exceed BLOCK, the first batch of `_pair_batches` is
+    the seeds', and their pairs' least non-risky log-values set the pair
+    slots' minima (an unsure critical pair is risky, so it never does).  The
+    anchors' batches follow, each after `_reach` on the minima so far has
+    dropped the balls above it.  The seeds' pairs go through stages 2 and 3
+    after the other pairs, against the final minima.  One `log_phi_array`
+    call per block values the goals, the other knots and the seeds'
+    crossings, as one call valued the goals alone.
     """
     insts = [inst for inst, _ in block]
     sizes, firsts, owner, ends = _block_layout(insts)
@@ -872,24 +891,17 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
 
     # Each slot's `_geometry` context, and the profile a triple slot shares.
     contexts = {8 * i + j: (lines[j][0], None) for i, (_, lines) in enumerate(block) for j in lines}
-    # A block whose opposite-sign pairs fit one stage-2 pass values them all.  In a larger one each
-    # line's seed x, its signed ball of least log radius (first by index), meets the other side.
+    windows = [inst._window for inst in insts]
+    vmin = np.full(8 * len(insts), math.inf)
+    # A block whose opposite-sign pairs fit one stage-2 pass values them all.  A larger one takes its
+    # seeds' pairs first, then its anchors' under the reach of the pair slots' minima so far.
     screened = (np.add.reduceat(signs > 0, firsts, axis=1) * np.add.reduceat(signs < 0, firsts, axis=1)).sum() > BLOCK
-    if screened:
-        order = np.argsort(la, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(la))
-        least = np.minimum.reduceat(np.where(signs != 0, rank, len(la)), firsts, axis=1)
-        x = order[np.minimum(least, len(la) - 1)]
-        side = np.where(least < len(la), np.take_along_axis(signs, x, axis=1), 0)
-        line, ball = np.nonzero(signs * side[:, owner] < 0)
-        label, rows, weights, cu, cv, unsure = _crossings(x[line, owner[ball]], ball, line, offsets, owner, uf, vf,
-                                                          params[:, 0])
-        # The other pairs come from the lines without their seeds.
-        line, col = np.nonzero(side)
-        signs[line, x[line, col]] = 0
-    else:
-        rows, cu, cv = np.zeros((0, 2), int), np.zeros(0), np.zeros(0)
+    pairs = _pair_batches(signs, offsets, owner, uf, vf, la, params[:, 0], BLOCK, (lambda: _reach(
+        vmin.reshape(-1, 8)[:, 1:6].T, lknots, np.array(windows), params, np.maximum.reduceat(np.abs(la), firsts)))
+        if screened else None)
+    # The seeds' batch, empty if not screened.
+    label, rows, weights, cu, cv, unsure = next(pairs) if screened else _crossings(
+        *[np.zeros(0, int)] * 3, offsets, owner, uf, vf, params[:, 0])
     # log Phi at each instance's goals ((1/q, 1/sigma) at slot 8 i + 6 and (1/2, 1/2) at 8 i + 7) and,
     # if screened, at its other knots and at the seeds' crossings.
     basis = np.zeros((len(insts), 5))
@@ -900,26 +912,18 @@ def _scan_block(block: list[tuple[Instance, dict]]) -> list[PsiEstimate]:
     lknots, lphi = lphi[:ku.size].reshape(ku.shape), lphi[ku.size:]
     lgoal = np.zeros((len(insts), 8))
     lgoal[:, 6:] = lknots[:2].T
-    windows = [inst._window for inst in insts]
     triples = _triple_batches(sizes, owner, ends, uf, vf, la, params[:, :2], lgoal[:, 6:], windows)
     lgoal = lgoal.ravel()
     window = np.repeat(windows, 8)
-    vmin = np.full(8 * len(insts), math.inf)
-    seeds, anchors = [], None
-    if screened:
-        # The seeds set the pair slots' minima, and go through stages 2 and 3 after the other pairs.
-        lnu = la[rows]
-        _picked(label, _log_value(zip(weights.T, lnu.T), lphi), lphi, (weights * np.abs(lnu)).sum(axis=1), unsure,
-                window[label], vmin)
-        seeds = [(label, rows, weights, lphi, unsure)]
-        reach = _reach(vmin.reshape(-1, 8)[:, 1:6].T, lknots, np.array(windows), params,
-                       np.maximum.reduceat(np.abs(la), firsts))
-        anchors = ~(la > reach[:, owner])
-        del label, rows, weights, cu, cv, unsure, lphi, lnu
-    pairs = chain([_singles(owner, uf, vf)], _pair_batches(signs, offsets, owner, uf, vf, params[:, 0], anchors))
+    # The seeds set the pair slots' minima, and go through stages 2 and 3 after the other pairs.
+    lnu = la[rows]
+    _picked(label, _log_value(zip(weights.T, lnu.T), lphi), lphi, (weights * np.abs(lnu)).sum(axis=1), unsure,
+            window[label], vmin)
+    seeds = [(label, rows, weights, lphi, unsure)]
+    del label, rows, weights, cu, cv, unsure, lphi, lnu
     best: dict[int, tuple] = {}
     for label, rows, weights, lphi, unsure in chain(
-            starmap(valued, _merged(pairs)), seeds,
+            starmap(valued, _merged(chain([_singles(owner, uf, vf)], pairs))), seeds,
             ((label, rows, weights, lgoal[label], unsure) for label, rows, weights, unsure in _merged(triples))):
         # In place where an operand is not needed again: numpy keeps freed
         # small buffers per size, so fewer live arrays hold less memory.
@@ -963,7 +967,9 @@ def _reach(vmin: np.ndarray, lknots: np.ndarray, window: np.ndarray, params: np.
     - floor.  Every ball is an anchor where a knot value is not finite, or
     where a pair could be risky by range (log Phi lies between the floor
     and (log m + log k) / 2 on every branch); and, through `~(la > reach)`,
-    where a NaN vmin makes the reach NaN.
+    where a NaN vmin makes the reach NaN.  `_pair_batches` reads it before
+    each batch of anchors: vmin only falls, so the reach only tightens, and
+    a reach read a batch early still admits every ball it must.
     """
     least = lknots[_LINE_KNOTS].min(axis=1)
     margin = _FLOOR_MARGIN * window
@@ -1075,12 +1081,29 @@ def family_reduce(
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    # (mk)^delta <= 4/3 checked in exact integer arithmetic.
-    a, b = delta.numerator, delta.denominator
-    if (m * k) ** a * 3**b > 4**b:
+    if not _within_four_thirds(delta, m * k):
         raise ValueError(
             f"delta={delta} too coarse: requires (m*k)^delta <= 4/3 for m*k={m * k}"
         )
     if not balls:
         raise ValueError("ball family must be nonempty")
     return _coalesce(balls, lambda b: (int(b.p.u // delta), int(b.theta.u // delta)))
+
+
+def _within_four_thirds(delta: Fraction, mk: int) -> bool:
+    """Whether (mk)^delta <= 4/3, decided exactly without the powers (mk >= 0).
+
+    With delta = a/b in lowest terms, equality would need (mk)^a 3^b = 4^b,
+    which no b >= 1 allows, as 3 does not divide 4^b.  So a ln(mk) and b
+    ln(4/3) differ, and comparing them at a precision doubled until their
+    gap exceeds the rounding error decides exactly.  The powers themselves
+    have about b digits: b = 2^59 for the float 0.01.
+    """
+    digits = 40
+    while True:
+        with localcontext(Context(prec=digits)):
+            lhs, rhs = delta.numerator * Decimal(mk).ln(), delta.denominator * (Decimal(4) / 3).ln()
+            # Each side is within 10^(2 - digits) of its size.
+            if abs(lhs - rhs) > (lhs + rhs) * Decimal(10) ** (3 - digits):
+                return lhs < rhs
+        digits *= 2

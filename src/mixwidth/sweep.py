@@ -2,17 +2,18 @@
 
 A sweep changes only n.  `psi_sweep` values its rows in runs of SWEEP_ROWS,
 and for each run (`_Sweep`) does once what does not read n: stage 1 of
-`psi`'s pipeline with every opposite-sign pair (`psi`'s anchors rest on a
-floor of log Phi, which reads n), one triple screen for every row of the
-run, and each candidate's exact record (`psi._geometry`), which ends in its
-profile's regions.  Per row it values only the candidates that can reach the row's
-window, by a bound from the monotonicity of each log-value in n, and
-confirms them with the profile of their regions (`phi._profile`) times the
-record's factors in turn, as `psi._scan_block` does, so every estimate is
-`psi`'s for that n.  The candidates pass in parts joined up to
-`psi.BLOCK` rows (`psi._merged`), each over all the run's rows, and each
-slot keeps its best row across parts by `psi`'s own rule (`psi._keep`).
-No candidate outlives its run.
+`psi`'s pipeline with every opposite-sign pair (`psi`'s reach rests on a
+floor of log Phi, which reads n), from `psi._pair_batches` in batches of
+whole anchors of at least _SWEEP_ENTRIES rows, one triple screen for every
+row of the run, and each candidate's exact record (`psi._geometry`), which
+ends in its profile's regions.  Per row it values only the candidates that
+can reach the row's window, by a bound from the monotonicity of each
+log-value in n, and confirms them with the profile of their regions
+(`phi._profile`) times the record's factors in turn, as `psi._scan_block`
+does, so every estimate is `psi`'s for that n.  The candidates pass in
+parts joined up to `psi.BLOCK` rows (`psi._merged`), each over all the
+run's rows, and each slot keeps its best row across parts by `psi`'s own
+rule (`psi._keep`).  No candidate outlives its run.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .psi import (
 )
 
 # `psi_sweep` values SWEEP_ROWS rows at a time; a pass of its row bound holds
-# about _SWEEP_ENTRIES (candidate, row) pairs, or one row's candidates.
+# about _SWEEP_ENTRIES (candidate, row) pairs, or one row's candidates, and a
+# stage-1 pair batch at least _SWEEP_ENTRIES rows, of whole anchors.
 SWEEP_ROWS = 1 << 12
 _SWEEP_ENTRIES = 1 << 14
 # The row bound's margin per unit of 1 + |base| + |log Phi|: see `_Sweep`.
@@ -128,7 +130,7 @@ class _Sweep:
                                    np.tile(self.table.T, 2)).reshape(2, count)
         sizes, _, owner, ends = _block_layout([inst])
         # Every opposite-sign pair: the row bound screens each row.
-        self.stage1 = (*_line_arrays([lines]), owner, uf, vf, goal[:, 0])
+        self.stage1 = (*_line_arrays([lines]), owner, uf, vf, la, goal[:, 0])
         # One triple screen serves every row: log Phi at a goal shifts each of
         # its triples alike, so the screen runs with a shift as large as any
         # row's |log Phi(goal)| (monotone in n, so largest at an end) and
@@ -149,15 +151,15 @@ class _Sweep:
             self._value(part, first)
 
     def _parts(self) -> Iterator[_Part]:
-        """The candidates, in parts of one kind joined up to `psi.BLOCK` (a single stage-1 batch may hold more).
+        """The candidates, in parts of one kind joined up to `psi.BLOCK` (a pair batch may hold more:
+        fewer than _SWEEP_ENTRIES rows plus one anchor's).
 
         Held two parts at a time at most, so a run's memory does not grow
         with their number.
         """
-        owner, uf, vf = self.stage1[2:5]
-        singles = _singles(owner, uf, vf)
+        batches = _merged(chain([_singles(*self.stage1[2:5])], _pair_batches(*self.stage1, _SWEEP_ENTRIES)))
         pairs = (_Part(label, rows, weights, unsure, self.la, cu, cv)
-                 for label, rows, weights, cu, cv, unsure in _merged(chain([singles], _pair_batches(*self.stage1))))
+                 for label, rows, weights, cu, cv, unsure in batches)
         triples = (_Part(label, rows, weights, unsure, self.la)
                    for label, rows, weights, unsure in _merged(_triple_batches(*self.screen)))
         return chain(pairs, triples)

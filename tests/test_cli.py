@@ -3,8 +3,10 @@ import importlib
 import io
 import json
 import math
+import runpy
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -42,6 +44,18 @@ def write_instance(tmp_path, data) -> str:
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_module_runs_as_a_script(worked_file, capsys, monkeypatch):
+    # `python -m mixwidth.cli` runs `main` on sys.argv and exits with its code
+    code, expected, _ = run_cli(capsys, worked_file, "--format", "json")
+    monkeypatch.setattr(sys, "argv", ["mixwidth", worked_file, "--format", "json"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: the module is already imported
+        with pytest.raises(SystemExit) as exit:
+            runpy.run_module("mixwidth.cli", run_name="__main__")
+    assert exit.value.code == code == 0
+    assert capsys.readouterr().out == expected
 
 
 class TestEstimate:

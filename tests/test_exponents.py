@@ -38,10 +38,18 @@ class TestParseRender:
     def test_decimal_is_exact(self):
         assert parse_exponent("2.5").u == Fraction(2, 5)
 
-    @pytest.mark.parametrize("bad", ["", "nope", "0.5", "-3", "1/0", "2x"])
+    @pytest.mark.parametrize("bad", ["", "nope", "0.5", "-3", "1/0", "2x", 3])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_exponent(bad)
+
+    def test_reciprocal_out_of_range(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 3/2"):
+            Exponent(Fraction(3, 2))
+
+    def test_point_out_of_range(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]\^2"):
+            ReciprocalPoint(Fraction(1, 2), Fraction(-1, 3))
 
     @given(u=unit_fracs)
     def test_round_trip(self, u):

@@ -50,6 +50,10 @@ class TestMixedNorm:
         with pytest.raises(ValueError):
             mixed_norm(np.array([[1.0, math.inf]]), E("2"), E("2"))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expected a 2-d matrix, got shape"):
+            mixed_norm(np.ones(3), E("2"), E("2"))
+
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

@@ -163,6 +163,19 @@ class TestNumericWidth:
             numeric_width_estimate(balls, 2, 2, 1, E("2"), E("2"), iters=-1)
         with pytest.raises(ValueError):
             numeric_width_estimate(balls, 5, 4, 1, E("2"), E("2"))
+        for n in (-1, 5):
+            with pytest.raises(ValueError, match=r"need 0 <= n <= m\*k"):
+                numeric_width_estimate(balls, 2, 2, n, E("2"), E("2"))
+        with pytest.raises(ValueError, match="q and sigma must be finite"):
+            numeric_width_estimate(balls, 2, 2, 1, E("inf"), E("2"))
+
+    def test_zero_body(self):
+        # radius 5e-324, the least subnormal: every candidate point's norm
+        # underflows to 0, and the width is 0 without a search
+        with np.errstate(over="ignore"):
+            got = numeric_width_estimate([BallSpec(E("2"), E("2"), 5e-324)], 2, 2, 1, E("2"), E("2"),
+                                         restarts=2, iters=2)
+        assert got == WidthSample(0.0, {"restarts": 2, "iterations": 2, "seed": 0})
 
     @pytest.mark.parametrize("m, k", [(0, 2), (2, 0), (-2, -3)])
     def test_dimensions_below_one(self, m, k):

@@ -8,6 +8,7 @@ import pytest
 
 from mixwidth import (
     BallSpec,
+    ConsistencyError,
     Dimensions,
     Exponent,
     TargetSpace,
@@ -20,6 +21,7 @@ from helpers import primes_from, single_ball_width_estimate
 from phi_brute import brute_log_phi_array, brute_phi, omega
 
 E = parse_exponent
+phi_module = importlib.import_module("mixwidth.phi")
 
 
 def target(q, s):
@@ -36,6 +38,20 @@ class TestDimensions:
     def test_positive(self):
         with pytest.raises(ValueError):
             Dimensions(0, 4, 0)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            Dimensions(4, 4, -1)
+
+    def test_integers_only(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            Dimensions(4, 4.0, 2)
+
+
+def test_disagreeing_branches_raise(monkeypatch):
+    # branches that hold at one point agree within _REL_BRANCH_TOL; with a
+    # negative tolerance no two values agree, and even one branch fails
+    monkeypatch.setattr(phi_module, "_REL_BRANCH_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="applicable branches disagree"):
+        phi(E("2"), E("2"), target("3", "3"), Dimensions(4, 4, 2))
 
 
 class TestTargetSpace:

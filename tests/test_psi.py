@@ -26,6 +26,7 @@ from conftest import make_instance
 from helpers import point
 
 E = parse_exponent
+LOG2_3 = Fraction("1.5849625007211561814537389439478165087598144076924810604557526545410982")
 
 
 class TestValidateInstance:
@@ -174,6 +175,12 @@ class TestPsi:
             cert = est.certificates[j]
             assert cert.weights == (Fraction(1, 2), Fraction(1, 2))
             assert cert.theta.u == Fraction(1, 2)
+
+    def test_certificates_repr(self, two_ball_instance):
+        # the lazy mapping prints as the dict of every certificate, built on reading
+        certificates = psi(two_ball_instance).certificates
+        assert repr(certificates) == repr({j: certificates[j] for j in certificates})
+        assert repr(certificates).startswith("{0: Certificate(j=0, indices=(")
 
     def test_homogeneity_exact_scale(self, two_ball_instance):
         scaled = Instance(
@@ -395,6 +402,29 @@ class TestFamilyReduce:
             family_reduce([BallSpec(E("2"), E("2"), 1.0)], Fraction(1, 2), 8, 8)
         with pytest.raises(ValueError):
             family_reduce([BallSpec(E("2"), E("2"), 1.0)], Fraction(-1, 15), 8, 8)
+
+    def test_empty_family(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            family_reduce([], Fraction(1, 15), 8, 8)
+
+    def test_float_delta(self):
+        # Fraction(0.01) has denominator 2^59: admissibility is decided
+        # without raising 3 and 4 to that power
+        balls = [BallSpec(E("2"), E("2"), 1.0)]
+        assert family_reduce(balls, 0.01, 4, 4) == balls
+        # 16^delta <= 4/3 exactly when delta <= (2 - log2 3) / 4, here to 70
+        # digits: the floats just below and just above it
+        threshold = (2 - LOG2_3) / 4
+        x = float(threshold)
+        below, above = (x, math.nextafter(x, 1.0)) if Fraction(x) < threshold else (math.nextafter(x, 0.0), x)
+        assert min(threshold - Fraction(below), Fraction(above) - threshold) > Fraction(1, 10**60)
+        assert family_reduce(balls, below, 4, 4) == balls
+        with pytest.raises(ValueError, match="too coarse"):
+            family_reduce(balls, above, 4, 4)
+        # 10^-60 about it, a gap 40 digits cannot resolve: the precision doubles
+        assert family_reduce(balls, threshold - Fraction(1, 10**60), 4, 4) == balls
+        with pytest.raises(ValueError, match="too coarse"):
+            family_reduce(balls, threshold + Fraction(1, 10**60), 4, 4)
 
     def test_sandwich_by_sampling(self):
         rng = np.random.default_rng(44)

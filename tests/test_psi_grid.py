@@ -496,6 +496,22 @@ def test_walk_cut_short_screens_without_a_plane(monkeypatch, pivots):
             assert_grid_matches_flat(monkeypatch, inst)
 
 
+@pytest.mark.parametrize("u, v, la", [
+    # four balls 4-16 from the goal, within 1e-4 of a line through it: a
+    # pivot admits a triangle whose area, found in another order, is 0, and
+    # the walk stops before dividing by it
+    ([-15.954, 15.954, -5.318, -3.545], [-9.0, 9.0, -3.0, -2.0], [2.1, -4.5, -2.8, -2.0]),
+    # one ball whose offsets' products overflow: no vertex can leave, and
+    # the walk stops before taking the least of no ratios
+    ([1e200], [1e200], [0.0]),
+], ids=["flat-basis", "no-leaving-vertex"])
+def test_walk_fails_on_offsets_no_family_has(u, v, la):
+    # a goal's offsets are at most sqrt 2, but the walk's guards hold for
+    # any offsets: it finds no plane rather than raising
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert psi_module._plane(np.array(u), np.array(v), np.array(la)) is None
+
+
 def test_steep_plane_screens_without_its_tilt(monkeypatch):
     # the plane exists, but its tilt's float error bound exceeds the window:
     # the screen takes the heights without the tilt, and its plain margin

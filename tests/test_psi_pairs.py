@@ -146,14 +146,15 @@ def _reach_spy(monkeypatch):
     return seen
 
 
-def _anchor_spy(monkeypatch):
-    """Patch `_pair_batches` to record the anchors it is given."""
+def _pairs_spy(monkeypatch):
+    """Patch `_pair_batches` to record the (slot, balls) of every row it yields."""
     seen = []
     batches = psi_module._pair_batches
 
     def recorded(*args):
-        seen.append(args[6])
-        return batches(*args)
+        for batch in batches(*args):
+            seen.extend(zip(batch[0].tolist(), map(tuple, batch[1].tolist())))
+            yield batch
 
     monkeypatch.setattr(psi_module, "_pair_batches", recorded)
     return seen
@@ -163,8 +164,9 @@ def _anchor_spy(monkeypatch):
 def test_ball_near_its_reach(monkeypatch, line):
     # The seed (log radius -1) and ball t on its side of the line; the rest
     # lie high.  t's log radius is put a few floor margins below or above
-    # the reach that `_reach` finds, so t is an anchor just inside it and
-    # not one just outside; the pair component must equal brute force either way.
+    # the first reach that `_reach` finds after the seeds, so t meets the
+    # other side just inside it and not just outside; the pair component
+    # must equal brute force either way.
     rng = np.random.default_rng(line)
     _force_screen(monkeypatch)
     cells = rng.choice(65 * 65, size=20, replace=False)
@@ -183,17 +185,20 @@ def test_ball_near_its_reach(monkeypatch, line):
 
     reaches = _reach_spy(monkeypatch)
     psi(family(0.0))
-    edge = float(reaches[-1][line - 1, 0])
+    edge = float(reaches[0][line - 1, 0])
     margin = psi_module._FLOOR_MARGIN * family(0.0)._window
     assert -1.0 < edge < 6.0 - 3 * margin
-    anchors = _anchor_spy(monkeypatch)
+    rows = _pairs_spy(monkeypatch)
     for c in (-3.0, -1.0, -0.25, 0.25, 1.0, 3.0):
         lt = edge + c * margin
         inst = family(lt)
         assert sorted(lift)[1] == lt and inst.balls[t].nu == math.exp(lt)
+        reaches.clear()
+        rows.clear()
         _assert_pairs_match_brute(inst, (line,))
-        assert float(reaches[-1][line - 1, 0]) == edge
-        assert bool(anchors[-1][line - 1, t]) == (inst._ball_arrays[2][t] <= edge)
+        assert float(reaches[0][line - 1, 0]) == edge
+        met = any(slot == line and t in balls for slot, balls in rows)
+        assert met == (inst._ball_arrays[2][t] <= edge)
 
 
 def test_blocks_of_many_instances(monkeypatch):

@@ -124,14 +124,17 @@ class TestDifferential:
             assert (est.components[j], est.certificates.get(j)) == brute_component(inst, j), j
 
 
-@pytest.mark.parametrize("size", [160, 256, 1024])
-def test_psi_memory_is_bounded(size):
+@pytest.mark.parametrize("size, seed", [pytest.param(160, 14, id="160"), pytest.param(256, 14, id="256"),
+                                        pytest.param(1024, 14, id="1024"), pytest.param(1024, 0, id="1024-seed0")])
+def test_psi_memory_is_bounded(size, seed):
     # 669,920 triples at 160 balls: holding them all at once would take about
     # 70 MB.  At 256 balls the pair components have 75,602 crossings, and
     # valuing them in one joined pass would peak near 13 MB.  At 1,024 balls
     # every opposite-sign pair at once took 44 MB; the anchors' pairs take
-    # a few thousand rows.
-    rng = np.random.default_rng(14)
+    # a few thousand rows.  Seed 0's seeds leave one line's first reach far
+    # above its final one: with that reach fixed, 263 anchors sent 138,082
+    # rows to stage 2 and peaked at 22 MB; tightened batch by batch, 1.5 MB.
+    rng = np.random.default_rng(seed)
     cells = rng.choice(1025 * 1025, size=size, replace=False)
     radii = np.exp(rng.uniform(-1.5, 1.5, size=size))
     balls = [(Fraction(int(c) // 1025, 1024), Fraction(int(c) % 1025, 1024), float(nu))

@@ -285,10 +285,12 @@ def test_parts_keep_the_first_of_tied_rows(monkeypatch):
     # has the same value, so each slot's row is the least index tuple among
     # many ties, which the grid meets in another order (by middle index) and
     # the sweep splits over several parts; longer than a run of rows, the
-    # sweep finds its parts again in each run
+    # sweep finds its parts again in each run; its pair batches hold at
+    # least its pair budget of rows, here BLOCK's
     inst = _family(16, 36, 64, 64, 64, Fraction(5, 16), Fraction(7, 16), _unit)
     assert not psi_module._flat(len(inst.balls))
     monkeypatch.setattr(psi_module, "BLOCK", 200)
+    monkeypatch.setattr(sweep_module, "_SWEEP_ENTRIES", 200)
     monkeypatch.setattr(sweep_module, "SWEEP_ROWS", 4)
     ns = range(100, 107)
     assert len(list(sweep_module._Sweep(inst, ns)._parts())) > 4

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mixwidth import SUITE_NAMES, run_suites, verify
+from mixwidth.phi import PhiValue
 from mixwidth.psi import BLOCK
 from mixwidth.verify import _psi_suite, _rand_balls, _rand_instance
 from verify_brute import brute_run_suites, reference_rand_balls
@@ -81,3 +84,18 @@ def test_ball_draws_match_reference(seed, monkeypatch):
         rng, ref = np.random.default_rng([seed, den]), np.random.default_rng([seed, den])
         assert _rand_balls(rng, count) == reference_rand_balls(ref, count)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_rel_gap_of_one_infinity():
+    assert verify._rel_gap(math.inf, 1.0) == math.inf
+    assert verify._rel_gap(2.0, math.inf) == math.inf
+    assert verify._rel_gap(math.inf, math.inf) == 0.0
+
+
+def test_branch_overlap_sees_a_missing_branch(monkeypatch):
+    # a phi that names none of its holding branches: every reference branch
+    # is missing from it, so each trial's slack is infinite
+    phi = verify.phi
+    monkeypatch.setattr(verify, "phi", lambda *args: PhiValue(phi(*args).value, ()))
+    rng = np.random.default_rng(0)
+    assert all(verify._branch_overlap(rng, 1.0) == math.inf for _ in range(20))

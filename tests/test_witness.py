@@ -85,6 +85,8 @@ class TestGroupAction:
             GroupElement((0, 0), (0,), (1, 1), (1,))
         with pytest.raises(ValueError):
             GroupElement((0, 1), (0,), (1, 2), (1,))
+        with pytest.raises(ValueError, match="lengths must match"):
+            GroupElement((0, 1), (0,), (1,), (1,))
         with pytest.raises(ValueError):
             group_apply(identity(2, 2), np.ones((3, 3)))
 
