@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .exponents import Exponent, parse_exponent
@@ -54,15 +55,18 @@ SWEEP_ROW_LIMIT = 1 << 20
 # ---------------------------------------------------------------------------
 
 
-def _parse_exponent_field(value, field: str) -> Exponent:
+def _parse_exponent_field(value, field: str, parsed: dict) -> Exponent:
+    """`value` as an exponent; `parsed` holds the texts one load has parsed."""
     if isinstance(value, (int, float)):
         value = repr(value)
     if not isinstance(value, str):
         raise ValueError(f"{field}: expected an exponent string, got {value!r}")
-    try:
-        return parse_exponent(value)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+    if value not in parsed:
+        try:
+            parsed[value] = parse_exponent(value)
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+    return parsed[value]
 
 
 def _parse_int_field(data: dict, field: str) -> int:
@@ -75,7 +79,10 @@ def _parse_int_field(data: dict, field: str) -> int:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    """Build and validate an Instance from the JSON object layout."""
+    """Build and validate an Instance from the JSON object layout.
+
+    Each distinct exponent text is parsed once per call.
+    """
     if not isinstance(data, dict):
         raise ValueError("instance file must contain a JSON object")
     m = _parse_int_field(data, "m")
@@ -83,9 +90,10 @@ def instance_from_dict(data: dict) -> Instance:
     n = _parse_int_field(data, "n")
     if "q" not in data or "sigma" not in data:
         raise ValueError("missing field 'q' or 'sigma'")
+    parsed: dict[str, Exponent] = {}
     target = TargetSpace(
-        _parse_exponent_field(data["q"], "q"),
-        _parse_exponent_field(data["sigma"], "sigma"),
+        _parse_exponent_field(data["q"], "q", parsed),
+        _parse_exponent_field(data["sigma"], "sigma", parsed),
     )
     raw_balls = data.get("balls")
     if not isinstance(raw_balls, list) or not raw_balls:
@@ -102,13 +110,12 @@ def instance_from_dict(data: dict) -> Instance:
             raise ValueError(f"balls[{i}].nu: expected a number, got {nu!r}")
         if isinstance(nu, int) and abs(nu) > sys.float_info.max:
             raise ValueError(f"balls[{i}].nu: integer too large for a float")
-        balls.append(
-            BallSpec(
-                _parse_exponent_field(entry["p"], f"balls[{i}].p"),
-                _parse_exponent_field(entry["theta"], f"balls[{i}].theta"),
-                float(nu),
-            )
-        )
+        p = _parse_exponent_field(entry["p"], f"balls[{i}].p", parsed)
+        theta = _parse_exponent_field(entry["theta"], f"balls[{i}].theta", parsed)
+        try:
+            balls.append(BallSpec(p, theta, float(nu)))
+        except ValueError as exc:
+            raise ValueError(f"balls[{i}].nu: {exc}") from None
     return validate_instance(Instance(Dimensions(m, k, n), target, tuple(balls)))
 
 
@@ -122,6 +129,8 @@ def load_instance(path: str) -> Instance:
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     return instance_from_dict(data)
 
 
@@ -242,6 +251,51 @@ def witness_report(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
+
+
+def _json(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte.
+
+    Any indent sends `json` to its pure-Python encoder; this writer appends
+    to one list and quotes strings with the C `encode_basestring_ascii`.  It
+    takes what reports hold: dicts with str keys, lists, tuples, str, int,
+    float, bool and None.
+    """
+    out: list[str] = []
+    _put_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _put_json(obj, newline: str, out: list[str]) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj)
+                   else "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in obj.items():
+            out.append(sep + _quote(key) + ": ")
+            _put_json(value, inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            out.append(sep)
+            _put_json(value, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_csv(rows: list[dict]) -> None:
@@ -399,7 +453,7 @@ def _dispatch(args) -> int:
                 "seed": args.seed,
                 "suites": [{**asdict(r), "passed": r.passed} for r in results],
             }
-            print(json.dumps(payload, indent=2))
+            print(_json(payload))
         else:
             print(_verify_table(results))
         return 0 if all(r.passed for r in results) else 3
@@ -410,7 +464,7 @@ def _dispatch(args) -> int:
 
     if args.mode == "estimate":
         if args.format == "json":
-            print(json.dumps(estimate_report(inst, _finite_psi(inst)), indent=2))
+            print(_json(estimate_report(inst, _finite_psi(inst))))
         elif args.format == "csv":
             _write_csv([_sweep_row(inst.dims.n, _finite_psi(inst), WitnessGrid(inst))])
         else:
@@ -423,7 +477,7 @@ def _dispatch(args) -> int:
         n_to = half if args.n_to is None else args.n_to
         rows = run_sweep(inst, n_from, n_to)
         if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, "mode": "sweep", "rows": rows}, indent=2))
+            print(_json({"schema": SCHEMA, "mode": "sweep", "rows": rows}))
         elif args.format == "csv":
             _write_csv(rows)
         else:
@@ -433,7 +487,7 @@ def _dispatch(args) -> int:
     # witness
     report = witness_report(inst)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print(
             f"psi = {report['psi']!r}\n"

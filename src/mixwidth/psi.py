@@ -160,13 +160,11 @@ class BallSpec:
         if not 0 < self.nu <= sys.float_info.max:
             raise ValueError(f"radius must lie in (0, {sys.float_info.max!r}]")
         object.__setattr__(self, "nu", float(self.nu))
-
-    @cached_property
-    def _ints(self) -> tuple[int, int, int]:
-        """(U, V, D): the reciprocal point is (U/D, V/D), over its least common denominator D."""
+        # _ints = (U, V, D): the reciprocal point is (U/D, V/D), over its least
+        # common denominator D.  It is no field: equality and hashing ignore it.
         u, v = self.p.u, self.theta.u
         d = math.lcm(u.denominator, v.denominator)
-        return u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d
+        object.__setattr__(self, "_ints", (u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d))
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,8 @@ class Instance:
     @cached_property
     def _ball_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float u = 1/p, v = 1/theta and log nu per ball, shared by the scans."""
-        u, v, nu = zip(*((float(b.p.u), float(b.theta.u), b.nu) for b in self.balls))
+        # Int true division is correctly rounded: U/D is float(1/p) bit for bit.
+        u, v, nu = zip(*((b._ints[0] / b._ints[2], b._ints[1] / b._ints[2], b.nu) for b in self.balls))
         return np.array(u), np.array(v), np.log(nu)
 
     @cached_property

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -7,12 +8,19 @@ import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mixwidth import ConsistencyError, Dimensions, Instance, PsiEstimate
+from mixwidth import BallSpec, ConsistencyError, Dimensions, Instance, PsiEstimate
 from mixwidth import cli
 from mixwidth.cli import CSV_COLUMNS, load_instance, main, run_sweep, witness_report
+import ci_families
+from loader_brute import reference_ball_arrays, reference_instance, reference_ints
+from test_exponents import TEXTS as EXPONENT_TEXTS
 
 WORKED = {
     "m": 4,
@@ -92,6 +100,22 @@ class TestEstimate:
         code, _, err = run_cli(capsys, str(path))
         assert code != 0
         assert "line 2" in err
+
+    def test_deeply_nested_json_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text('{"a":' * 100_000)
+        code, out, err = run_cli(capsys, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mixwidth: error: {path}: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(WORKED).encode())
+        code, out, err = run_cli(capsys, str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"mixwidth: error: {path}: invalid JSON: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte\n")
 
     def test_instance_validation_error(self, tmp_path, capsys):
         bad = dict(WORKED, n=16)
@@ -455,6 +479,13 @@ class TestInstanceRejections:
         assert out == ""
         assert err == f"mixwidth: error: {message}\n"
 
+    @pytest.mark.parametrize("nu", [-1.0, 0, math.nan, math.inf], ids=["-1.0", "0", "NaN", "Infinity"])
+    def test_radius_out_of_range_names_the_ball(self, tmp_path, capsys, nu):
+        data = dict(WORKED, balls=[WORKED["balls"][0], {"p": "1", "theta": "2", "nu": nu}])
+        code, out, err = run_cli(capsys, write_instance(tmp_path, data))
+        assert (code, out) == (1, "")
+        assert err == f"mixwidth: error: balls[1].nu: radius must lie in (0, {sys.float_info.max!r}]\n"
+
     @pytest.mark.parametrize("field", ["m", "k", "n"])
     def test_missing_dimension(self, tmp_path, capsys, field):
         data = {key: value for key, value in WORKED.items() if key != field}
@@ -560,3 +591,155 @@ def test_lazy_modules_read_as_attributes():
             "set(mixwidth.__all__) <= set(names))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["True", "True", "set()", "True", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the loader against its field-by-field reference, and the JSON writer
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pool_instances(workload: str) -> list:
+    """Every instance of a perfbench workload's pool, from its generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    wl = module.WORKLOADS[workload]
+    entries = (module.pool_entry(wl, s, v) for s in range(len(wl.slots)) for v in range(wl.variants))
+    return [entry["instance"] for entry in entries]
+
+
+def _outcome(data, load, ints, arrays):
+    """What a loader makes of `data`: its error message, or the instance with its caches."""
+    try:
+        inst = load(data)
+    except ValueError as exc:
+        return str(exc)
+    return inst, [ints(b) for b in inst.balls], [a.tobytes() for a in arrays(inst)]
+
+
+def _loaded(data):
+    return _outcome(data, cli.instance_from_dict, lambda b: b._ints, lambda inst: inst._ball_arrays)
+
+
+def _reference(data):
+    return _outcome(data, reference_instance, reference_ints, reference_ball_arrays)
+
+
+def _same_load(data):
+    assert _loaded(data) == _reference(data)
+
+
+class TestLoaderReference:
+    @pytest.mark.parametrize("workload", ["estimate-large-N", "small-mixed"])
+    def test_pool_files(self, workload):
+        for data in _pool_instances(workload):
+            if data is not None:
+                _same_load(data)
+
+    def test_ci_families(self, tmp_path):
+        ci_families.write(tmp_path)
+        for name in ci_families.FAMILIES:
+            _same_load(json.loads((tmp_path / f"{name}.json").read_text()))
+
+    @pytest.mark.parametrize("radii", [(2.0, 1.0, 3.0), (1.0, 1.0, 1.0), (3.0, 2.0, 1.0)])
+    def test_duplicate_points_written_differently(self, radii):
+        # "2", "4/2" and "2.0" are one exponent: one ball, the smallest radius,
+        # the first seen among equal ones, at the place of the first text
+        texts = ("2", "4/2", "2.0")
+        balls = [{"p": "3", "theta": "inf", "nu": 5.0}]
+        balls += [{"p": t, "theta": "3/2", "nu": nu} for t, nu in zip(texts, radii)]
+        balls += [{"p": "3/2", "theta": t, "nu": nu} for t, nu in zip(texts, reversed(radii))]
+        data = dict(WORKED, balls=balls)
+        _same_load(data)
+        E = cli.parse_exponent
+        assert cli.instance_from_dict(data).balls == (
+            BallSpec(E("3"), E("inf"), 5.0),
+            BallSpec(E("2"), E("3/2"), min(radii)),
+            BallSpec(E("3/2"), E("2"), min(radii)),
+        )
+
+    def test_numbers_are_keyed_by_their_text(self):
+        # 1, 1.0 and True are equal keys, but their texts "1", "1.0" and "True" are not
+        for values in ([1, 1.0, "1"], [1, True], [2.0, "2.0", 2]):
+            balls = [{"p": v, "theta": str(i + 1), "nu": 1.0} for i, v in enumerate(values)]
+            _same_load(dict(WORKED, balls=balls))
+
+    def test_denominators_past_float_precision(self):
+        # U and D past 2**53: U/D must be rounded once, as float(Fraction) is
+        big = [10**30 + 57, 10**30 + 91, 10**25 + 13, 10**20 + 39]
+        balls = [{"p": f"{a}/{i + 1}", "theta": f"{b}/{i + 2}", "nu": 1.0 + i}
+                 for i, (a, b) in enumerate(zip(big, big[1:] + big[:1]))]
+        _same_load(dict(WORKED, balls=balls))
+
+    @pytest.mark.parametrize("field", ["p", "theta", "q", "sigma"])
+    def test_every_exponent_form(self, field):
+        for text in [*EXPONENT_TEXTS, "", "nope", "0.5", "-3", "1/0", "2x", 3, 2.5, True, None, [2]]:
+            ball = dict(WORKED["balls"][1])
+            data = dict(WORKED, balls=[WORKED["balls"][0], ball])
+            (ball if field in ball else data)[field] = text
+            _same_load(data)
+
+    @pytest.mark.parametrize("ball", [
+        "ball", None, [1], {"theta": "2", "nu": 1.0}, {"p": "2", "nu": 1.0}, {"p": "2", "theta": "2"},
+        {"p": "2", "theta": "2", "nu": True}, {"p": "2", "theta": "2", "nu": "1"},
+        {"p": "2", "theta": "2", "nu": None}, {"p": "2", "theta": "2", "nu": 10**400},
+        {"p": "2", "theta": "2", "nu": -(10**400)},
+    ])
+    def test_malformed_balls(self, ball):
+        _same_load(dict(WORKED, balls=[WORKED["balls"][0], ball]))
+
+    @pytest.mark.parametrize("nu", [-1.0, 0, math.nan, math.inf, -math.inf])
+    def test_radius_message_gains_the_field(self, nu):
+        data = dict(WORKED, balls=[WORKED["balls"][0], {"p": "1", "theta": "2", "nu": nu}])
+        expected = _reference(data)
+        assert expected.startswith("radius must lie in")
+        assert _loaded(data) == "balls[1].nu: " + expected
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**20, max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+    | st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.text(st.characters(min_codepoint=0x80))
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    def test_matches_indented_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_numpy_float_is_a_float(self):
+        value = {"x": np.float64(0.1), "y": [np.float64(-np.inf), np.float64(1e300)]}
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_other_objects_refused(self):
+        for value in ({"x": object()}, [np.int64(1)], {1: "x"}):
+            with pytest.raises(TypeError):
+                cli._json(value)
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "estimate"], ["--mode", "witness"], ["--mode", "sweep", "--n-to", "8"],
+        ["--mode", "verify", "--trials", "2"],
+    ], ids=["estimate", "witness", "sweep", "verify"])
+    def test_every_report_mode(self, worked_file, capsys, monkeypatch, args):
+        written = []
+
+        def checked(obj):
+            text = write(obj)
+            assert text == json.dumps(obj, indent=2)
+            written.append(text)
+            return text
+
+        write = cli._json
+        monkeypatch.setattr(cli, "_json", checked)
+        code, out, _ = run_cli(capsys, *([] if "verify" in args else [worked_file]), *args, "--format", "json")
+        assert code == 0
+        assert out == written[0] + "\n"
